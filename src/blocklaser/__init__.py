@@ -11,9 +11,8 @@ from .symbasis import BasisElement, SectorBasis, enumerate_sector, sector_dimens
 from .liouvillian import (Superoperator, build_liouvillian, liouvillian_for,
                           photon_trace_weights, trace_functional)
 from .dynamics import (DegenerateSteadyStateError, SlowMode, SolverError,
-                       StiffnessError, SymmetricState, evolve,
-                       initial_mixed_state, propagate_grid, slow_eigenmode,
-                       steady_state)
+                       SymmetricState, initial_mixed_state, propagate_grid,
+                       slow_eigenmode, steady_state)
 from .observables import (CorrelationTrace, LinewidthFit, PoorFitError,
                           Spectrum, correlation_times, effective_rabi,
                           expect_photon_number, expect_sigma_z,
@@ -32,9 +31,9 @@ __all__ = [
     "BasisElement", "SectorBasis", "enumerate_sector", "sector_dimension",
     "Superoperator", "build_liouvillian", "liouvillian_for",
     "photon_trace_weights", "trace_functional",
-    "SymmetricState", "initial_mixed_state", "evolve", "propagate_grid",
+    "SymmetricState", "initial_mixed_state", "propagate_grid",
     "steady_state", "SlowMode", "slow_eigenmode", "SolverError",
-    "StiffnessError", "DegenerateSteadyStateError",
+    "DegenerateSteadyStateError",
     "CorrelationTrace", "Spectrum", "LinewidthFit", "PoorFitError",
     "correlation_times", "effective_rabi", "expect_photon_number",
     "expect_sigma_z", "expect_spin_spin", "fit_linewidth", "g1_trace",

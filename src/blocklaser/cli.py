@@ -26,7 +26,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -37,7 +36,8 @@ from .cumulant import (closed_form_linewidth, closed_form_photon,
                        cumulant_steady)
 from .dynamics import SolverError, steady_state
 from .liouvillian import build_liouvillian, trace_functional
-from .model import ModelParams, coupling_from_kappa_tilde, validate
+from .model import (ModelParams, coupling_from_kappa_tilde, random_params,
+                    validate)
 from .observables import (PoorFitError, correlation_times, effective_rabi,
                           expect_photon_number, expect_sigma_z,
                           expect_spin_spin, fit_linewidth, g1_trace, g2_trace,
@@ -82,14 +82,12 @@ DEFAULTS: Dict = {
     "omega_points": 2001,
     "out": None,
     "format": "csv",
-    "threads": 1,
     "seed": 1,
     "draws": 5,
     "trace_points": 100,
     "tol_obs": 1e-8,
     "tol_trace": 1e-6,
     "reltol": 1e-8,
-    "abstol": 1e-10,
 }
 
 # parameter sets of the bundled reference figures; kappa is the rate unit
@@ -176,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "structured"),
                    help="csv with '#' metadata header, or a JSON document")
-    p.add_argument("--threads", type=int, help="worker threads for sweeps")
     p.add_argument("--seed", type=int, help="seed for randomized validation")
     p.add_argument("--draws", type=int, help="validate: random parameter draws")
     p.add_argument("--trace-points", type=int, dest="trace_points",
@@ -185,8 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="validate: observable tolerance")
     p.add_argument("--tol-trace", type=float, dest="tol_trace",
                    help="validate: trace tolerance")
-    p.add_argument("--reltol", type=float, help="integrator relative tolerance")
-    p.add_argument("--abstol", type=float, help="integrator absolute tolerance")
+    p.add_argument("--reltol", type=float,
+                   help="steady-state residual tolerance is reltol * 1e-2")
     p.add_argument("--version", action="version", version=f"blocklaser {__version__}")
     return p
 
@@ -336,36 +333,34 @@ def _write_table(cfg: Dict, columns: List[str], rows: List[List],
 
 
 def _steady_tol(cfg: Dict) -> float:
-    # steady-state residuals are held two digits tighter than the
-    # requested integration tolerance
     return float(cfg["reltol"]) * 1e-2
-
-
-def _steady_point(params: ModelParams, engine: str, tol: float):
-    """(sz, spsm, nb) from the requested backend."""
-    if engine == "symmetric":
-        sector = enumerate_sector(params.n_atoms, params.photon_cutoff, 0)
-        L = build_liouvillian(params, sector)
-        ss = steady_state(L, trace_functional(sector), tol=tol)
-        spsm = expect_spin_spin(ss) if params.n_atoms >= 2 else math.nan
-        return expect_sigma_z(ss), spsm, expect_photon_number(ss)
-    blockaded = engine != "cumulant-normal"
-    cu = cumulant_steady(params, blockaded=blockaded)
-    return cu.sz, cu.spsm, cu.nb
 
 
 def _symmetric_steady(params: ModelParams, tol: float = 1e-10):
     sector = enumerate_sector(params.n_atoms, params.photon_cutoff, 0)
-    L = build_liouvillian(params, sector)
-    return steady_state(L, trace_functional(sector), tol=tol)
+    return steady_state(build_liouvillian(params, sector),
+                        trace_functional(sector), tol=tol)
+
+
+STEADY_COLUMNS = ["w", "w_tilde", "nb", "spsm", "sz"]
+
+
+def _steady_row(params: ModelParams, cfg: Dict) -> List:
+    """One STEADY_COLUMNS row from the configured backend."""
+    engine = cfg["engine"]
+    if engine == "symmetric":
+        ss = _symmetric_steady(params, _steady_tol(cfg))
+        sz, nb = expect_sigma_z(ss), expect_photon_number(ss)
+        spsm = expect_spin_spin(ss) if params.n_atoms >= 2 else math.nan
+    else:
+        cu = cumulant_steady(params, blockaded=engine != "cumulant-normal")
+        sz, spsm, nb = cu.sz, cu.spsm, cu.nb
+    wt = params.pump * params.n_atoms / params.cavity_decay
+    return [params.pump, wt, nb, spsm, sz]
 
 
 def _cmd_steady(cfg: Dict) -> int:
-    params = _params_from_config(cfg)
-    sz, spsm, nb = _steady_point(params, cfg["engine"], _steady_tol(cfg))
-    wt = params.pump * params.n_atoms / params.cavity_decay
-    _write_table(cfg, ["w", "w_tilde", "nb", "spsm", "sz"],
-                 [[params.pump, wt, nb, spsm, sz]])
+    _write_table(cfg, STEADY_COLUMNS, [_steady_row(_params_from_config(cfg), cfg)])
     return 0
 
 
@@ -383,23 +378,9 @@ def _sweep_values(cfg: Dict) -> np.ndarray:
 
 
 def _cmd_sweep(cfg: Dict) -> int:
-    values = _sweep_values(cfg)
-    engine = cfg["engine"]
-    tol = _steady_tol(cfg)
-
-    def point(wval: float):
-        params = _params_from_config(cfg, w_override=wval)
-        sz, spsm, nb = _steady_point(params, engine, tol)
-        wt = params.pump * params.n_atoms / params.cavity_decay
-        return [params.pump, wt, nb, spsm, sz]
-
-    threads = int(cfg["threads"])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(point, values))
-    else:
-        rows = [point(v) for v in values]
-    _write_table(cfg, ["w", "w_tilde", "nb", "spsm", "sz"], rows)
+    rows = [_steady_row(_params_from_config(cfg, w_override=w), cfg)
+            for w in _sweep_values(cfg)]
+    _write_table(cfg, STEADY_COLUMNS, rows)
     return 0
 
 
@@ -480,17 +461,6 @@ def _cmd_cumulant(cfg: Dict) -> int:
     return 0
 
 
-def _draw_params(rng: np.random.Generator, n: int, m: int) -> ModelParams:
-    return ModelParams(
-        n_atoms=n, photon_cutoff=m,
-        coupling=rng.uniform(0.2, 1.5),
-        cavity_decay=rng.uniform(0.3, 2.0),
-        pump=rng.uniform(0.05, 1.5),
-        spont_emission=rng.uniform(0.0, 0.5),
-        dephasing=rng.uniform(0.0, 0.5),
-    )
-
-
 def validation_report(n: int, m: int, seed: int, draws: int,
                       trace_points: int = 100) -> List[Dict]:
     """Per-draw maximum deviations between the symmetric solver and the
@@ -501,10 +471,8 @@ def validation_report(n: int, m: int, seed: int, draws: int,
     rng = np.random.default_rng(seed)
     rows = []
     for k in range(draws):
-        params = _draw_params(rng, n, m)
-        sector = enumerate_sector(n, m, 0)
-        ss = steady_state(build_liouvillian(params, sector),
-                          trace_functional(sector))
+        params = random_params(rng, n, m)
+        ss = _symmetric_steady(params)
         rho = oracle_steady_state(params)
         ref = oracle_expectations(params, rho)
         d_obs = max(

@@ -11,13 +11,12 @@ atoms. Inputs and outputs always use the raw coefficient convention.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .liouvillian import Superoperator, basis_scaling, trace_functional
 from .symbasis import BasisElement, SectorBasis
@@ -25,10 +24,6 @@ from .symbasis import BasisElement, SectorBasis
 
 class SolverError(RuntimeError):
     """Base class for evolution / steady-state failures."""
-
-
-class StiffnessError(SolverError):
-    """Adaptive integrator could not reach the requested tolerance."""
 
 
 class DegenerateSteadyStateError(SolverError):
@@ -42,14 +37,10 @@ _DENSE_STEADY_DIM = 600
 
 @dataclass
 class SymmetricState:
-    """Coefficient vector over one sector basis at a simulation time."""
+    """Coefficient vector over one sector basis."""
 
     sector: SectorBasis
     coeffs: np.ndarray
-    time: float = 0.0
-
-    def copy(self) -> "SymmetricState":
-        return replace(self, coeffs=self.coeffs.copy())
 
 
 def initial_mixed_state(sector: SectorBasis) -> SymmetricState:
@@ -63,7 +54,7 @@ def initial_mixed_state(sector: SectorBasis) -> SymmetricState:
     coeffs = np.zeros(len(sector), dtype=complex)
     k = sector.index_of(BasisElement(0, 0, 0, 0, 0))
     coeffs[k] = 1.0 / (sector.photon_cutoff + 1)
-    return SymmetricState(sector=sector, coeffs=coeffs, time=0.0)
+    return SymmetricState(sector=sector, coeffs=coeffs)
 
 
 def _scaled(L) -> tuple:
@@ -74,39 +65,6 @@ def _scaled(L) -> tuple:
         dinv = sp.diags(1.0 / d)
         return (sp.diags(d) @ L.matrix @ dinv).tocsr(), d
     return sp.csr_matrix(L), None
-
-
-def evolve(L: Superoperator, state: SymmetricState, t_final: float,
-           reltol: float = 1e-8, abstol: float = 1e-10,
-           method: str = "dop853") -> SymmetricState:
-    """Integrate dc/dt = L c for a duration ``t_final``.
-
-    ``method`` is 'dop853' or 'rk45' (adaptive explicit, tolerances apply)
-    or 'expm' (Krylov action of the matrix exponential, accurate to near
-    machine precision regardless of the tolerances).
-    """
-    if len(state.coeffs) != L.matrix.shape[0]:
-        raise ValueError("state does not live in the sector of L")
-    if t_final == 0.0:
-        return state.copy()
-    mat, d = _scaled(L)
-    y0 = state.coeffs.astype(complex) * d if d is not None else state.coeffs.astype(complex)
-    if method == "expm":
-        y = spla.expm_multiply(mat * t_final, y0,
-                               traceA=mat.diagonal().sum() * t_final)
-    else:
-        ivp_method = {"dop853": "DOP853", "rk45": "RK45"}.get(method)
-        if ivp_method is None:
-            raise ValueError(f"unknown method {method!r}")
-        sol = solve_ivp(lambda t, y: mat.dot(y), (0.0, t_final), y0,
-                        method=ivp_method, rtol=reltol, atol=abstol)
-        if not sol.success:
-            raise StiffnessError(
-                f"integrator {ivp_method} failed at t = {sol.t[-1]:.3g} "
-                f"of {t_final:.3g}: {sol.message}")
-        y = sol.y[:, -1]
-    coeffs = y / d if d is not None else y
-    return SymmetricState(state.sector, coeffs, state.time + t_final)
 
 
 def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
@@ -128,6 +86,10 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and non-negative")
     mat, d = _scaled(L)
+    c = np.asarray(c0, dtype=complex)
+    if c.shape != (mat.shape[0],):
+        raise ValueError(f"state has shape {c.shape} but the generator acts "
+                         f"on dimension {mat.shape[0]}; wrong sector?")
     trace = mat.diagonal().sum()
 
     out = []
@@ -136,7 +98,6 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
         raw = vec / d if d is not None else vec
         out.append(observe(raw) if observe is not None else raw.copy())
 
-    c = np.asarray(c0, dtype=complex)
     if d is not None:
         c = c * d
     t_curr = 0.0
@@ -341,7 +302,7 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
             "null vector is traceless; "
             f"estimated null-space dimension {_null_dimension(mat, tol)}")
     y = y / tr
-    return SymmetricState(sector=sector, coeffs=y / d, time=np.inf)
+    return SymmetricState(sector=sector, coeffs=y / d)
 
 
 def _steady_by_arnoldi(mat: sp.spmatrix, tol: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,9 +38,7 @@ from .opkernels import (apply_cavity, apply_collective, apply_dephasing_diag,
 from .symbasis import SectorBasis, enumerate_sector
 
 #: entries with |value| below this after merging are rounding dust and dropped
-DEFAULT_DROP_TOL = 1e-15
-
-PART_NAMES = ("hamiltonian", "cavity_decay", "pump", "spont", "deph")
+DROP_TOL = 1e-15
 
 
 @dataclass
@@ -49,7 +47,6 @@ class Superoperator:
 
     sector: SectorBasis
     matrix: sp.csr_matrix
-    parts: Optional[Dict[str, sp.csr_matrix]] = None
 
 
 def photon_trace_weights(cutoff: int) -> np.ndarray:
@@ -176,8 +173,7 @@ def _part_terms(n_atoms: int, cutoff: int):
 
 
 @lru_cache(maxsize=64)
-def _unit_parts(n_atoms: int, cutoff: int, delta_n: int,
-                drop_tol: float = DEFAULT_DROP_TOL) -> Dict[str, sp.csr_matrix]:
+def _unit_parts(n_atoms: int, cutoff: int, delta_n: int) -> Dict[str, sp.csr_matrix]:
     """Unit-rate part matrices on the given sector, cached."""
     sector = enumerate_sector(n_atoms, cutoff, delta_n)
     dim = len(sector)
@@ -201,9 +197,8 @@ def _unit_parts(n_atoms: int, cutoff: int, delta_n: int,
                 vals.append(v)
         mat = sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
                             shape=(dim, dim))
-        if drop_tol > 0:
-            mat.data[np.abs(mat.data) < drop_tol] = 0
-            mat.eliminate_zeros()
+        mat.data[np.abs(mat.data) < DROP_TOL] = 0
+        mat.eliminate_zeros()
         parts[name] = mat
     return parts
 
@@ -218,47 +213,22 @@ def _rates(params: ModelParams) -> Dict[str, float]:
     }
 
 
-def _scaled_part(rate: float, unit: sp.csr_matrix) -> sp.csr_matrix:
-    if rate == 0.0:
-        return sp.csr_matrix(unit.shape, dtype=complex)
-    return (rate * unit).tocsr()
+def build_liouvillian(params: ModelParams, sector: SectorBasis) -> Superoperator:
+    """Assemble the full sector Liouvillian from cached unit parts.
 
-
-def build_hamiltonian_action(params: ModelParams, sector: SectorBasis) -> sp.csr_matrix:
-    """Sparse matrix of i[rho, H] on the sector."""
-    validate(params)
-    unit = _unit_parts(sector.n_atoms, sector.photon_cutoff, sector.delta_n)
-    return _scaled_part(params.coupling, unit["hamiltonian"])
-
-
-def build_dissipators(params: ModelParams, sector: SectorBasis) -> Dict[str, sp.csr_matrix]:
-    """Sparse matrices of the four dissipative parts on the sector."""
-    validate(params)
-    unit = _unit_parts(sector.n_atoms, sector.photon_cutoff, sector.delta_n)
-    rates = _rates(params)
-    return {name: _scaled_part(rates[name], unit[name]) for name in PART_NAMES
-            if name != "hamiltonian"}
-
-
-def build_liouvillian(params: ModelParams, sector: SectorBasis,
-                      keep_parts: bool = False,
-                      drop_tol: float = DEFAULT_DROP_TOL) -> Superoperator:
-    """Assemble the full sector Liouvillian from cached unit parts."""
+    A single part (say i[rho, H]) is the Liouvillian of ``params`` with the
+    other four rates set to zero.
+    """
     validate(params)
     if (sector.n_atoms, sector.photon_cutoff) != (params.n_atoms, params.photon_cutoff):
         raise ValueError("sector was enumerated for different (N, M)")
-    unit = _unit_parts(sector.n_atoms, sector.photon_cutoff, sector.delta_n, drop_tol)
-    rates = _rates(params)
+    unit = _unit_parts(sector.n_atoms, sector.photon_cutoff, sector.delta_n)
     dim = len(sector)
     total = sp.csr_matrix((dim, dim), dtype=complex)
-    parts = {} if keep_parts else None
-    for name in PART_NAMES:
-        scaled = _scaled_part(rates[name], unit[name])
-        if scaled.nnz:
-            total = total + scaled
-        if keep_parts:
-            parts[name] = scaled
-    return Superoperator(sector=sector, matrix=total.tocsr(), parts=parts)
+    for name, rate in _rates(params).items():
+        if rate != 0.0 and unit[name].nnz:
+            total = total + rate * unit[name]
+    return Superoperator(sector=sector, matrix=total.tocsr())
 
 
 @lru_cache(maxsize=32)

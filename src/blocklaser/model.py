@@ -102,6 +102,23 @@ def derive_scales(params: ModelParams) -> DerivedScales:
     )
 
 
+def random_params(rng, n_atoms: int, cutoff: int,
+                  with_gamma: bool = True) -> ModelParams:
+    """Rates drawn uniformly from the ranges used for randomized validation.
+
+    ``rng`` is a numpy Generator; the draws are g, kappa, w, then gamma and
+    gamma_d. With ``with_gamma=False`` the last two are 0 and consume no draws.
+    """
+    return ModelParams(
+        n_atoms=n_atoms, photon_cutoff=cutoff,
+        coupling=rng.uniform(0.2, 1.5),
+        cavity_decay=rng.uniform(0.3, 2.0),
+        pump=rng.uniform(0.05, 1.5),
+        spont_emission=rng.uniform(0.0, 0.5) if with_gamma else 0.0,
+        dephasing=rng.uniform(0.0, 0.5) if with_gamma else 0.0,
+    )
+
+
 def coupling_from_kappa_tilde(n_atoms: int, kappa: float, kappa_tilde: float) -> float:
     """Invert kappa_tilde = kappa/(N g) for the coupling g."""
     if kappa_tilde <= 0 or kappa <= 0 or n_atoms < 1:

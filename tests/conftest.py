@@ -1,19 +1,6 @@
 import numpy as np
 import pytest
 
-from blocklaser import ModelParams
-
-
-def random_params(rng, n_atoms, cutoff, with_gamma=True):
-    return ModelParams(
-        n_atoms=n_atoms, photon_cutoff=cutoff,
-        coupling=rng.uniform(0.2, 1.5),
-        cavity_decay=rng.uniform(0.3, 2.0),
-        pump=rng.uniform(0.05, 1.5),
-        spont_emission=rng.uniform(0.0, 0.5) if with_gamma else 0.0,
-        dephasing=rng.uniform(0.0, 0.5) if with_gamma else 0.0,
-    )
-
 
 @pytest.fixture
 def rng():

@@ -21,8 +21,7 @@ from blocklaser import (ModelParams, derive_scales, enumerate_sector,
                         closed_form_photon, cumulant_steady, large_n_linewidth,
                         slow_eigenmode)
 from blocklaser.cli import validation_report
-from blocklaser.model import coupling_from_kappa_tilde
-from conftest import random_params
+from blocklaser.model import coupling_from_kappa_tilde, random_params
 
 
 def report(name, ok, detail):

@@ -82,19 +82,15 @@ def test_pump_unit_conversion(tmp_path):
     assert rows[0, 0] == pytest.approx(2.0 * 10 * 0.3 ** 2 / 2.0)
 
 
-def test_sweep_grids_and_threads(tmp_path):
+def test_sweep_grids(tmp_path):
     base = ["sweep", "--n", "12", "--m", "1", "--kappa-tilde", "0.4",
             "--w-min", "0.3", "--w-max", "2.0", "--w-steps", "5",
             "--w-unit", "kappa-over-n"]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    out1 = tmp_path / "a.csv"
     assert main(base + ["--out", str(out1)]) == 0
-    assert main(base + ["--threads", "3", "--out", str(out2)]) == 0
     _, _, rows = read_table(out1)
     assert np.allclose(rows[:, 1], np.linspace(0.3, 2.0, 5))
     assert np.all(np.diff(rows[:, 0]) > 0)
-    # worker pool must not change the (ordered) output
-    assert out1.read_text().replace("threads: 3", "threads: 1") == \
-        out2.read_text().replace("threads: 3", "threads: 1")
     out3 = tmp_path / "c.csv"
     assert main(base[:-2] + ["--w-unit", "kappa-over-n", "--w-scale", "log",
                              "--out", str(out3)]) == 0

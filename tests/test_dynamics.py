@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
-                        liouvillian_for, trace_functional, evolve,
+                        liouvillian_for, trace_functional,
                         initial_mixed_state, propagate_grid, steady_state,
                         slow_eigenmode, expect_photon_number, expect_sigma_z,
                         expect_spin_spin)
@@ -10,7 +10,7 @@ from blocklaser.dynamics import DegenerateSteadyStateError, SymmetricState
 from blocklaser.symbasis import BasisElement
 from blocklaser.oracle import (build_full_liouvillian, lift_state,
                                oracle_expectations, oracle_steady_state)
-from conftest import random_params
+from blocklaser.model import random_params
 
 
 def test_mixed_state_normalization():
@@ -34,10 +34,8 @@ def test_evolve_with_zero_generator_is_identity():
     sector = enumerate_sector(2, 1, 0)
     L = build_liouvillian(p, sector)
     s = initial_mixed_state(sector)
-    for method in ("dop853", "expm"):
-        out = evolve(L, s, 3.0, method=method)
-        assert np.allclose(out.coeffs, s.coeffs, atol=1e-14)
-        assert out.time == pytest.approx(3.0)
+    out = propagate_grid(L, s.coeffs, [3.0])[0]
+    assert np.allclose(out, s.coeffs, atol=1e-14)
 
 
 def test_trace_invariant_along_trajectory(rng):
@@ -58,25 +56,16 @@ def test_evolution_matches_oracle(rng):
     t_final = 5.0 / p.cavity_decay
     rho0 = lift_state(s).reshape(-1)
     rho_t = propagate_grid(build_full_liouvillian(p), rho0, [t_final])[0]
-    for method, tol in (("dop853", 1e-8), ("rk45", 1e-6), ("expm", 1e-11)):
-        out = evolve(L, s, t_final, reltol=1e-10, abstol=1e-12, method=method)
-        diff = np.abs(lift_state(out).reshape(-1) - rho_t).max()
-        assert diff < tol, method
-
-
-def test_unknown_method_rejected():
-    p = ModelParams(2, 1, 1.0, 1.0, 0.5)
-    L = liouvillian_for(p, 0)
-    with pytest.raises(ValueError):
-        evolve(L, initial_mixed_state(L.sector), 1.0, method="leapfrog")
+    out = SymmetricState(sector, propagate_grid(L, s.coeffs, [t_final])[0])
+    assert np.abs(lift_state(out).reshape(-1) - rho_t).max() < 1e-11
 
 
 def test_state_sector_mismatch_rejected():
     p = ModelParams(2, 1, 1.0, 1.0, 0.5)
     L = liouvillian_for(p, 0)
     other = initial_mixed_state(enumerate_sector(3, 1, 0))
-    with pytest.raises(ValueError):
-        evolve(L, other, 1.0)
+    with pytest.raises(ValueError, match="dimension 12"):
+        propagate_grid(L, other.coeffs, [1.0])
 
 
 def test_propagate_grid_matches_single_steps(rng):
@@ -87,8 +76,8 @@ def test_propagate_grid_matches_single_steps(rng):
     times = np.concatenate([np.linspace(0.0, 1.0, 11), np.geomspace(1.5, 40.0, 7)])
     traj = propagate_grid(L, s.coeffs, times)
     for k in (0, 3, 10, 12, 17):
-        single = evolve(L, s, times[k], method="expm")
-        assert np.abs(traj[k] - single.coeffs).max() < 1e-11
+        single = propagate_grid(L, s.coeffs, [times[k]])[0]
+        assert np.abs(traj[k] - single).max() < 1e-11
     observed = propagate_grid(L, s.coeffs, times,
                               observe=lambda c: c[0])
     assert np.allclose(observed, traj[:, 0])
@@ -159,7 +148,7 @@ def test_steady_state_independent_of_initial_state(rng):
     assert expect_photon_number(s_down) == pytest.approx(0.0, abs=1e-12)
     horizon = 60.0 / min(p.pump + p.spont_emission, p.cavity_decay)
     for start in (mixed, s_down):
-        out = evolve(L, start, horizon, method="expm")
+        out = SymmetricState(sector, propagate_grid(L, start.coeffs, [horizon])[0])
         assert expect_sigma_z(out) == pytest.approx(expect_sigma_z(ss), abs=1e-7)
         assert expect_photon_number(out) == pytest.approx(
             expect_photon_number(ss), abs=1e-7)

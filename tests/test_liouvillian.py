@@ -1,13 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
-                        liouvillian_for, photon_trace_weights, trace_functional)
-from blocklaser.liouvillian import (basis_scaling, build_dissipators,
-                                    build_hamiltonian_action, dump_coo)
+                        liouvillian_for, photon_trace_weights, propagate_grid,
+                        trace_functional)
+from blocklaser.liouvillian import _unit_parts, basis_scaling, dump_coo
 from blocklaser.dynamics import SymmetricState
 from blocklaser.oracle import build_full_liouvillian, lift_element, lift_state
-from conftest import random_params
+from blocklaser.model import random_params
+
+RATES = ("coupling", "cavity_decay", "pump", "spont_emission", "dephasing")
+
+
+def only(params, rate):
+    """``params`` with every rate but ``rate`` set to 0: its Liouvillian is
+    that one part of the master equation."""
+    return replace(params, **{r: 0.0 for r in RATES if r != rate})
 
 
 def test_photon_trace_weights_match_direct_traces():
@@ -42,11 +52,10 @@ def test_trace_annihilates_each_part(rng):
         sector = enumerate_sector(p.n_atoms, p.photon_cutoff, 0)
         t = trace_functional(sector)
         scale = np.abs(t).max()
-        ham = build_hamiltonian_action(p, sector)
-        assert np.abs(t @ ham).max() < 1e-12 * scale * max(1.0, abs(ham).max())
-        for name, part in build_dissipators(p, sector).items():
+        for rate in RATES:
+            part = build_liouvillian(only(p, rate), sector).matrix
             bound = 1e-12 * scale * max(1.0, np.abs(part.data).max() if part.nnz else 1.0)
-            assert np.abs(t @ part).max() < bound, name
+            assert np.abs(t @ part).max() < bound, rate
 
 
 def test_trace_conservation_full_liouvillian(rng):
@@ -62,16 +71,13 @@ def test_trace_conservation_full_liouvillian(rng):
 def test_zero_rates_give_zero_parts():
     p = ModelParams(2, 1, 0.0, 0.0, 0.0, 0.0, 0.0)
     sector = enumerate_sector(2, 1, 0)
-    L = build_liouvillian(p, sector, keep_parts=True)
-    assert L.matrix.nnz == 0
-    assert build_hamiltonian_action(p, sector).nnz == 0
-    assert all(part.nnz == 0 for part in L.parts.values())
+    assert build_liouvillian(p, sector).matrix.nnz == 0
 
 
 def test_dephasing_part_is_diagonal():
     p = ModelParams(3, 1, 0.4, 0.7, 0.2, 0.1, 0.9)
     sector = enumerate_sector(3, 1, 0)
-    deph = build_dissipators(p, sector)["deph"]
+    deph = build_liouvillian(only(p, "dephasing"), sector).matrix
     dense = deph.toarray()
     assert np.abs(dense - np.diag(np.diag(dense))).max() == 0.0
     for k, e in enumerate(sector.elements):
@@ -95,7 +101,7 @@ def test_lifted_action_equals_full_space_action(n_atoms, cutoff, rng):
 def test_hamiltonian_action_matches_commutator(rng):
     p = ModelParams(2, 1, 0.8, 0.0, 0.0)
     sector = enumerate_sector(2, 1, 0)
-    ham = build_hamiltonian_action(p, sector)
+    ham = build_liouvillian(p, sector).matrix
     Lfull = build_full_liouvillian(p)  # only the commutator survives
     c = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
     lifted = lift_state(SymmetricState(sector, ham @ c)).reshape(-1)
@@ -126,7 +132,6 @@ def test_spectrum_lies_in_left_half_plane(rng):
 
 
 def test_hermiticity_conjugation_commutes_with_evolution(rng):
-    from blocklaser import evolve
     p = random_params(rng, 3, 1)
     sector = enumerate_sector(3, 1, 0)
     L = build_liouvillian(p, sector)
@@ -135,7 +140,7 @@ def test_hermiticity_conjugation_commutes_with_evolution(rng):
     swap = [sector.index_of(type(e)(e.n_minus, e.n_plus, e.n_z, e.n_a, e.n_adag))
             for e in sector.elements]
     c = c + np.conj(c[swap])
-    out = evolve(L, SymmetricState(sector, c), 1.3, method="expm").coeffs
+    out = propagate_grid(L, c, [1.3])[0]
     sym_defect = np.abs(out - np.conj(out[swap])).max()
     assert sym_defect < 1e-10 * np.abs(out).max()
 
@@ -150,6 +155,15 @@ def test_liouvillian_cache_returns_shared_object():
     p = ModelParams(3, 1, 1.0, 1.0, 0.5)
     assert liouvillian_for(p, 0) is liouvillian_for(p, 0)
     assert liouvillian_for(p, -1) is not liouvillian_for(p, 0)
+
+
+def test_one_sector_is_assembled_once(rng):
+    _unit_parts.cache_clear()
+    sector = enumerate_sector(5, 1, 0)
+    build_liouvillian(random_params(rng, 5, 1), sector)
+    build_liouvillian(random_params(rng, 5, 1), sector)
+    liouvillian_for(random_params(rng, 5, 1), 0)
+    assert _unit_parts.cache_info().misses == 1
 
 
 def test_coordinate_dump_roundtrip(tmp_path):

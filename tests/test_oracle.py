@@ -8,7 +8,7 @@ from blocklaser.oracle import (atom_swap, build_full_liouvillian, hilbert_dim,
                                oracle_g1, oracle_g2, oracle_steady_state,
                                oracle_two_time, site_operators)
 from blocklaser.symbasis import BasisElement
-from conftest import random_params
+from blocklaser.model import random_params
 
 
 def test_cavity_only_spectrum():
