@@ -23,7 +23,14 @@ blockaded steady state has the closed form
 
     n      = (1/4) (1 + wt - sqrt((1 - wt)^2 + 4 wt^2 kt^2)),
 
-which the factorization reproduces exactly at N -> infinity. The two-time
+which the factorization reproduces exactly at N -> infinity.
+:func:`cumulant_steady` therefore starts Newton there, polishes the root
+with full steps and certifies it: residual within the gate, physical
+range (<S^+ S^-> >= 0 allows s < 0) and a Jacobian with every eigenvalue
+in the left half plane. Only a root that fails falls back to Radau
+relaxation from the weakly excited state, whose polished end point must
+pass the same certificate; a Newton run from the fully inverted state
+probes for competing admissible roots. The two-time
 function follows from the regression system
 
     d/dt (b+(t)b(0), s1+(t)b(0)) =
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -133,6 +141,10 @@ def cumulant_jacobian(state: CumulantState, params: ModelParams,
     return _jac_vec(state.as_vector(), params, blockaded)
 
 
+#: a polished root moves by less than this (relative) under one more Newton step
+POLISH_RTOL = 1e-12
+
+
 def _rate_scale(params: ModelParams) -> float:
     return max(params.cavity_decay,
                params.pump + params.spont_emission + params.dephasing,
@@ -141,17 +153,31 @@ def _rate_scale(params: ModelParams) -> float:
 
 def _newton(y0: np.ndarray, params: ModelParams, blockaded: bool,
             tol: float) -> np.ndarray:
+    """Damped Newton to a residual of ``tol``, then full steps until the
+    step is below ``POLISH_RTOL`` of the state or stops shrinking.
+
+    The residual gate alone stops short of the root where the Jacobian
+    is ill-conditioned: next to the normal-mode threshold (cond ~ 2.5e7)
+    a state at residual 1.6e-12 is still 4e-6 relative off the root, and
+    one more step still leaves 1.6e-10.
+    """
     y = y0.copy()
     fnorm = np.linalg.norm(_rhs_vec(y, params, blockaded), np.inf)
+    last = np.inf
     for _ in range(80):
-        if fnorm <= tol:
-            return y
         f = _rhs_vec(y, params, blockaded)
         J = _jac_vec(y, params, blockaded)
         try:
             step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular cumulant Jacobian") from exc
+        if fnorm <= tol:
+            size = np.linalg.norm(step, np.inf)
+            if size <= POLISH_RTOL * np.linalg.norm(y, np.inf) or size >= last:
+                return y
+            y, last = y + step, size
+            fnorm = np.linalg.norm(_rhs_vec(y, params, blockaded), np.inf)
+            continue
         lam = 1.0
         while lam > 2 ** -30:
             ytrial = y + lam * step
@@ -162,27 +188,39 @@ def _newton(y0: np.ndarray, params: ModelParams, blockaded: bool,
             lam *= 0.5
         else:
             break
-    if fnorm > tol:
-        raise SolverError(f"cumulant fixed point stalled at residual {fnorm:.3e}")
-    return y
+    raise SolverError(f"cumulant fixed point stalled at residual {fnorm:.3e}")
 
 
-def cumulant_steady(params: ModelParams, blockaded: bool = True,
-                    residual_tol: float = 1e-12) -> CumulantState:
-    """Physical fixed point of the cumulant equations.
+def _closed_form_start(params: ModelParams, blockaded: bool) -> np.ndarray:
+    """Newton start from the large-N closed form.
 
-    Forward integration from the weakly excited state (all atoms down,
-    empty mode) selects the physical branch; a damped Newton iteration
-    then polishes the root to a scaled residual of ``residual_tol``
-    (measured in units of the largest rate). A second Newton run from the
-    fully inverted state probes for competing roots and warns if one is
-    found.
+    Above threshold (wt kt^2 < B) this is z = 1 - 2n/wt, s = z n/wt and
+    x = i kappa n/(N g), with n from :func:`closed_form_photon` and
+    B = 1 - 2n for the blockaded mode, or z = wt kt^2, n = wt (1 - z)/2
+    and B = 1 for the normal mode. Otherwise it is the uncoupled pumped
+    atom, z = (w - gamma)/(w + gamma) with the rest at 0. The
+    above-threshold start ignores gamma and gamma_d.
     """
-    validate(params)
-    if params.pump + params.spont_emission <= 0:
-        raise ValueError("need pump + spont_emission > 0 for a relaxing fixed point")
-    scale = _rate_scale(params)
-    tol = residual_tol * scale
+    w, gam = params.pump, params.spont_emission
+    if w > 0 and params.coupling > 0 and params.cavity_decay > 0:
+        sc = derive_scales(params)
+        wt, kt = sc.w_tilde, sc.kappa_tilde
+        if blockaded:
+            n = closed_form_photon(params)
+            B = 1.0 - 2.0 * n
+        else:
+            n = 0.5 * wt * (1.0 - wt * kt ** 2)
+            B = 1.0
+        if wt * kt ** 2 < B:
+            z = 1.0 - 2.0 * n / wt
+            v = params.cavity_decay * n / (params.n_atoms * params.coupling)
+            return np.array([z, z * n / wt, n, 0.0, v])
+    return np.array([(w - gam) / (w + gam), 0.0, 0.0, 0.0, 0.0])
+
+
+def _relax(params: ModelParams, blockaded: bool) -> np.ndarray:
+    """Radau from the weakly excited state (all atoms down, empty mode)
+    out to 200 times the slowest relaxation time."""
     slow = min(r for r in (params.pump + params.spont_emission,
                            params.cavity_decay) if r > 0)
     y0 = np.array([-1.0, 0.0, 0.0, 0.0, 0.0])
@@ -192,27 +230,82 @@ def cumulant_steady(params: ModelParams, blockaded: bool = True,
                     rtol=1e-10, atol=1e-13)
     if not sol.success:
         raise SolverError(f"cumulant relaxation failed: {sol.message}")
-    y = _newton(sol.y[:, -1], params, blockaded, tol)
+    return sol.y[:, -1]
+
+
+def _certificate_failure(y: np.ndarray, params: ModelParams, blockaded: bool,
+                         tol: float) -> Optional[str]:
+    """None if y is a stable physical root, else the check it fails."""
+    resid = np.linalg.norm(_rhs_vec(y, params, blockaded), np.inf)
+    if not resid <= tol:
+        return f"residual {resid:.3e} above {tol:.3e}"
+    if not _admissible(y, params.n_atoms):
+        return f"state {CumulantState.from_vector(y)} outside the physical range"
+    growth = np.linalg.eigvals(_jac_vec(y, params, blockaded)).real.max()
+    if not growth < 0:
+        return f"unstable: Jacobian eigenvalue with real part {growth:.3e}"
+    return None
+
+
+def cumulant_steady(params: ModelParams, blockaded: bool = True,
+                    residual_tol: float = 1e-12) -> CumulantState:
+    """Stable physical fixed point of the cumulant equations.
+
+    A damped Newton iteration starts at the large-N closed form (see
+    :func:`_closed_form_start`), runs to a scaled residual of
+    ``residual_tol`` (in units of the largest rate) and polishes the root
+    with full steps (see :func:`_newton`). The root is accepted only if it
+    passes a certificate: the residual is still within the gate, the
+    state lies in the physical range (-1 <= z <= 1, <S^+ S^-> >= 0,
+    s <= 1/4, n >= 0) and every eigenvalue of the Jacobian there has a
+    negative real part.
+
+    The closed form ignores gamma and gamma_d, and where they matter
+    (e.g. gamma = w) Newton from it can stall or land on another root.
+    Only then does forward integration from the weakly excited state
+    select the physical branch; its end point gets the same Newton polish
+    and certificate, and a failure of either raises SolverError naming
+    the failed check. A second Newton run from the fully inverted state
+    probes for competing roots and warns if one is admissible.
+    """
+    validate(params)
+    if params.pump + params.spont_emission <= 0:
+        raise ValueError("need pump + spont_emission > 0 for a relaxing fixed point")
+    tol = residual_tol * _rate_scale(params)
+    try:
+        y = _newton(_closed_form_start(params, blockaded), params, blockaded, tol)
+        failure = _certificate_failure(y, params, blockaded, tol)
+    except SolverError as exc:
+        failure = str(exc)
+    if failure is not None:
+        y = _newton(_relax(params, blockaded), params, blockaded, tol)
+        failure = _certificate_failure(y, params, blockaded, tol)
+        if failure is not None:
+            raise SolverError(f"relaxed cumulant fixed point fails its certificate: {failure}")
 
     try:
         alt = _newton(np.array([1.0, 0.0, 0.0, 0.0, 0.0]), params, blockaded, tol)
         distinct = np.linalg.norm(alt - y, np.inf) > 1e-6 * (1.0 + np.linalg.norm(y, np.inf))
-        if distinct and _admissible(alt):
+        if distinct and _admissible(alt, params.n_atoms):
             # the polynomial system always has spurious roots outside the
             # physical ranges; only a competing admissible root is news
             warnings.warn(
                 "cumulant equations admit another admissible root "
-                f"{CumulantState.from_vector(alt)}; returning the branch "
-                "reached by forward integration", stacklevel=2)
+                f"{CumulantState.from_vector(alt)}; returning the certified "
+                "stable branch", stacklevel=2)
     except SolverError:
         pass
     return CumulantState.from_vector(y)
 
 
-def _admissible(y: np.ndarray, slack: float = 1e-6) -> bool:
+def _admissible(y: np.ndarray, n_atoms: int, slack: float = 1e-6) -> bool:
+    """Physical range: -1 <= z <= 1, s <= 1/4, n >= 0 and
+    <S^+ S^-> = N (1 + z)/2 + N (N - 1) s >= 0, i.e. s may be negative
+    (anticorrelated atoms) down to -(1 + z)/(2 (N - 1))."""
     z, s, n = y[0], y[1], y[2]
+    s_min = -(1.0 + z) / (2.0 * (n_atoms - 1)) if n_atoms > 1 else -np.inf
     return (-1.0 - slack <= z <= 1.0 + slack
-            and -slack <= s <= 0.25 + slack
+            and s_min - slack <= s <= 0.25 + slack
             and n >= -slack)
 
 

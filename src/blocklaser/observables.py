@@ -31,6 +31,10 @@ from .model import ModelParams
 from .opkernels import apply_cavity, apply_product
 from .symbasis import BasisElement, SectorBasis, enumerate_sector
 
+#: frequency rows per block of power_spectrum's exp(i w t) phase matrix;
+#: at fig2b (2621 delays) a block is 2.7 MB, the whole 4001-row matrix 168 MB
+SPECTRUM_BLOCK = 64
+
 
 class PoorFitError(SolverError):
     """Exponential tail fit rejected by the residual diagnostic."""
@@ -256,7 +260,8 @@ def power_spectrum(trace: CorrelationTrace,
     into its Lorentzian of half-width rate/2 and only the residual is
     integrated numerically; the narrow coherent peak and the broad
     structure then never share one quadrature grid. Without a fit the
-    trace must itself have decayed below ``decay_floor``.
+    trace must itself have decayed below ``decay_floor``. The phase matrix
+    exp(i w t) is evaluated ``SPECTRUM_BLOCK`` frequencies at a time.
     """
     t = trace.times
     g = trace.values
@@ -279,7 +284,10 @@ def power_spectrum(trace: CorrelationTrace,
                 "supply a tail fit or extend the grid")
         residual = g
         lorentz = 0.0
-    phases = np.exp(1j * np.outer(freqs, t))
-    numeric = trapezoid(phases * residual[None, :], t, axis=1)
-    values = lorentz + numeric.real / np.pi
+    numeric = np.empty(len(freqs))
+    for lo in range(0, len(freqs), SPECTRUM_BLOCK):
+        phases = np.exp(1j * np.outer(freqs[lo:lo + SPECTRUM_BLOCK], t))
+        numeric[lo:lo + SPECTRUM_BLOCK] = trapezoid(
+            phases * residual[None, :], t, axis=1).real
+    values = lorentz + numeric / np.pi
     return Spectrum(freqs=freqs, values=values, metadata=meta)

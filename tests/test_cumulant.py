@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import blocklaser.cumulant as cm
 from blocklaser import (ModelParams, derive_scales,
                         liouvillian_for, trace_functional, steady_state,
                         expect_spin_spin, CumulantState, cumulant_jacobian,
@@ -10,6 +11,8 @@ from blocklaser import (ModelParams, derive_scales,
                         closed_form_photon, large_n_linewidth,
                         regression_eigenvalues,
                         regression_g1, two_exponential_g1)
+from blocklaser.cli import PRESETS
+from blocklaser.dynamics import SolverError
 from blocklaser.model import coupling_from_kappa_tilde
 
 
@@ -23,6 +26,34 @@ def quiet_steady(params, blockaded=True):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return cumulant_steady(params, blockaded=blockaded)
+
+
+def preset_params(name, indices):
+    """Parameter sets of a cumulant sweep preset at the given grid indices."""
+    c = PRESETS[name]
+    space = np.geomspace if c["w_scale"] == "log" else np.linspace
+    wts = space(c["w_min"], c["w_max"], c["w_steps"])
+    return [params_for(c["n"], wts[k], c["kappa_tilde"], kappa=c["kappa"])
+            for k in indices]
+
+
+def certified(params, state, blockaded=True):
+    tol = 1e-12 * cm._rate_scale(params)
+    return cm._certificate_failure(state.as_vector(), params, blockaded, tol) is None
+
+
+@pytest.fixture
+def relax_calls(monkeypatch):
+    """Record every entry into the Radau relaxation fallback."""
+    calls = []
+    relax = cm._relax
+
+    def spy(params, blockaded):
+        calls.append(params)
+        return relax(params, blockaded)
+
+    monkeypatch.setattr(cm, "_relax", spy)
+    return calls
 
 
 def test_pumped_fixed_point_is_stationary_without_coupling():
@@ -216,3 +247,77 @@ def test_cumulant_close_to_exact_numerics_midscale():
     L = liouvillian_for(p, 0)
     ss = steady_state(L, trace_functional(L.sector))
     assert abs(st.spsm - expect_spin_spin(ss)) < 0.02
+
+
+def test_anticorrelated_root_is_admissible(relax_calls):
+    # below threshold at small N the atoms are anticorrelated: s < 0 with
+    # <S^+ S^-> = N (1 + z)/2 + N (N - 1) s still positive
+    p = params_for(10, 0.197, 0.037)
+    st = quiet_steady(p)
+    assert st.spsm == pytest.approx(-0.049, abs=1e-3)
+    assert relax_calls == []
+    assert certified(p, st)
+    y = st.as_vector()
+    assert cm._admissible(y, n_atoms=10)
+    s_min = -(1.0 + st.sz) / (2.0 * 9)
+    assert not cm._admissible(np.array([st.sz, s_min - 1e-4, st.nb, 0.0, 0.0]),
+                              n_atoms=10)
+
+
+def test_near_threshold_root_is_polished():
+    # fig2a-normal at w_tilde = 15.76, where cond J = 2.5e7: the residual
+    # gate alone leaves the state 3e-7 relative off the root
+    (p,) = preset_params("fig2a-normal", [63])
+    assert derive_scales(p).w_tilde == pytest.approx(15.7635, abs=1e-4)
+    st = quiet_steady(p, blockaded=False)
+    y = st.as_vector()
+    step = np.linalg.solve(cumulant_jacobian(st, p, blockaded=False),
+                           -cumulant_rhs(st, p, blockaded=False).as_vector())
+    assert np.abs(step).max() <= 1e-12 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("name, blockaded, indices, rtol", [
+    ("fig2a-blockaded", True, range(5, 80, 10), 1e-12),
+    ("fig2a-normal", False, (0, 10, 20, 30, 40, 50, 63, 75), 1e-8),
+])
+def test_closed_form_route_matches_relaxation_route(relax_calls, name, blockaded,
+                                                    indices, rtol):
+    for p in preset_params(name, indices):
+        y = quiet_steady(p, blockaded).as_vector()
+        assert relax_calls == []
+        tol = 1e-12 * cm._rate_scale(p)
+        relaxed = cm._newton(cm._relax(p, blockaded), p, blockaded, tol)
+        relax_calls.clear()
+        assert np.abs(y - relaxed).max() <= rtol * np.abs(relaxed).max()
+
+
+def test_fallback_relaxes_where_the_closed_form_start_fails(relax_calls):
+    # gamma = w: the closed form (which ignores gamma) leads Newton astray
+    N, wt = 10 ** 5, 0.3
+    p = params_for(N, wt, 1.1, gamma=wt / N)
+    st = quiet_steady(p)
+    assert len(relax_calls) == 1
+    assert certified(p, st)
+
+
+def test_certificate_failure_of_the_relaxed_root_raises(monkeypatch):
+    # both routes land on the inverted spurious root with n < 0
+    inverted = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    monkeypatch.setattr(cm, "_closed_form_start", lambda params, blockaded: inverted)
+    monkeypatch.setattr(cm, "_relax", lambda params, blockaded: inverted)
+    with pytest.raises(SolverError, match="outside the physical range"):
+        cumulant_steady(params_for(1000, 1.3, 0.3))
+
+
+def test_unstable_root_is_refused(monkeypatch):
+    # a self-pulsing normal-mode point: the only admissible fixed point has
+    # a growing oscillation (Radau circles a limit cycle, which takes a
+    # minute to integrate, so the relaxation here returns a point near it)
+    p = params_for(384, 27.2, 0.032)
+    tol = 1e-12 * cm._rate_scale(p)
+    root = cm._newton(cm._closed_form_start(p, False), p, False, tol)
+    assert cm._admissible(root, n_atoms=p.n_atoms)
+    assert "unstable" in cm._certificate_failure(root, p, False, tol)
+    monkeypatch.setattr(cm, "_relax", lambda params, blockaded: root * (1 + 1e-3))
+    with pytest.raises(SolverError, match="unstable"):
+        cumulant_steady(p, blockaded=False)

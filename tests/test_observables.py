@@ -175,6 +175,23 @@ def test_spectrum_two_scale_separation():
     assert spec.metadata["tail_rate"] == pytest.approx(slow, rel=1e-3)
 
 
+def test_spectrum_blocks_match_the_whole_phase_matrix(rng):
+    # several blocks plus a partial one, against the unblocked quadrature
+    from scipy.integrate import trapezoid
+    from blocklaser.observables import SPECTRUM_BLOCK
+    t = correlation_times(dt_dense=0.05, t_dense=10.0, t_max=400.0, n_tail=40)
+    values = (0.4 * np.exp(-0.01 * t)
+              + 0.6 * np.exp((-0.5 + 1.3j) * t) * (1 + 0.1 * rng.random(len(t))))
+    trace = CorrelationTrace(times=t, values=values, normalization=1.0)
+    fit = fit_linewidth(trace, window=(100.0, 400.0))
+    freqs = np.linspace(-5.0, 5.0, 3 * SPECTRUM_BLOCK + 17)
+    lorentz = (fit.amplitude / np.pi) * (0.5 * fit.rate) / ((0.5 * fit.rate) ** 2 + freqs ** 2)
+    residual = values - fit.amplitude * np.exp(-0.5 * fit.rate * t)
+    whole = trapezoid(np.exp(1j * np.outer(freqs, t)) * residual[None, :], t, axis=1)
+    spec = power_spectrum(trace, freqs=freqs, tail_fit=fit)
+    assert np.array_equal(spec.values, lorentz + whole.real / np.pi)
+
+
 def test_spectrum_requires_decayed_trace_or_fit():
     t = np.linspace(0.0, 5.0, 100)
     trace = CorrelationTrace(times=t, values=np.exp(-0.01 * t), normalization=1.0)
