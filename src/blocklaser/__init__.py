@@ -20,9 +20,7 @@ from .observables import (CorrelationTrace, LinewidthFit, PoorFitError,
                           power_spectrum)
 from .cumulant import (CumulantState, closed_form_linewidth,
                        closed_form_photon, cumulant_jacobian, cumulant_rhs,
-                       cumulant_steady, large_n_linewidth,
-                       regression_eigenvalues, regression_g1,
-                       two_exponential_g1)
+                       cumulant_steady, large_n_linewidth)
 
 __version__ = "0.1.0"
 
@@ -40,7 +38,5 @@ __all__ = [
     "g2_trace", "power_spectrum",
     "CumulantState", "cumulant_rhs", "cumulant_jacobian", "cumulant_steady",
     "closed_form_photon", "closed_form_linewidth", "large_n_linewidth",
-    "regression_eigenvalues",
-    "regression_g1", "two_exponential_g1",
     "__version__",
 ]

@@ -30,29 +30,23 @@ range (<S^+ S^-> >= 0 allows s < 0) and a Jacobian with every eigenvalue
 in the left half plane. Only a root that fails falls back to Radau
 relaxation from the weakly excited state, whose polished end point must
 pass the same certificate; a Newton run from the fully inverted state
-probes for competing admissible roots. The two-time
-function follows from the regression system
+probes for competing admissible roots.
 
-    d/dt (b+(t)b(0), s1+(t)b(0)) =
-        ((-kappa/2,        (i N g / 2) B ),
-         (-(i g / 2) z,  -(w+gamma+gamma_d)/2)) . (...)
-
-whose slow/fast eigenmodes give the two-exponential form
-g1(t) ~ (1-2n) e^{-Gamma t/2} + 2n e^{-kappa t/2} deep in the bad-cavity
-regime. The paper's linewidth of the narrow component,
+No two-time function is modelled here. The paper's linewidth of the
+narrow spectral component,
 
     Gamma  = C gamma sqrt((1 - wt)^2 + 4 wt^2 kt^2),
 
-is the slow rate of this system to leading order in kt only; at finite kt
-the regression rate tends to a different limit (0.769 C gamma against
+is the slow rate of the factorized regression equations for
+(<b^+(t) b(0)>, <s_1^+(t) b(0)>) to leading order in kt only; at finite
+kt their slow rate tends to a different limit (0.769 C gamma against
 0.666 C gamma at wt = 1.05, kt = 0.316). Neither is the limit of the exact
 model: the slow rate is a 1/N effect (gain and loss of the collective
 dipole cancel at leading order), set by the fluctuations of single atoms
-and of the saturated mode that the factorization of B . <s1+(t) b(0)>
-does not keep. The exact large-N rate
-is derived in :func:`large_n_linewidth`; at wt = 1.05, kt = 0.316 it is
-0.492 C gamma, which the exact slow rates 0.662, 0.597, 0.566, 0.543
-C gamma at N = 30, 50, 70, 100 approach as 1/N.
+and of the saturated mode that the factorization does not keep. The
+exact large-N rate is derived in :func:`large_n_linewidth`; at wt = 1.05,
+kt = 0.316 it is 0.492 C gamma, which the exact slow rates 0.662, 0.597,
+0.566, 0.543 C gamma at N = 30, 50, 70, 100 approach as 1/N.
 """
 
 from __future__ import annotations
@@ -66,7 +60,6 @@ from scipy.integrate import solve_ivp
 
 from .dynamics import SolverError
 from .model import ModelParams, derive_scales, validate
-from .observables import CorrelationTrace
 
 
 @dataclass
@@ -319,8 +312,8 @@ def closed_form_photon(params: ModelParams) -> float:
 def closed_form_linewidth(params: ModelParams) -> float:
     """The paper's large-N linewidth C gamma sqrt((1 - wt)^2 + 4 wt^2 kt^2).
 
-    It agrees with the large-N slow rate of the regression system only to
-    leading order in kt, and it is not the limit of the exact model at
+    It agrees with the large-N slow rate of the factorized regression
+    equations only to leading order in kt, and it is not the limit of the exact model at
     finite kt: at wt = 1.05, kt = 0.316 it gives 0.666 C gamma while the
     exact slow rates fall from 0.662 C gamma (N = 30) through 0.543 C gamma
     (N = 100) towards :func:`large_n_linewidth` = 0.492 C gamma. As kt -> 0
@@ -383,59 +376,3 @@ def large_n_linewidth(params: ModelParams) -> float:
                          f"0 < wt kt^2 < 1 (wt = {wt!r}, kt = {kt!r})")
     n = closed_form_photon(params)
     return sc.purcell_rate * (wt * (1.0 - n) - n) / (2.0 * n)
-
-
-def regression_matrix(params: ModelParams, steady: CumulantState,
-                      blockaded: bool = True) -> np.ndarray:
-    """Coefficient matrix of the closed two-time system
-    (<b^+(t)b(0)>, <s_1^+(t)b(0)>)."""
-    N, g = params.n_atoms, params.coupling
-    B = 1.0 - 2.0 * steady.nb if blockaded else 1.0
-    nu = params.pump + params.spont_emission + params.dephasing
-    return np.array([
-        [-0.5 * params.cavity_decay, 0.5j * N * g * B],
-        [-0.5j * g * steady.sz, -0.5 * nu],
-    ])
-
-
-def regression_eigenvalues(params: ModelParams, steady: CumulantState,
-                           blockaded: bool = True) -> np.ndarray:
-    """Eigenvalues of the regression matrix, slowest first."""
-    w = np.linalg.eigvals(regression_matrix(params, steady, blockaded))
-    return w[np.argsort(np.abs(w.real))]
-
-
-def regression_g1(params: ModelParams, steady: CumulantState,
-                  times, blockaded: bool = True) -> CorrelationTrace:
-    """g1(t) from the regression system, normalized to g1(0) = 1.
-
-    Solved by eigendecomposition of the 2x2 matrix; an (unlikely)
-    defective matrix is handled with the degenerate closed form
-    exp(lambda t)(1 + t (A - lambda)).
-    """
-    if steady.nb <= 0:
-        raise SolverError("zero mode occupation; g1 normalization undefined")
-    A = regression_matrix(params, steady, blockaded)
-    x0 = np.array([steady.nb, np.conj(steady.bdsm)])
-    t = np.asarray(times, dtype=float)
-    lam, V = np.linalg.eig(A)
-    if abs(lam[0] - lam[1]) > 1e-12 * max(1.0, np.abs(lam).max()):
-        amps = np.linalg.solve(V, x0)
-        values = (V[0, :, None] * amps[:, None] *
-                  np.exp(np.outer(lam, t))).sum(axis=0)
-    else:
-        nil = A - lam[0] * np.eye(2)
-        values = np.exp(lam[0] * t) * (x0[0] + t * (nil @ x0)[0])
-    return CorrelationTrace(times=t, values=values / steady.nb,
-                            normalization=steady.nb)
-
-
-def two_exponential_g1(params: ModelParams, steady: CumulantState,
-                       times) -> np.ndarray:
-    """Bad-cavity approximant (1-2n) e^{-Gamma t/2} + 2n e^{-kappa t/2}
-    for the blockaded mode."""
-    t = np.asarray(times, dtype=float)
-    gamma_slow = closed_form_linewidth(params)
-    n = steady.nb
-    return ((1.0 - 2.0 * n) * np.exp(-0.5 * gamma_slow * t)
-            + 2.0 * n * np.exp(-0.5 * params.cavity_decay * t))

@@ -223,8 +223,7 @@ def _low_content_profile(y: np.ndarray, t_scaled: np.ndarray,
                          sector: SectorBasis) -> np.ndarray:
     """Trace-normalized coefficients on the elements that observables read
     (atomic content of at most two slots)."""
-    idx = [k for k, e in enumerate(sector.elements)
-           if e.n_plus + e.n_minus + e.n_z <= 2]
+    idx = np.flatnonzero(sector.contents[:, :3].sum(axis=1) <= 2)
     return y[idx] / (t_scaled @ y)
 
 

@@ -10,9 +10,14 @@ The master equation
     L_deph  = -(gamma_d/4) sum_j (rho - s_j^z rho s_j^z),
 
 conserves the U(1) charge of the symmetric basis, so it restricts to a
-sparse matrix on each fixed-charge sector. Assembly walks the basis
-column by column applying the elementary kernels; no operator product is
-ever formed in the full 4^N (M+1)^2 space. The one-sided single-atom
+sparse matrix on each fixed-charge sector. Assembly evaluates each
+part's kernel chains (see :mod:`blocklaser.opkernels`) over blocks of
+the sector's columns at once, as arrays of source column, content and
+weight, and maps the targets to rows by one ``searchsorted`` of their
+packed keys; no operator product is ever formed in the full
+4^N (M+1)^2 space.
+Entries are bit-identical to the element-by-element expansion of
+:func:`~blocklaser.opkernels.apply_product`. The one-sided single-atom
 sums are lifted to collective operators via
 sum_j s_j^- s_j^+ = (N - S^z)/2 and sum_j s_j^+ s_j^- = (N + S^z)/2; the
 sandwich parts use the dedicated recycling kernels.
@@ -33,12 +38,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import ModelParams, validate
-from .opkernels import (apply_cavity, apply_collective, apply_dephasing_diag,
-                        apply_product, apply_recycling)
-from .symbasis import SectorBasis, enumerate_sector
+from .opkernels import apply_chain, merge_entries
+from .symbasis import BasisElement, SectorBasis, enumerate_sector
 
 #: entries with |value| below this after merging are rounding dust and dropped
 DROP_TOL = 1e-15
+
+#: sector columns assembled together. One part and one block at a time
+#: keep the transient arrays near 1 MB at N = 100; whole-sector arrays
+#: left about 5 MB more in the heap, on top of the steady solve's peak
+ASSEMBLY_BLOCK = 1024
 
 
 @dataclass
@@ -67,11 +76,11 @@ def trace_functional(sector: SectorBasis) -> np.ndarray:
     nonzero trace; the weight of (0,0,0,m,m) is P_m. Sectors with
     delta_n != 0 contain no such element and get an all-zero functional.
     """
+    c = sector.contents
+    traced = ((c[:, 0] == 0) & (c[:, 1] == 0) & (c[:, 2] == 0)
+              & (c[:, 3] == c[:, 4]))
     weights = np.zeros(len(sector))
-    pm = photon_trace_weights(sector.photon_cutoff)
-    for k, e in enumerate(sector.elements):
-        if e.n_plus == 0 and e.n_minus == 0 and e.n_z == 0 and e.n_adag == e.n_a:
-            weights[k] = pm[e.n_adag]
+    weights[traced] = photon_trace_weights(sector.photon_cutoff)[c[traced, 3]]
     return weights
 
 
@@ -116,86 +125,77 @@ def basis_scaling(n_atoms: int, cutoff: int, delta_n: int) -> np.ndarray:
     return np.exp(logs)
 
 
-def _part_terms(n_atoms: int, cutoff: int):
+def _part_terms(n_atoms: int):
     """Unit-rate expansion of each master-equation part.
 
-    Returns {part: [(coefficient, kernel chain)]}; an empty chain is the
-    identity (pure diagonal term).
+    Returns {part: [(coefficient, chain of kernel kinds)]}; an empty chain
+    is the identity (pure diagonal term).
     """
-    N, M = n_atoms, cutoff
-
-    def cav(kind):
-        return lambda e: apply_cavity(kind, e, M)
-
-    def col(kind):
-        return lambda e: apply_collective(kind, e, N)
-
-    def rec(kind):
-        return lambda e: apply_recycling(kind, e, N)
-
-    a_l, a_r = cav("a_left"), cav("a_right")
-    ad_l, ad_r = cav("adag_left"), cav("adag_right")
-    sp_l, sp_r = col("sp_left"), col("sp_right")
-    sm_l, sm_r = col("sm_left"), col("sm_right")
-    sz_l, sz_r = col("sz_left"), col("sz_right")
-
-    deph = lambda e: [(e, -0.5 * apply_dephasing_diag(e))]
-
+    N = n_atoms
     return {
         # i[rho, H], H = (1/2)(S^+ a + S^- a^+) at unit g
         "hamiltonian": [
-            (0.5j, [sp_r, a_r]),      # +i rho S^+ a
-            (0.5j, [sm_r, ad_r]),     # +i rho S^- a^+
-            (-0.5j, [sp_l, a_l]),     # -i S^+ a rho
-            (-0.5j, [sm_l, ad_l]),    # -i S^- a^+ rho
+            (0.5j, ("sp_right", "a_right")),     # +i rho S^+ a
+            (0.5j, ("sm_right", "adag_right")),  # +i rho S^- a^+
+            (-0.5j, ("sp_left", "a_left")),      # -i S^+ a rho
+            (-0.5j, ("sm_left", "adag_left")),   # -i S^- a^+ rho
         ],
         "cavity_decay": [
-            (-0.5, [a_l, ad_l]),      # -1/2 a^+ a rho
-            (-0.5, [ad_r, a_r]),      # -1/2 rho a^+ a
-            (1.0, [a_l, ad_r]),       # + a rho a^+
+            (-0.5, ("a_left", "adag_left")),     # -1/2 a^+ a rho
+            (-0.5, ("adag_right", "a_right")),   # -1/2 rho a^+ a
+            (1.0, ("a_left", "adag_right")),     # + a rho a^+
         ],
         "pump": [
-            (-0.5 * N, []),
-            (0.25, [sz_l]),
-            (0.25, [sz_r]),
-            (0.5, [rec("pump_sandwich")]),
+            (-0.5 * N, ()),
+            (0.25, ("sz_left",)),
+            (0.25, ("sz_right",)),
+            (0.5, ("pump_sandwich",)),
         ],
         "spont": [
-            (-0.5 * N, []),
-            (-0.25, [sz_l]),
-            (-0.25, [sz_r]),
-            (0.5, [rec("emission_sandwich")]),
+            (-0.5 * N, ()),
+            (-0.25, ("sz_left",)),
+            (-0.25, ("sz_right",)),
+            (0.5, ("emission_sandwich",)),
         ],
         "deph": [
-            (1.0, [deph]),
+            (-0.5, ("dephasing",)),
         ],
     }
 
 
 @lru_cache(maxsize=64)
 def _unit_parts(n_atoms: int, cutoff: int, delta_n: int) -> Dict[str, sp.csr_matrix]:
-    """Unit-rate part matrices on the given sector, cached."""
+    """Unit-rate part matrices on the given sector, cached.
+
+    The chains run over ``ASSEMBLY_BLOCK`` columns at a time; within a
+    block, the chains of a part are summed entry by entry in chain order,
+    as a per-column dict accumulation would sum them.
+    """
     sector = enumerate_sector(n_atoms, cutoff, delta_n)
     dim = len(sector)
-    terms = _part_terms(n_atoms, cutoff)
     parts = {}
-    for name, chains in terms.items():
-        rows, cols, vals = [], [], []
-        for j, e in enumerate(sector.elements):
-            acc: Dict = {}
-            for coef, kernels in chains:
-                for f, w in apply_product(kernels, e):
-                    acc[f] = acc.get(f, 0.0) + coef * w
-            for f, v in acc.items():
-                if v == 0.0:
-                    continue
-                i = sector.index_of(f)
-                if i is None:  # kernels preserve the charge; cannot happen
-                    raise AssertionError(f"element {f} escaped sector {sector}")
-                rows.append(i)
-                cols.append(j)
-                vals.append(v)
-        mat = sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
+    for name, chains in _part_terms(n_atoms).items():
+        blocks = []
+        # one (empty) block for an empty sector
+        for lo in range(0, max(dim, 1), ASSEMBLY_BLOCK):
+            columns = np.arange(lo, min(lo + ASSEMBLY_BLOCK, dim))
+            contents = sector.contents[columns]
+            ones = np.ones(len(columns))
+            pieces = [apply_chain(kinds, columns, contents, ones,
+                                  n_atoms, cutoff) for _, kinds in chains]
+            cols, targets, vals = merge_entries(
+                np.concatenate([p[0] for p in pieces]),
+                np.concatenate([p[1] for p in pieces]),
+                np.concatenate([coef * p[2]
+                                for (coef, _), p in zip(chains, pieces)]),
+                n_atoms, cutoff)
+            rows = sector.positions(targets)
+            if (rows < 0).any():  # kernels preserve the charge; cannot happen
+                f = BasisElement(*map(int, targets[np.argmax(rows < 0)]))
+                raise AssertionError(f"element {f} escaped sector {sector}")
+            blocks.append((rows.astype(np.int32), cols.astype(np.int32), vals))
+        rows, cols, vals = (np.concatenate(x) for x in zip(*blocks))
+        mat = sp.csr_matrix((vals.astype(complex), (rows, cols)),
                             shape=(dim, dim))
         mat.data[np.abs(mat.data) < DROP_TOL] = 0
         mat.eliminate_zeros()

@@ -28,7 +28,7 @@ from scipy.integrate import trapezoid
 from .dynamics import SolverError, SymmetricState, propagate_grid
 from .liouvillian import liouvillian_for, photon_trace_weights, trace_functional
 from .model import ModelParams
-from .opkernels import apply_cavity, apply_product
+from .opkernels import apply_chain
 from .symbasis import BasisElement, SectorBasis, enumerate_sector
 
 #: frequency rows per block of power_spectrum's exp(i w t) phase matrix;
@@ -114,20 +114,21 @@ def _apply_mode_chain(state_coeffs: np.ndarray, sector: SectorBasis,
 
     The kernels are composed element-wise before any sector lookup, so
     intermediate products may pass through other charge sectors; the final
-    elements must all land in ``target``.
+    elements must all land in ``target``. Contributions to one target
+    element add up in column order.
     """
-    M = sector.photon_cutoff
-    kernels = [lambda e, k=k: apply_cavity(k, e, M) for k in kinds]
-    out = np.zeros(len(target), dtype=complex)
-    for j, e in enumerate(sector.elements):
-        cj = state_coeffs[j]
-        if cj == 0.0:
-            continue
-        for f, w in apply_product(kernels, e):
-            k = target.index_of(f)
-            if k is None:  # cavity kernels shift the charge deterministically
-                raise AssertionError(f"element {f} missed sector {target}")
-            out[k] += w * cj
+    src = np.flatnonzero(state_coeffs != 0.0)
+    cols, contents, w = apply_chain(kinds, src, sector.contents[src],
+                                    np.ones(len(src)), sector.n_atoms,
+                                    sector.photon_cutoff)
+    rows = target.positions(contents)
+    if (rows < 0).any():  # cavity kernels shift the charge deterministically
+        f = BasisElement(*map(int, contents[np.argmax(rows < 0)]))
+        raise AssertionError(f"element {f} missed sector {target}")
+    terms = w * state_coeffs[cols]
+    out = np.empty(len(target), dtype=complex)
+    out.real = np.bincount(rows, terms.real, minlength=len(target))
+    out.imag = np.bincount(rows, terms.imag, minlength=len(target))
     return out
 
 
@@ -136,14 +137,13 @@ def _adag_trace_pairing(target: SectorBasis) -> np.ndarray:
     charge0 = enumerate_sector(target.n_atoms, target.photon_cutoff,
                                target.delta_n + 1)
     t0 = trace_functional(charge0)
-    v = np.zeros(len(target))
-    M = target.photon_cutoff
-    for j, f in enumerate(target.elements):
-        for h, w in apply_cavity("adag_left", f, M):
-            k = charge0.index_of(h)
-            if k is not None:
-                v[j] += w * t0[k]
-    return v
+    cols, contents, w = apply_chain(("adag_left",), np.arange(len(target)),
+                                    target.contents, np.ones(len(target)),
+                                    target.n_atoms, target.photon_cutoff)
+    rows = charge0.positions(contents)
+    hit = rows >= 0
+    return np.bincount(cols[hit], w[hit] * t0[rows[hit]],
+                       minlength=len(target))
 
 
 def g1_trace(params: ModelParams, steady: SymmetricState,

@@ -17,13 +17,18 @@ Dissipative dynamics conserves the U(1) charge
 so the evolution block-diagonalizes over fixed-charge sectors. A
 ``SectorBasis`` enumerates one sector in lexicographic order of
 ``(n_plus, n_minus, n_z, n_adag, n_a)``; the ordering is part of the
-serialization contract and must not change.
+serialization contract and must not change. Read as digits of base N + 1
+(atomic counts) and M + 1 (photon powers), the content is a packed integer
+key that increases strictly along that order, so the position of any
+legal content is one ``searchsorted`` over the sector's keys.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Optional
+
+import numpy as np
 
 
 class BasisElement(NamedTuple):
@@ -45,6 +50,15 @@ def is_legal(e: BasisElement, n_atoms: int, cutoff: int) -> bool:
     if e.n_plus + e.n_minus + e.n_z > n_atoms:
         return False
     return e.n_adag <= cutoff and e.n_a <= cutoff
+
+
+def packed_keys(contents: np.ndarray, n_atoms: int, cutoff: int) -> np.ndarray:
+    """Lexicographic integer keys of legal content rows (an (n, 5) array)."""
+    keys = contents[:, 0].astype(np.int64)
+    for k, base in ((1, n_atoms + 1), (2, n_atoms + 1), (3, cutoff + 1),
+                    (4, cutoff + 1)):
+        keys = keys * base + contents[:, k]
+    return keys
 
 
 class SectorBasis:
@@ -71,6 +85,25 @@ class SectorBasis:
     def index_of(self, e: BasisElement) -> Optional[int]:
         """Position of ``e`` in the enumeration; None if absent or illegal."""
         return self._index.get(e)
+
+    @cached_property
+    def contents(self) -> np.ndarray:
+        """The elements as a (dim, 5) int32 array, in enumeration order."""
+        return np.array(self.elements, dtype=np.int32).reshape(-1, 5)
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Packed keys of :attr:`contents`; strictly increasing."""
+        return packed_keys(self.contents, self.n_atoms, self.photon_cutoff)
+
+    def positions(self, contents: np.ndarray) -> np.ndarray:
+        """Positions of legal content rows in the enumeration; -1 where a
+        row lies outside this sector."""
+        keys = packed_keys(contents, self.n_atoms, self.photon_cutoff)
+        pos = np.searchsorted(self.keys, keys)
+        found = pos < len(self)
+        found[found] = self.keys[pos[found]] == keys[found]
+        return np.where(found, pos, -1)
 
 
 @lru_cache(maxsize=None)

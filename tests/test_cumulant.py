@@ -8,9 +8,7 @@ from blocklaser import (ModelParams, derive_scales,
                         liouvillian_for, trace_functional, steady_state,
                         expect_spin_spin, CumulantState, cumulant_jacobian,
                         cumulant_rhs, cumulant_steady, closed_form_linewidth,
-                        closed_form_photon, large_n_linewidth,
-                        regression_eigenvalues,
-                        regression_g1, two_exponential_g1)
+                        closed_form_photon, large_n_linewidth)
 from blocklaser.cli import PRESETS
 from blocklaser.dynamics import SolverError
 from blocklaser.model import coupling_from_kappa_tilde
@@ -197,47 +195,6 @@ def test_large_n_linewidth_needs_coherent_emission():
         large_n_linewidth(params_for(100, 4.0, 0.5))   # wt kt^2 = 1
     with pytest.raises(ValueError):
         large_n_linewidth(ModelParams(100, 1, 0.1, 1.0, 0.0))
-
-
-def test_regression_starts_at_unity_and_decays():
-    p = params_for(10 ** 4, 1.2, 0.2)
-    st = quiet_steady(p)
-    t = np.linspace(0.0, 5.0 / p.cavity_decay, 50)
-    tr = regression_g1(p, st, t)
-    assert tr.values[0] == pytest.approx(1.0, rel=1e-12)
-    assert np.abs(tr.values[-1]) < 1.0
-
-
-def test_regression_slow_rate_matches_closed_form_deep_in_bad_cavity():
-    # kappa / (N C gamma) = N kt^2 = 250 here, far into the bad-cavity regime
-    p = params_for(10 ** 5, 0.5, 0.05)
-    st = quiet_steady(p)
-    lam = regression_eigenvalues(p, st)
-    gamma5 = closed_form_linewidth(p)
-    assert abs(-2.0 * lam[0].real - gamma5) / gamma5 < 0.05
-
-
-def test_regression_long_time_amplitude_matches_two_exponential_form():
-    p = params_for(10 ** 5, 0.8, 0.1)
-    st = quiet_steady(p)
-    gamma5 = closed_form_linewidth(p)
-    t = np.linspace(0.2 / gamma5, 1.5 / gamma5, 7)
-    tr = regression_g1(p, st, t)
-    approx = two_exponential_g1(p, st, t)
-    assert np.abs(tr.values - approx).max() < 0.02 * np.abs(approx).max()
-
-
-def test_regression_handles_defective_matrix():
-    from blocklaser.cumulant import regression_matrix
-    # engineered equal diagonal, zero coupling: degenerate eigenvalues
-    p = ModelParams(10, 1, 0.0, 1.0, 0.5)  # nu = w = 0.5, kappa = 1 -> not equal
-    p = ModelParams(10, 1, 0.0, 0.5, 0.5)  # kappa/2 = nu/2: truly degenerate
-    st = CumulantState(sz=0.2, spsm=0.0, nb=0.3, bdsm=0.0 + 0.1j)
-    A = regression_matrix(p, st)
-    assert abs(A[0, 0] - A[1, 1]) < 1e-15 and A[0, 1] == 0 and A[1, 0] == 0
-    t = np.linspace(0, 3, 7)
-    tr = regression_g1(p, st, t)
-    assert np.allclose(tr.values, np.exp(-0.25 * t), atol=1e-12)
 
 
 def test_cumulant_close_to_exact_numerics_midscale():

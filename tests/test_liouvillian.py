@@ -2,11 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         liouvillian_for, photon_trace_weights, propagate_grid,
                         trace_functional)
-from blocklaser.liouvillian import _unit_parts, basis_scaling, dump_coo
+from blocklaser import liouvillian
+from blocklaser.liouvillian import (DROP_TOL, _part_terms, _unit_parts,
+                                    basis_scaling, dump_coo)
+from blocklaser.opkernels import apply_kernel, apply_product
 from blocklaser.dynamics import SymmetricState
 from blocklaser.oracle import build_full_liouvillian, lift_element, lift_state
 from blocklaser.model import random_params
@@ -164,6 +168,60 @@ def test_one_sector_is_assembled_once(rng):
     build_liouvillian(random_params(rng, 5, 1), sector)
     liouvillian_for(random_params(rng, 5, 1), 0)
     assert _unit_parts.cache_info().misses == 1
+
+
+def entrywise_unit_parts(n_atoms, cutoff, delta_n):
+    """The unit parts rebuilt element by element: each column's chains
+    through apply_product on the rule table, summed in a dict."""
+    sector = enumerate_sector(n_atoms, cutoff, delta_n)
+    dim = len(sector)
+    parts = {}
+    for name, chains in _part_terms(n_atoms).items():
+        rows, cols, vals = [], [], []
+        for j, e in enumerate(sector.elements):
+            acc = {}
+            for coef, kinds in chains:
+                kernels = [lambda f, k=k: apply_kernel(k, f, n_atoms, cutoff)
+                           for k in kinds]
+                for f, w in apply_product(kernels, e):
+                    acc[f] = acc.get(f, 0.0) + coef * w
+            for f, v in acc.items():
+                if v != 0.0:
+                    rows.append(sector.index_of(f))
+                    cols.append(j)
+                    vals.append(v)
+        mat = sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
+                            shape=(dim, dim))
+        mat.data[np.abs(mat.data) < DROP_TOL] = 0
+        mat.eliminate_zeros()
+        parts[name] = mat
+    return parts
+
+
+def canonical_coo(mat):
+    coo = mat.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return coo.row[order], coo.col[order], coo.data[order]
+
+
+@pytest.mark.parametrize("n_atoms,cutoff,delta_n", [
+    (1, 1, 0), (1, 2, 1), (3, 2, 0), (3, 2, -1), (4, 3, 2), (24, 1, -1),
+    (2, 1, 4)])
+def test_array_assembly_equals_entrywise_expansion(n_atoms, cutoff, delta_n,
+                                                   monkeypatch):
+    ref = entrywise_unit_parts(n_atoms, cutoff, delta_n)
+    dim = len(enumerate_sector(n_atoms, cutoff, delta_n))
+    builds = [_unit_parts(n_atoms, cutoff, delta_n)]
+    monkeypatch.setattr(liouvillian, "ASSEMBLY_BLOCK", 7)  # many blocks
+    builds.append(_unit_parts.__wrapped__(n_atoms, cutoff, delta_n))
+    for got in builds:
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert got[name].shape == (dim, dim)
+            for a, b in zip(canonical_coo(got[name]), canonical_coo(ref[name])):
+                assert np.array_equal(a, b), name
+    if delta_n == 4:  # |delta_n| > N + M: the empty sector
+        assert dim == 0
 
 
 def test_coordinate_dump_roundtrip(tmp_path):

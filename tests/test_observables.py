@@ -7,7 +7,9 @@ from blocklaser import (ModelParams, enumerate_sector, liouvillian_for,
                         expect_photon_number, expect_sigma_z, expect_spin_spin,
                         fit_linewidth, g1_trace, g2_trace, power_spectrum)
 from blocklaser.dynamics import SolverError, SymmetricState
-from blocklaser.observables import CorrelationTrace, PoorFitError
+from blocklaser.observables import (CorrelationTrace, PoorFitError,
+                                    _adag_trace_pairing, _apply_mode_chain)
+from blocklaser.opkernels import apply_cavity, apply_product
 from blocklaser.liouvillian import photon_trace_weights
 from blocklaser.oracle import (lift_state, oracle_g1, oracle_g2,
                                oracle_steady_state, site_operators)
@@ -207,3 +209,35 @@ def test_g1_envelope_monotone_at_late_times(rng):
     tr = g1_trace(p, ss, t)
     env = np.abs(tr.values[t > 10.0 / p.cavity_decay])
     assert np.all(np.diff(env) <= 1e-9)
+
+
+@pytest.mark.parametrize("n_atoms,cutoff", [(5, 3), (24, 1)])
+def test_array_mode_chains_equal_entrywise_expansion(n_atoms, cutoff, rng):
+    sector = enumerate_sector(n_atoms, cutoff, 0)
+    c = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
+    c[rng.random(len(sector)) < 0.2] = 0.0
+    for kinds, shift in [(["a_left"], -1), (["a_left", "adag_right"], 0)]:
+        target = enumerate_sector(n_atoms, cutoff, shift)
+        kernels = [lambda e, k=k: apply_cavity(k, e, cutoff) for k in kinds]
+        ref = np.zeros(len(target), dtype=complex)
+        for j, e in enumerate(sector.elements):
+            if c[j] != 0.0:
+                for f, w in apply_product(kernels, e):
+                    ref[target.index_of(f)] += w * c[j]
+        assert np.array_equal(_apply_mode_chain(c, sector, kinds, target), ref)
+    shifted = enumerate_sector(n_atoms, cutoff, -1)
+    t0 = trace_functional(sector)
+    ref = np.zeros(len(shifted))
+    for j, f in enumerate(shifted.elements):
+        for h, w in apply_cavity("adag_left", f, cutoff):
+            k = sector.index_of(h)
+            if k is not None:
+                ref[j] += w * t0[k]
+    assert np.array_equal(_adag_trace_pairing(shifted), ref)
+
+
+def test_mode_chain_into_the_wrong_sector_raises():
+    sector = enumerate_sector(3, 1, 0)
+    c = np.ones(len(sector), dtype=complex)
+    with pytest.raises(AssertionError, match="missed sector"):
+        _apply_mode_chain(c, sector, ["a_left"], sector)

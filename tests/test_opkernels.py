@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from blocklaser import BasisElement, enumerate_sector
-from blocklaser.opkernels import (apply_cavity, apply_collective,
-                                  apply_dephasing_diag, apply_product,
-                                  apply_recycling)
+from blocklaser.opkernels import (apply_cavity, apply_chain, apply_collective,
+                                  apply_dephasing_diag, apply_kernel,
+                                  apply_product, apply_recycling,
+                                  merge_entries)
 from blocklaser.symbasis import is_legal
 from blocklaser.oracle import lift_element, site_operators
 
@@ -173,3 +174,36 @@ def test_master_equation_pairings_preserve_charge():
         for chain in pairings:
             for f, _ in apply_product(chain, e):
                 assert f.delta_n == e.delta_n
+
+
+def test_merge_entries_sums_in_order_and_keeps_first_appearance():
+    cols = np.array([1, 1, 0, 1, 1])
+    contents = np.array([[0, 0, 2, 0, 0], [0, 0, 1, 0, 0], [0, 0, 2, 0, 0],
+                         [0, 0, 2, 0, 0], [0, 0, 1, 0, 0]], dtype=np.int32)
+    w = np.array([0.1, 1.0, 5.0, 0.2, -1.0])
+    c, f, v = merge_entries(cols, contents, w, 2, 1)
+    # (1, z=2) first, then (1, z=1) summing to zero is dropped, then (0, z=2)
+    assert c.tolist() == [1, 0]
+    assert f[:, 2].tolist() == [2, 2]
+    assert v.tolist() == [0.1 + 0.2, 5.0]
+    with pytest.raises(OverflowError):
+        merge_entries(np.array([2 ** 60]), contents[:1], w[:1], 2, 1)
+
+
+def test_chain_arrays_equal_product_expansion(rng):
+    chains = [("sp_right", "a_right"), ("a_left", "adag_right"),
+              ("adag_right", "a_right"), ("sm_left", "sz_right"),
+              ("pump_sandwich", "emission_sandwich", "dephasing")]
+    for n_atoms, cutoff in [(1, 1), (3, 2), (4, 3)]:
+        sector = enumerate_sector(n_atoms, cutoff, 0)
+        for kinds in chains:
+            kernels = [lambda e, k=k: apply_kernel(k, e, n_atoms, cutoff)
+                       for k in kinds]
+            cols, contents, w = apply_chain(
+                kinds, np.arange(len(sector)), sector.contents,
+                np.ones(len(sector)), n_atoms, cutoff)
+            got = [(int(j), BasisElement(*map(int, f)), x)
+                   for j, f, x in zip(cols, contents, w)]
+            ref = [(j, f, x) for j, e in enumerate(sector.elements)
+                   for f, x in apply_product(kernels, e)]
+            assert got == ref, kinds

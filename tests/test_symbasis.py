@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
 from blocklaser import BasisElement, enumerate_sector, sector_dimension
@@ -85,3 +86,21 @@ def test_quadratic_growth_in_atom_number():
     for n in (100, 200):
         ratio = sector_dimension(2 * n, 1, 0) / sector_dimension(n, 1, 0)
         assert abs(ratio - 4.0) < 0.8
+
+
+def test_packed_keys_increase_along_the_enumeration():
+    # the searchsorted lookup of SectorBasis.positions relies on this
+    for n in range(1, 7):
+        for m in range(1, 4):
+            for delta in range(-(n + m), n + m + 1):
+                sector = enumerate_sector(n, m, delta)
+                assert sector.contents.shape == (len(sector), 5)
+                assert np.all(np.diff(sector.keys) > 0), (n, m, delta)
+                assert np.array_equal(sector.positions(sector.contents),
+                                      np.arange(len(sector)))
+
+
+def test_positions_mark_contents_of_other_sectors():
+    sector = enumerate_sector(3, 2, 0)
+    other = enumerate_sector(3, 2, 1)
+    assert np.all(sector.positions(other.contents) == -1)
