@@ -6,11 +6,18 @@ numerics and convert back afterwards: the raw operator-content basis is
 exponentially ill-scaled in N, and without the similarity both sparse LU
 and the Krylov propagator silently lose accuracy beyond a few tens of
 atoms. Inputs and outputs always use the raw coefficient convention.
+
+Steady states of large sectors take one sparse LU of the trace-bordered
+Liouvillian B. Its factors give the solution, and, through the pencil
+(B, P) with P the projector that drops the bordered row, the charge-0
+spectral gap that certifies uniqueness; small sectors count zero modes
+in a dense eigendecomposition. Both use the same zero threshold, and there
+is no iterative fallback: a singular or degenerate sector raises
+:class:`DegenerateSteadyStateError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -67,6 +74,21 @@ def _scaled(L) -> tuple:
     return sp.csr_matrix(L), None
 
 
+def _expm_multiply(*args, **kwargs) -> np.ndarray:
+    """``expm_multiply`` made reproducible.
+
+    Its norm estimates (``onenormest``) draw random sign vectors from
+    numpy's global RNG; they run under a fixed seed here, and the caller's
+    RNG state is restored afterwards.
+    """
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return spla.expm_multiply(*args, **kwargs)
+    finally:
+        np.random.set_state(state)
+
+
 def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
                    observe: Optional[Callable[[np.ndarray], complex]] = None,
                    chunk: int = 160) -> np.ndarray:
@@ -76,7 +98,8 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
     a bare sparse matrix (used as is). Uniform sub-runs of the grid are
     advanced with the multi-point Krylov propagator in memory-bounded
     chunks; irregular gaps (e.g. a geometric tail) fall back to single
-    steps. If ``observe`` is given it is applied to each state (in the
+    steps. Results do not depend on numpy's global RNG, which is left as
+    it was. If ``observe`` is given it is applied to each state (in the
     raw coefficient convention) and only the observations are stored;
     otherwise the trajectory (len(times), dim) is returned.
     """
@@ -112,8 +135,8 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
                 j += 1
         run = times[i:j + 1]
         if times[i] > t_curr:
-            c = spla.expm_multiply(mat * (times[i] - t_curr), c,
-                                   traceA=trace * (times[i] - t_curr))
+            c = _expm_multiply(mat * (times[i] - t_curr), c,
+                               traceA=trace * (times[i] - t_curr))
             t_curr = times[i]
         emit(c)
         if len(run) >= 3:
@@ -121,9 +144,8 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
             k = 1
             while k < len(run):
                 m = min(chunk, len(run) - k)
-                seg = spla.expm_multiply(mat, c, start=0.0, stop=m * dt,
-                                         num=m + 1, endpoint=True,
-                                         traceA=trace)
+                seg = _expm_multiply(mat, c, start=0.0, stop=m * dt,
+                                     num=m + 1, endpoint=True, traceA=trace)
                 for r in range(1, m + 1):
                     emit(seg[r])
                 c = seg[-1]
@@ -131,8 +153,8 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
                 k += m
         else:
             for t_next in run[1:]:
-                c = spla.expm_multiply(mat * (t_next - t_curr), c,
-                                       traceA=trace * (t_next - t_curr))
+                c = _expm_multiply(mat * (t_next - t_curr), c,
+                                   traceA=trace * (t_next - t_curr))
                 t_curr = t_next
                 emit(c)
         i = j + 1
@@ -194,55 +216,67 @@ def slow_eigenmode(L: Superoperator) -> SlowMode:
                     norm1=float(spla.norm(mat, 1)))
 
 
-def _bordered_solve(mat: sp.spmatrix, t_scaled: np.ndarray,
-                    row: int) -> Optional[np.ndarray]:
-    """Replace one trace-redundant row of ``mat`` with the trace functional
-    and solve for the trace-one null vector; None on outright failure."""
-    dim = mat.shape[0]
+def _bordered(mat: sp.spmatrix, t_scaled: np.ndarray, row: int) -> sp.csc_matrix:
+    """``mat`` with one trace-redundant row replaced by the trace functional."""
     coo = mat.tocoo()
     keep = coo.row != row
     nz = np.nonzero(t_scaled)[0]
     rows = np.concatenate([coo.row[keep], np.full(len(nz), row)])
     cols = np.concatenate([coo.col[keep], nz])
     vals = np.concatenate([coo.data[keep], t_scaled[nz].astype(complex)])
-    bordered = sp.csc_matrix((vals, (rows, cols)), shape=(dim, dim))
-    rhs = np.zeros(dim, dtype=complex)
-    rhs[row] = 1.0
+    return sp.csc_matrix((vals, (rows, cols)), shape=mat.shape)
+
+
+def _charge0_gap(lu, row: int) -> float:
+    """Charge-0 gap |lambda_2|, the smallest nonzero eigenvalue modulus of
+    the Liouvillian, from the LU factors ``lu`` of its bordered matrix B.
+
+    A traceless eigenvector v (eigenvalue lambda) satisfies B v = lambda P v,
+    where P zeroes entry ``row``, so x -> B^-1 P x has the eigenvalue
+    1/lambda; its remaining eigenvalue is 0, since its range is traceless.
+    Arnoldi from a fixed start returns the dominant 1/lambda_2 to 1%
+    after a handful of triangular solves. A second null direction makes B
+    singular, which shows up as a gap at rounding level.
+    """
+    dim = lu.shape[0]
+
+    def apply(x):
+        x = x.copy()
+        x[row] = 0.0
+        return lu.solve(x)
+
+    op = spla.LinearOperator((dim, dim), matvec=apply, dtype=complex)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # MatrixRankWarning -> nan output
-            y = spla.spsolve(bordered, rhs)
-    except RuntimeError:
-        return None
-    if not np.all(np.isfinite(y)):
-        return None
-    return y
-
-
-def _low_content_profile(y: np.ndarray, t_scaled: np.ndarray,
-                         sector: SectorBasis) -> np.ndarray:
-    """Trace-normalized coefficients on the elements that observables read
-    (atomic content of at most two slots)."""
-    idx = np.flatnonzero(sector.contents[:, :3].sum(axis=1) <= 2)
-    return y[idx] / (t_scaled @ y)
+        mu = spla.eigs(op, k=1, ncv=4, tol=1e-2, which="LM",
+                       v0=np.ones(dim, dtype=complex), return_eigenvectors=False)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"charge-0 gap probe did not converge ({exc})") from exc
+    return float(1.0 / abs(mu[0]))
 
 
 def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
                  tol: float = 1e-10) -> SymmetricState:
     """Unique trace-one null vector of the sector Liouvillian.
 
-    Solves the bordered system in which the row of the contentless element
-    (a row that trace preservation makes redundant) is replaced by the
-    trace functional, so that L c = 0 and t . c = 1 hold simultaneously.
-    The residual test ||L c|| <= tol ||L||_1 ||c|| is applied in the
-    norm-scaled basis, where it is meaningful.
+    Numerics run in the norm-scaled basis. One criterion certifies
+    uniqueness on both paths: the second-smallest eigenvalue modulus must
+    exceed null_tol = max(tol ||L||_1, 1e-12 max(||L||_1, 1)); otherwise
+    :class:`DegenerateSteadyStateError` is raised with a null-space
+    dimension estimate.
 
-    Uniqueness is certified by repeating the solve with a different
-    replaced row: any second null direction makes both systems singular
-    and the two solutions incompatible, which raises
-    :class:`DegenerateSteadyStateError` with a null-space dimension
-    estimate. Falls back to shift-inverted Arnoldi when the direct solves
-    fail outright.
+    Sectors up to ``_DENSE_STEADY_DIM`` get a dense eigendecomposition,
+    which counts the zero modes directly. Larger sectors build the
+    bordered matrix B, the Liouvillian with the row of the contentless
+    element (a row that trace preservation makes redundant) replaced by
+    the trace functional, and factor it once with sparse LU:
+
+    - the solve B c = e_r0 gives L c = 0 and t . c = 1 at once, and must
+      pass the residual test ||L c|| <= tol ||L||_1 ||c|| (else
+      :class:`SolverError`);
+    - the same factors give the charge-0 gap |lambda_2| through the pencil
+      (B, P), P the projector that zeroes entry r0 (see ``_charge0_gap``);
+    - an exactly singular B means a second null direction and raises
+      :class:`DegenerateSteadyStateError` at once.
     """
     sector = L.sector
     if sector.delta_n != 0:
@@ -252,12 +286,11 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
     mat, d = _scaled(L)
     t_scaled = trace / d
     norm_l = spla.norm(mat, 1)
-    dim = mat.shape[0]
+    null_tol = max(tol * norm_l, 1e-12 * max(norm_l, 1.0))
 
-    if dim <= _DENSE_STEADY_DIM:
+    if mat.shape[0] <= _DENSE_STEADY_DIM:
         # exact zero-mode count from the full spectrum
         w, v = np.linalg.eig(mat.toarray())
-        null_tol = max(tol * norm_l, 1e-12 * max(norm_l, 1.0))
         null = np.abs(w) <= null_tol
         if np.count_nonzero(null) != 1:
             raise DegenerateSteadyStateError(
@@ -266,32 +299,26 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
         y = v[:, int(np.nonzero(null)[0][0])]
     else:
         r0 = sector.index_of(BasisElement(0, 0, 0, 0, 0))
-        r1 = sector.index_of(BasisElement(0, 0, 0, 1, 1))
-        y = _bordered_solve(mat, t_scaled, r0)
-        ok = y is not None and \
-            np.linalg.norm(mat @ y) <= tol * norm_l * np.linalg.norm(y)
-        if ok:
-            # uniqueness probe: a second null direction makes the solution
-            # depend on which redundant row was replaced
-            y2 = _bordered_solve(mat, t_scaled, r1)
-            if y2 is None:
-                raise DegenerateSteadyStateError(
-                    "second bordered solve failed; "
-                    f"estimated null-space dimension {_null_dimension(mat, tol)}")
-            p1 = _low_content_profile(y, t_scaled, sector)
-            p2 = _low_content_profile(y2, t_scaled, sector)
-            scale = np.abs(p1).max() + np.abs(p2).max()
-            if np.abs(p1 - p2).max() > 1e-3 * max(scale, 1e-300):
-                raise DegenerateSteadyStateError(
-                    "steady state not unique at working precision; "
-                    f"estimated null-space dimension {_null_dimension(mat, tol)}")
-        else:
-            y = _steady_by_arnoldi(mat, tol)
-            resid = np.linalg.norm(mat @ y)
-            if resid > tol * norm_l * np.linalg.norm(y):
-                raise SolverError(
-                    f"steady-state residual {resid:.3e} above tolerance "
-                    f"{tol * norm_l * np.linalg.norm(y):.3e}")
+        bordered = _bordered(mat, t_scaled, r0)
+        try:
+            lu = spla.splu(bordered)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise DegenerateSteadyStateError(
+                f"bordered matrix is singular ({exc}); estimated null-space "
+                f"dimension {_null_dimension(mat, null_tol)}") from exc
+        rhs = np.zeros(mat.shape[0], dtype=complex)
+        rhs[r0] = 1.0
+        y = lu.solve(rhs)
+        resid = np.linalg.norm(mat @ y)
+        bound = tol * norm_l * np.linalg.norm(y)
+        if not resid <= bound:
+            raise SolverError(f"steady-state residual {resid:.3e} above "
+                              f"tolerance {bound:.3e}")
+        gap = _charge0_gap(lu, r0)
+        if gap <= null_tol:
+            raise DegenerateSteadyStateError(
+                f"charge-0 gap {gap:.1e} within {null_tol:.1e} of zero; "
+                f"estimated null-space dimension {_null_dimension(mat, null_tol)}")
     # a genuinely traceless null vector shows up as catastrophic
     # cancellation in the trace sum, not as a small trace per se
     tr = t_scaled @ y
@@ -299,34 +326,21 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
     if abs(tr) < 1e-10 * tr_mass:
         raise DegenerateSteadyStateError(
             "null vector is traceless; "
-            f"estimated null-space dimension {_null_dimension(mat, tol)}")
+            f"estimated null-space dimension {_null_dimension(mat, null_tol)}")
     y = y / tr
     return SymmetricState(sector=sector, coeffs=y / d)
 
 
-def _steady_by_arnoldi(mat: sp.spmatrix, tol: float) -> np.ndarray:
+def _null_dimension(mat: sp.spmatrix, null_tol: float) -> str:
+    """Number of eigenvalues within ``null_tol`` of zero (diagnostic only);
+    "at least k" when all k eigenvalues nearest zero that were computed
+    are null."""
     dim = mat.shape[0]
-    if dim < 4:
-        w, v = np.linalg.eig(mat.toarray())
-        k = int(np.argmin(np.abs(w)))
-        return v[:, k]
-    scale = spla.norm(mat, 1)
-    try:
-        w, v = spla.eigs(mat.tocsc(), k=1, sigma=1e-12 * scale, which="LM")
-    except Exception as exc:
-        raise DegenerateSteadyStateError(
-            f"direct solve and shift-invert both failed ({exc}); "
-            f"estimated null-space dimension {_null_dimension(mat, tol)}") from exc
-    return v[:, 0]
-
-
-def _null_dimension(mat: sp.spmatrix, tol: float) -> int:
-    """Count eigenvalues indistinguishable from zero (diagnostic only)."""
-    dim = mat.shape[0]
-    scale = spla.norm(mat, 1)
     if dim <= 64:
         w = np.linalg.eigvals(mat.toarray())
     else:
-        w, _ = spla.eigs(mat.tocsc(), k=min(6, dim - 2),
-                         sigma=1e-12 * scale, which="LM")
-    return int(np.sum(np.abs(w) <= max(tol, 1e-10) * scale))
+        w = spla.eigs(mat.tocsc(), k=min(6, dim - 2),
+                      sigma=1e-12 * spla.norm(mat, 1), which="LM",
+                      v0=np.ones(dim, dtype=complex), return_eigenvectors=False)
+    count = int(np.sum(np.abs(w) <= null_tol))
+    return f"at least {count}" if count == len(w) < dim else str(count)

@@ -107,6 +107,21 @@ def test_identical_runs_are_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_identical_g1_runs_with_geometric_tail_are_bit_identical(tmp_path):
+    # the tail's long single steps reach expm_multiply's random norm
+    # estimates; the global RNG moves in between, as in a longer session
+    args = ["g1", "--n", "16", "--m", "1", "--g", "0.45", "--kappa", "1.0",
+            "--w", "0.25", "--dt", "0.2", "--t-dense", "4.0",
+            "--t-max", "500.0", "--n-tail", "12",
+            "--fit-t-min", "50.0", "--fit-t-max", "500.0"]
+    out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+    np.random.seed(1)
+    assert main(args + ["--out", str(out1)]) == 0
+    np.random.seed(2)
+    assert main(args + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_invalid_sweep_range_is_config_error(tmp_path):
     rc = main(["sweep", "--n", "8", "--m", "1", "--g", "0.4",
                "--w-min", "2.0", "--w-max", "1.0", "--w-steps", "4",

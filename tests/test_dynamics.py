@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         liouvillian_for, trace_functional,
                         initial_mixed_state, propagate_grid, steady_state,
                         slow_eigenmode, expect_photon_number, expect_sigma_z,
                         expect_spin_spin)
+from blocklaser import dynamics
 from blocklaser.dynamics import DegenerateSteadyStateError, SymmetricState
 from blocklaser.symbasis import BasisElement
 from blocklaser.oracle import (build_full_liouvillian, lift_state,
@@ -87,6 +89,29 @@ def test_propagate_grid_matches_single_steps(rng):
         propagate_grid(L, s.coeffs, [-1.0, 1.0])
 
 
+def test_propagate_grid_is_independent_of_global_rng():
+    L = liouvillian_for(ModelParams(6, 1, 0.45, 1.0, 0.25), 0)
+    c0 = initial_mixed_state(L.sector).coeffs
+    times = np.concatenate([np.linspace(0.0, 2.0, 11),
+                            np.geomspace(5.0, 500.0, 6)])
+    # the long tail steps reach expm_multiply's random norm estimates
+    mat, d = dynamics._scaled(L)
+    before = np.random.get_state()[1].copy()
+    spla.expm_multiply(mat * 500.0, c0 * d)
+    assert not np.array_equal(np.random.get_state()[1], before)
+
+    np.random.seed(1)
+    first = propagate_grid(L, c0, times)
+    np.random.seed(2)
+    state = np.random.get_state()
+    second = propagate_grid(L, c0, times)
+    after = np.random.get_state()
+    assert np.array_equal(first, second)
+    assert after[0] == state[0]
+    assert np.array_equal(after[1], state[1])
+    assert after[2:] == state[2:]
+
+
 def test_decoupled_pumping_limit():
     p = ModelParams(3, 1, 0.0, 1.0, 0.7)
     L = liouvillian_for(p, 0)
@@ -161,6 +186,61 @@ def test_degenerate_null_space_is_reported():
     L = liouvillian_for(p, 0)
     with pytest.raises(DegenerateSteadyStateError, match="dimension 4"):
         steady_state(L, trace_functional(L.sector))
+
+
+def _bordered_sector(n_atoms, g, w):
+    L = liouvillian_for(ModelParams(n_atoms, 1, g, 1.0, w), 0)
+    assert len(L.sector) > dynamics._DENSE_STEADY_DIM
+    return L
+
+
+@pytest.mark.parametrize("n_atoms, g, message", [
+    (24, 0.3, "charge-0 gap"),        # dark states: 13 zero modes at N = 24
+    (40, 0.3, "charge-0 gap"),
+    (24, 0.0, "singular"),            # frozen atoms: 169 zero modes
+])
+def test_degenerate_sector_is_reported_on_bordered_path(n_atoms, g, message):
+    L = _bordered_sector(n_atoms, g, 0.0)
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=f"{message}.*null-space dimension at least 6"):
+        steady_state(L, trace_functional(L.sector))
+
+
+def test_small_resolved_gap_is_accepted(monkeypatch):
+    gaps = []
+    probe = dynamics._charge0_gap
+
+    def spy(lu, row):
+        gaps.append(probe(lu, row))
+        return gaps[-1]
+
+    monkeypatch.setattr(dynamics, "_charge0_gap", spy)
+    L = _bordered_sector(24, 0.3, 1e-6)
+    ss = steady_state(L, trace_functional(L.sector))
+    mat, _ = dynamics._scaled(L)
+    dense_gap = np.sort(np.abs(np.linalg.eigvals(mat.toarray())))[1]
+    assert len(gaps) == 1 and gaps[0] == pytest.approx(dense_gap, rel=2e-2)
+    assert 1e-6 < gaps[0] < 1e-4
+    lhs = 24 * 1e-6 * (1.0 - expect_sigma_z(ss)) / 2.0
+    assert lhs == pytest.approx(expect_photon_number(ss), rel=1e-6)
+
+
+def test_bordered_steady_state_factors_once(monkeypatch):
+    calls = {"splu": 0, "spsolve": 0}
+    splu, spsolve = spla.splu, spla.spsolve
+
+    def count(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spla, "splu", count("splu", splu))
+    monkeypatch.setattr(spla, "spsolve", count("spsolve", spsolve))
+    L = _bordered_sector(24, 24 ** -0.5, 2.0 / 24)
+    ss = steady_state(L, trace_functional(L.sector))
+    assert calls == {"splu": 1, "spsolve": 0}
+    assert 0.0 < expect_photon_number(ss) < 1.0
 
 
 def test_steady_state_requires_charge_zero():
