@@ -87,7 +87,6 @@ DEFAULTS: Dict = {
     "trace_points": 100,
     "tol_obs": 1e-8,
     "tol_trace": 1e-6,
-    "reltol": 1e-8,
 }
 
 # parameter sets of the bundled reference figures; kappa is the rate unit
@@ -182,8 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="validate: observable tolerance")
     p.add_argument("--tol-trace", type=float, dest="tol_trace",
                    help="validate: trace tolerance")
-    p.add_argument("--reltol", type=float,
-                   help="steady-state residual tolerance is reltol * 1e-2")
     p.add_argument("--version", action="version", version=f"blocklaser {__version__}")
     return p
 
@@ -332,14 +329,10 @@ def _write_table(cfg: Dict, columns: List[str], rows: List[List],
         sys.stdout.write(buf.getvalue())
 
 
-def _steady_tol(cfg: Dict) -> float:
-    return float(cfg["reltol"]) * 1e-2
-
-
-def _symmetric_steady(params: ModelParams, tol: float = 1e-10):
+def _symmetric_steady(params: ModelParams):
     sector = enumerate_sector(params.n_atoms, params.photon_cutoff, 0)
     return steady_state(build_liouvillian(params, sector),
-                        trace_functional(sector), tol=tol)
+                        trace_functional(sector))
 
 
 STEADY_COLUMNS = ["w", "w_tilde", "nb", "spsm", "sz"]
@@ -349,7 +342,7 @@ def _steady_row(params: ModelParams, cfg: Dict) -> List:
     """One STEADY_COLUMNS row from the configured backend."""
     engine = cfg["engine"]
     if engine == "symmetric":
-        ss = _symmetric_steady(params, _steady_tol(cfg))
+        ss = _symmetric_steady(params)
         sz, nb = expect_sigma_z(ss), expect_photon_number(ss)
         spsm = expect_spin_spin(ss) if params.n_atoms >= 2 else math.nan
     else:
@@ -399,7 +392,7 @@ def _maybe_fit(cfg: Dict, trace):
 
 def _cmd_g1(cfg: Dict) -> int:
     params = _params_from_config(cfg)
-    ss = _symmetric_steady(params, _steady_tol(cfg))
+    ss = _symmetric_steady(params)
     trace = g1_trace(params, ss, _trace_grid(cfg))
     meta = {"nb": trace.normalization}
     try:
@@ -418,7 +411,7 @@ def _cmd_g1(cfg: Dict) -> int:
 
 def _cmd_g2(cfg: Dict) -> int:
     params = _params_from_config(cfg)
-    ss = _symmetric_steady(params, _steady_tol(cfg))
+    ss = _symmetric_steady(params)
     trace = g2_trace(params, ss, _trace_grid(cfg))
     rows = [[t, float(v)] for t, v in zip(trace.times, trace.values)]
     _write_table(cfg, ["t", "g2"], rows, {"nb_squared": trace.normalization})
@@ -427,7 +420,7 @@ def _cmd_g2(cfg: Dict) -> int:
 
 def _cmd_spectrum(cfg: Dict) -> int:
     params = _params_from_config(cfg)
-    ss = _symmetric_steady(params, _steady_tol(cfg))
+    ss = _symmetric_steady(params)
     trace = g1_trace(params, ss, _trace_grid(cfg))
     fit = _maybe_fit(cfg, trace)
     omega_max = cfg["omega_max"]

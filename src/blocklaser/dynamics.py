@@ -7,12 +7,11 @@ exponentially ill-scaled in N, and without the similarity both sparse LU
 and the Krylov propagator silently lose accuracy beyond a few tens of
 atoms. Inputs and outputs always use the raw coefficient convention.
 
-Steady states of large sectors take one sparse LU of the trace-bordered
-Liouvillian B. Its factors give the solution, and, through the pencil
-(B, P) with P the projector that drops the bordered row, the charge-0
-spectral gap that certifies uniqueness; small sectors count zero modes
-in a dense eigendecomposition. Both use the same zero threshold, and there
-is no iterative fallback: a singular or degenerate sector raises
+Every steady state, whatever the sector size, takes one sparse LU of the
+trace-bordered Liouvillian B. Its factors give the solution, and, through
+the pencil (B, P) with P the projector that drops the bordered row, the
+charge-0 spectral gap that certifies uniqueness. There is no dense or
+iterative fallback: a singular or degenerate sector raises
 :class:`DegenerateSteadyStateError`.
 """
 
@@ -37,9 +36,9 @@ class DegenerateSteadyStateError(SolverError):
     """The Liouvillian null space is not one-dimensional."""
 
 
-#: sectors up to this size get a dense eigendecomposition for the steady
-#: state, which counts zero modes exactly
-_DENSE_STEADY_DIM = 600
+#: most uniform grid steps advanced by one multi-point Krylov call, which
+#: bounds the memory of the intermediate trajectory block
+PROPAGATE_BLOCK = 160
 
 
 @dataclass
@@ -90,15 +89,15 @@ def _expm_multiply(*args, **kwargs) -> np.ndarray:
 
 
 def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
-                   observe: Optional[Callable[[np.ndarray], complex]] = None,
-                   chunk: int = 160) -> np.ndarray:
+                   observe: Optional[Callable[[np.ndarray], complex]] = None
+                   ) -> np.ndarray:
     """Apply exp(L t) c0 on an increasing time grid starting from t = 0.
 
     ``L`` is a :class:`Superoperator` (propagated in the scaled basis) or
     a bare sparse matrix (used as is). Uniform sub-runs of the grid are
-    advanced with the multi-point Krylov propagator in memory-bounded
-    chunks; irregular gaps (e.g. a geometric tail) fall back to single
-    steps. Results do not depend on numpy's global RNG, which is left as
+    advanced with the multi-point Krylov propagator, at most
+    ``PROPAGATE_BLOCK`` steps per call; irregular gaps (e.g. a geometric
+    tail) fall back to single steps. Results do not depend on numpy's global RNG, which is left as
     it was. If ``observe`` is given it is applied to each state (in the
     raw coefficient convention) and only the observations are stored;
     otherwise the trajectory (len(times), dim) is returned.
@@ -143,7 +142,7 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
             dt = (run[-1] - run[0]) / (len(run) - 1)
             k = 1
             while k < len(run):
-                m = min(chunk, len(run) - k)
+                m = min(PROPAGATE_BLOCK, len(run) - k)
                 seg = _expm_multiply(mat, c, start=0.0, stop=m * dt,
                                      num=m + 1, endpoint=True, traceA=trace)
                 for r in range(1, m + 1):
@@ -258,25 +257,22 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
                  tol: float = 1e-10) -> SymmetricState:
     """Unique trace-one null vector of the sector Liouvillian.
 
-    Numerics run in the norm-scaled basis. One criterion certifies
-    uniqueness on both paths: the second-smallest eigenvalue modulus must
-    exceed null_tol = max(tol ||L||_1, 1e-12 max(||L||_1, 1)); otherwise
-    :class:`DegenerateSteadyStateError` is raised with a null-space
-    dimension estimate.
+    Numerics run in the norm-scaled basis. The bordered matrix B, the
+    Liouvillian with the row of the contentless element (a row that trace
+    preservation makes redundant) replaced by the trace functional, is
+    factored once with sparse LU:
 
-    Sectors up to ``_DENSE_STEADY_DIM`` get a dense eigendecomposition,
-    which counts the zero modes directly. Larger sectors build the
-    bordered matrix B, the Liouvillian with the row of the contentless
-    element (a row that trace preservation makes redundant) replaced by
-    the trace functional, and factor it once with sparse LU:
-
+    - an exactly singular B means a second null direction and raises
+      :class:`DegenerateSteadyStateError` ("bordered matrix is singular");
     - the solve B c = e_r0 gives L c = 0 and t . c = 1 at once, and must
       pass the residual test ||L c|| <= tol ||L||_1 ||c|| (else
       :class:`SolverError`);
     - the same factors give the charge-0 gap |lambda_2| through the pencil
-      (B, P), P the projector that zeroes entry r0 (see ``_charge0_gap``);
-    - an exactly singular B means a second null direction and raises
-      :class:`DegenerateSteadyStateError` at once.
+      (B, P), P the projector that zeroes entry r0 (see ``_charge0_gap``),
+      and uniqueness needs it above null_tol = max(tol ||L||_1,
+      1e-12 max(||L||_1, 1)); otherwise
+      :class:`DegenerateSteadyStateError` reports the gap and null_tol,
+      whose ratio is the uniqueness margin.
     """
     sector = L.sector
     if sector.delta_n != 0:
@@ -288,59 +284,29 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
     norm_l = spla.norm(mat, 1)
     null_tol = max(tol * norm_l, 1e-12 * max(norm_l, 1.0))
 
-    if mat.shape[0] <= _DENSE_STEADY_DIM:
-        # exact zero-mode count from the full spectrum
-        w, v = np.linalg.eig(mat.toarray())
-        null = np.abs(w) <= null_tol
-        if np.count_nonzero(null) != 1:
-            raise DegenerateSteadyStateError(
-                f"null-space dimension {int(np.count_nonzero(null))} "
-                f"(eigenvalues within {null_tol:.1e} of zero)")
-        y = v[:, int(np.nonzero(null)[0][0])]
-    else:
-        r0 = sector.index_of(BasisElement(0, 0, 0, 0, 0))
-        bordered = _bordered(mat, t_scaled, r0)
-        try:
-            lu = spla.splu(bordered)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise DegenerateSteadyStateError(
-                f"bordered matrix is singular ({exc}); estimated null-space "
-                f"dimension {_null_dimension(mat, null_tol)}") from exc
-        rhs = np.zeros(mat.shape[0], dtype=complex)
-        rhs[r0] = 1.0
-        y = lu.solve(rhs)
-        resid = np.linalg.norm(mat @ y)
-        bound = tol * norm_l * np.linalg.norm(y)
-        if not resid <= bound:
-            raise SolverError(f"steady-state residual {resid:.3e} above "
-                              f"tolerance {bound:.3e}")
-        gap = _charge0_gap(lu, r0)
-        if gap <= null_tol:
-            raise DegenerateSteadyStateError(
-                f"charge-0 gap {gap:.1e} within {null_tol:.1e} of zero; "
-                f"estimated null-space dimension {_null_dimension(mat, null_tol)}")
+    r0 = sector.index_of(BasisElement(0, 0, 0, 0, 0))
+    try:
+        lu = spla.splu(_bordered(mat, t_scaled, r0))
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise DegenerateSteadyStateError(
+            f"bordered matrix is singular ({exc})") from exc
+    rhs = np.zeros(mat.shape[0], dtype=complex)
+    rhs[r0] = 1.0
+    y = lu.solve(rhs)
+    resid = np.linalg.norm(mat @ y)
+    bound = tol * norm_l * np.linalg.norm(y)
+    if not resid <= bound:
+        raise SolverError(f"steady-state residual {resid:.3e} above "
+                          f"tolerance {bound:.3e}")
+    gap = _charge0_gap(lu, r0)
+    if gap <= null_tol:
+        raise DegenerateSteadyStateError(
+            f"charge-0 gap {gap:.1e} within null_tol {null_tol:.1e}")
     # a genuinely traceless null vector shows up as catastrophic
     # cancellation in the trace sum, not as a small trace per se
     tr = t_scaled @ y
     tr_mass = np.abs(t_scaled) @ np.abs(y)
     if abs(tr) < 1e-10 * tr_mass:
-        raise DegenerateSteadyStateError(
-            "null vector is traceless; "
-            f"estimated null-space dimension {_null_dimension(mat, null_tol)}")
+        raise DegenerateSteadyStateError("null vector is traceless")
     y = y / tr
     return SymmetricState(sector=sector, coeffs=y / d)
-
-
-def _null_dimension(mat: sp.spmatrix, null_tol: float) -> str:
-    """Number of eigenvalues within ``null_tol`` of zero (diagnostic only);
-    "at least k" when all k eigenvalues nearest zero that were computed
-    are null."""
-    dim = mat.shape[0]
-    if dim <= 64:
-        w = np.linalg.eigvals(mat.toarray())
-    else:
-        w = spla.eigs(mat.tocsc(), k=min(6, dim - 2),
-                      sigma=1e-12 * spla.norm(mat, 1), which="LM",
-                      v0=np.ones(dim, dtype=complex), return_eigenvectors=False)
-    count = int(np.sum(np.abs(w) <= null_tol))
-    return f"at least {count}" if count == len(w) < dim else str(count)

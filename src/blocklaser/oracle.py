@@ -84,13 +84,13 @@ def _dissipator(c: sp.spmatrix, dim: int) -> sp.csr_matrix:
             - 0.5 * sp.kron(eye, cdc.T, format="csr"))
 
 
-def build_full_liouvillian(params: ModelParams,
-                           cap: int = DEFAULT_HILBERT_CAP) -> sp.csr_matrix:
+def build_full_liouvillian(params: ModelParams) -> sp.csr_matrix:
     """Vectorized master-equation generator on the full space."""
     validate(params)
     dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
-    if dim > cap:
-        raise ValueError(f"Hilbert dimension {dim} exceeds cap {cap}")
+    if dim > DEFAULT_HILBERT_CAP:
+        raise ValueError(f"Hilbert dimension {dim} exceeds cap "
+                         f"{DEFAULT_HILBERT_CAP}")
     ops = site_operators(params.n_atoms, params.photon_cutoff)
     eye = sp.identity(dim, format="csr")
     H = full_hamiltonian(params)
@@ -159,8 +159,7 @@ def lift_state(state) -> np.ndarray:
     return rho
 
 
-def oracle_steady_state(params: ModelParams, cap: int = DEFAULT_HILBERT_CAP,
-                        method: str = "solve") -> np.ndarray:
+def oracle_steady_state(params: ModelParams, method: str = "solve") -> np.ndarray:
     """Unique steady density matrix of the full master equation.
 
     ``method='solve'`` replaces one trace-redundant row of the vectorized
@@ -170,7 +169,7 @@ def oracle_steady_state(params: ModelParams, cap: int = DEFAULT_HILBERT_CAP,
     isolated from the rest of the spectrum by a documented gap (used as a
     cross-check at very small dimensions).
     """
-    L = build_full_liouvillian(params, cap=cap)
+    L = build_full_liouvillian(params)
     dim = int(round(math.sqrt(L.shape[0])))
     if method == "eig":
         w, v = np.linalg.eig(L.toarray())
@@ -196,7 +195,7 @@ def oracle_steady_state(params: ModelParams, cap: int = DEFAULT_HILBERT_CAP,
         resid = np.linalg.norm(L @ vec)
         scale = spla.norm(L, 1) * np.linalg.norm(vec)
         if not np.all(np.isfinite(vec)) or resid > 1e-9 * max(scale, 1e-300):
-            return oracle_steady_state(params, cap=cap, method="eig")
+            return oracle_steady_state(params, method="eig")
     rho = vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
@@ -229,8 +228,7 @@ def oracle_expectations(params: ModelParams, rho: np.ndarray) -> Dict[str, float
 
 def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
                     times: Sequence[float], sandwich: bool = False,
-                    rho_ss: np.ndarray = None,
-                    cap: int = DEFAULT_HILBERT_CAP) -> np.ndarray:
+                    rho_ss: np.ndarray = None) -> np.ndarray:
     """Tr[A exp(Lt)(B rho_ss)] or, with ``sandwich``, Tr[A exp(Lt)(B rho_ss B^+)].
 
     Labels name operators of the output mode: 'a', 'adag' or 'n' (= a^+ a).
@@ -240,9 +238,9 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
     A = table[a_label].toarray()
     B = table[b_label].toarray()
     if rho_ss is None:
-        rho_ss = oracle_steady_state(params, cap=cap)
+        rho_ss = oracle_steady_state(params)
     seed = B @ rho_ss @ B.conj().T if sandwich else B @ rho_ss
-    L = build_full_liouvillian(params, cap=cap)
+    L = build_full_liouvillian(params)
     pairing = A.T.reshape(-1)  # Tr[A X] = vec(A^T) . vec(X), row-major
     values = propagate_grid(L, seed.reshape(-1), times,
                             observe=lambda v: pairing @ v)
@@ -250,23 +248,23 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
 
 
 def oracle_g1(params: ModelParams, times: Sequence[float],
-              rho_ss: np.ndarray = None, cap: int = DEFAULT_HILBERT_CAP) -> np.ndarray:
+              rho_ss: np.ndarray = None) -> np.ndarray:
     """Normalized <a^+(t) a(0)> / <a^+ a> on the full space."""
     if rho_ss is None:
-        rho_ss = oracle_steady_state(params, cap=cap)
+        rho_ss = oracle_steady_state(params)
     nb = oracle_expectations(params, rho_ss)["nb"]
-    raw = oracle_two_time(params, "adag", "a", times, rho_ss=rho_ss, cap=cap)
+    raw = oracle_two_time(params, "adag", "a", times, rho_ss=rho_ss)
     return raw / nb
 
 
 def oracle_g2(params: ModelParams, times: Sequence[float],
-              rho_ss: np.ndarray = None, cap: int = DEFAULT_HILBERT_CAP) -> np.ndarray:
+              rho_ss: np.ndarray = None) -> np.ndarray:
     """Normalized <a^+(0) a^+(t) a(t) a(0)> / <a^+ a>^2 on the full space."""
     if rho_ss is None:
-        rho_ss = oracle_steady_state(params, cap=cap)
+        rho_ss = oracle_steady_state(params)
     nb = oracle_expectations(params, rho_ss)["nb"]
     raw = oracle_two_time(params, "n", "a", times, sandwich=True,
-                          rho_ss=rho_ss, cap=cap)
+                          rho_ss=rho_ss)
     return raw.real / nb ** 2
 
 

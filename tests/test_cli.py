@@ -48,9 +48,11 @@ def test_missing_command_is_a_config_error():
 
 def test_unknown_config_key_rejected(tmp_path):
     cfg_file = tmp_path / "run.yaml"
-    cfg_file.write_text("command: steady\nbogus_knob: 3\n")
-    with pytest.raises(ConfigError):
-        resolve_config(["--config", str(cfg_file)])
+    # removed options are unknown keys too
+    for key in ("bogus_knob", "reltol", "threads", "abstol"):
+        cfg_file.write_text(f"command: steady\n{key}: 3\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            resolve_config(["--config", str(cfg_file)])
 
 
 def test_steady_csv_matches_api(tmp_path):

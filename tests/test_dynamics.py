@@ -179,30 +179,20 @@ def test_steady_state_independent_of_initial_state(rng):
             expect_photon_number(ss), abs=1e-7)
 
 
-def test_degenerate_null_space_is_reported():
-    # frozen atoms: no pump, decay or coupling leaves many conserved
-    # atomic contents
-    p = ModelParams(2, 1, 0.0, 1.0, 0.0)
-    L = liouvillian_for(p, 0)
-    with pytest.raises(DegenerateSteadyStateError, match="dimension 4"):
-        steady_state(L, trace_functional(L.sector))
-
-
-def _bordered_sector(n_atoms, g, w):
-    L = liouvillian_for(ModelParams(n_atoms, 1, g, 1.0, w), 0)
-    assert len(L.sector) > dynamics._DENSE_STEADY_DIM
-    return L
+def _charge0_sector(n_atoms, g, w):
+    return liouvillian_for(ModelParams(n_atoms, 1, g, 1.0, w), 0)
 
 
 @pytest.mark.parametrize("n_atoms, g, message", [
     (24, 0.3, "charge-0 gap"),        # dark states: 13 zero modes at N = 24
     (40, 0.3, "charge-0 gap"),
     (24, 0.0, "singular"),            # frozen atoms: 169 zero modes
+    (2, 0.0, "singular"),             # frozen atoms: 4 zero modes
+    (1, 0.0, "singular"),
 ])
 def test_degenerate_sector_is_reported_on_bordered_path(n_atoms, g, message):
-    L = _bordered_sector(n_atoms, g, 0.0)
-    with pytest.raises(DegenerateSteadyStateError,
-                       match=f"{message}.*null-space dimension at least 6"):
+    L = _charge0_sector(n_atoms, g, 0.0)
+    with pytest.raises(DegenerateSteadyStateError, match=message):
         steady_state(L, trace_functional(L.sector))
 
 
@@ -215,7 +205,7 @@ def test_small_resolved_gap_is_accepted(monkeypatch):
         return gaps[-1]
 
     monkeypatch.setattr(dynamics, "_charge0_gap", spy)
-    L = _bordered_sector(24, 0.3, 1e-6)
+    L = _charge0_sector(24, 0.3, 1e-6)
     ss = steady_state(L, trace_functional(L.sector))
     mat, _ = dynamics._scaled(L)
     dense_gap = np.sort(np.abs(np.linalg.eigvals(mat.toarray())))[1]
@@ -225,9 +215,10 @@ def test_small_resolved_gap_is_accepted(monkeypatch):
     assert lhs == pytest.approx(expect_photon_number(ss), rel=1e-6)
 
 
-def test_bordered_steady_state_factors_once(monkeypatch):
-    calls = {"splu": 0, "spsolve": 0}
-    splu, spsolve = spla.splu, spla.spsolve
+@pytest.mark.parametrize("n_atoms, m, dim", [(1, 1, 6), (4, 2, 59), (24, 1, 650)])
+def test_bordered_steady_state_factors_once(monkeypatch, n_atoms, m, dim):
+    calls = {"splu": 0, "spsolve": 0, "eig": 0}
+    splu, spsolve, eig = spla.splu, spla.spsolve, np.linalg.eig
 
     def count(name, fn):
         def wrapped(*args, **kwargs):
@@ -237,9 +228,12 @@ def test_bordered_steady_state_factors_once(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", count("splu", splu))
     monkeypatch.setattr(spla, "spsolve", count("spsolve", spsolve))
-    L = _bordered_sector(24, 24 ** -0.5, 2.0 / 24)
+    monkeypatch.setattr(np.linalg, "eig", count("eig", eig))
+    L = liouvillian_for(ModelParams(n_atoms, m, n_atoms ** -0.5, 1.0,
+                                    2.0 / n_atoms), 0)
+    assert len(L.sector) == dim
     ss = steady_state(L, trace_functional(L.sector))
-    assert calls == {"splu": 1, "spsolve": 0}
+    assert calls == {"splu": 1, "spsolve": 0, "eig": 0}
     assert 0.0 < expect_photon_number(ss) < 1.0
 
 
