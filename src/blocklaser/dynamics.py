@@ -4,8 +4,12 @@ All solvers conjugate the sector matrix by the Hilbert-Schmidt basis
 scaling (see :func:`blocklaser.liouvillian.basis_scaling`) before doing
 numerics and convert back afterwards: the raw operator-content basis is
 exponentially ill-scaled in N, and without the similarity both sparse LU
-and the Krylov propagator silently lose accuracy beyond a few tens of
-atoms. Inputs and outputs always use the raw coefficient convention.
+and the propagator silently lose accuracy beyond a few tens of atoms.
+Inputs and outputs always use the raw coefficient convention.
+
+Time evolution has one propagator, ``propagate_grid``: each gap of a time
+grid is one step of the truncated Taylor method of Al-Mohy & Higham
+(2011), with the norms that choose the Taylor degree taken once per grid.
 
 Every steady state, whatever the sector size, takes one sparse LU of the
 trace-bordered Liouvillian B. Its factors give the solution, and, through
@@ -34,11 +38,6 @@ class SolverError(RuntimeError):
 
 class DegenerateSteadyStateError(SolverError):
     """The Liouvillian null space is not one-dimensional."""
-
-
-#: most uniform grid steps advanced by one multi-point Krylov call, which
-#: bounds the memory of the intermediate trajectory block
-PROPAGATE_BLOCK = 160
 
 
 @dataclass
@@ -73,19 +72,103 @@ def _scaled(L) -> tuple:
     return sp.csr_matrix(L), None
 
 
-def _expm_multiply(*args, **kwargs) -> np.ndarray:
-    """``expm_multiply`` made reproducible.
+#: theta_m of the truncated Taylor method: the largest ||h A||_1 for
+#: which s = 1 step of degree m has backward error below 2^-53. Values
+#: for m <= 30 are from Higham & Al-Mohy, Acta Numerica 19 (2010) 159,
+#: Table A.3; m = 35..55 from Al-Mohy & Higham, SIAM J. Sci. Comput. 33
+#: (2011) 488, Table 3.1.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_M_MAX = 55
+_P_MAX = 8          # largest p with p (p - 1) <= m_max + 1
+_TAYLOR_TOL = 2.0 ** -53
+#: condition (3.13) with l = 2 estimator columns and one vector: below
+#: this ||h A||_1 the degree choice needs no estimate of ||A^p||_1
+_NORM_ONLY_BOUND = 2 * 2 * _P_MAX * (_P_MAX + 3) * _THETA[_M_MAX] / _M_MAX
 
-    Its norm estimates (``onenormest``) draw random sign vectors from
-    numpy's global RNG; they run under a fixed seed here, and the caller's
-    RNG state is restored afterwards.
+
+class _TaylorStepper:
+    """v -> exp(h mat) v by Al-Mohy & Higham (2011), Algorithm 3.2.
+
+    Everything that fixes the Taylor degree m* and the step count s
+    belongs to mat alone: the shift mu = tr(mat) / n, the exact 1-norm of
+    A = mat - mu I and d_p = ||A^p||_1^(1/p), and d_p(h A) = h d_p(A). So
+    a grid of gaps h shares one ||A||_1, one set of d_p (p = 2..9,
+    estimated only if some gap fails condition (3.13)) and one (m*, s)
+    per distinct gap.
     """
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        return spla.expm_multiply(*args, **kwargs)
-    finally:
-        np.random.set_state(state)
+
+    def __init__(self, mat: sp.csr_matrix):
+        n = mat.shape[0]
+        self.mu = mat.diagonal().sum() / n
+        self.A = (mat - self.mu * sp.identity(n, format="csr")).tocsr()
+        self.norm1 = float(abs(self.A).sum(axis=0).max())
+        self._d = None
+        self._degrees = {}
+
+    def _norm_powers(self) -> dict:
+        """d_p for p = 2..p_max+1 by ``onenormest``.
+
+        Its random sign vectors come from numpy's global RNG; they run
+        under a fixed seed here, and the caller's RNG state is restored.
+        """
+        if self._d is None:
+            op = spla.aslinearoperator(self.A)
+            state = np.random.get_state()
+            np.random.seed(0)
+            try:
+                self._d = {p: spla.onenormest(op ** p) ** (1.0 / p)
+                           for p in range(2, _P_MAX + 2)}
+            finally:
+                np.random.set_state(state)
+        return self._d
+
+    def _degree(self, h: float) -> tuple:
+        """(m*, s) of code fragment (3.1) for the matrix h A."""
+        if h not in self._degrees:
+            self._degrees[h] = self._fragment_3_1(h)
+        return self._degrees[h]
+
+    def _fragment_3_1(self, h: float) -> tuple:
+        norm = h * self.norm1
+        if norm == 0.0:
+            return 0, 1
+        if norm <= _NORM_ONLY_BOUND:
+            choices = [(m, int(np.ceil(norm / theta)))
+                       for m, theta in _THETA.items()]
+        else:
+            d = self._norm_powers()
+            choices = [(m, max(int(np.ceil(h * max(d[p], d[p + 1]) / theta)), 1))
+                       for p in range(2, _P_MAX + 1)
+                       for m, theta in _THETA.items() if m >= p * (p - 1) - 1]
+        # the first of the cheapest, counted in mat-vecs m s
+        return min(choices, key=lambda ms: ms[0] * ms[1])
+
+    def step(self, v: np.ndarray, h: float) -> np.ndarray:
+        """exp(h mat) v, the Taylor loop with its early exit."""
+        m, s = self._degree(h)
+        eta = np.exp(h * self.mu / s)
+        f = v.copy()
+        for _ in range(s):
+            c1 = np.abs(v).max()
+            for j in range(m):
+                v = self.A @ v
+                v *= h / (s * (j + 1))
+                c2 = np.abs(v).max()
+                f += v
+                if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
+                    break
+                c1 = c2
+            f *= eta
+            v = f
+        return f
 
 
 def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
@@ -94,17 +177,21 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
     """Apply exp(L t) c0 on an increasing time grid starting from t = 0.
 
     ``L`` is a :class:`Superoperator` (propagated in the scaled basis) or
-    a bare sparse matrix (used as is). Uniform sub-runs of the grid are
-    advanced with the multi-point Krylov propagator, at most
-    ``PROPAGATE_BLOCK`` steps per call; irregular gaps (e.g. a geometric
-    tail) fall back to single steps. Results do not depend on numpy's global RNG, which is left as
-    it was. If ``observe`` is given it is applied to each state (in the
-    raw coefficient convention) and only the observations are stored;
-    otherwise the trajectory (len(times), dim) is returned.
+    a bare sparse matrix (used as is). Each gap between consecutive grid
+    times, dense or geometric, is one step of the truncated Taylor method
+    of Al-Mohy & Higham (2011); the norms that choose its degree are
+    taken once per call (see ``_TaylorStepper``). Results do not depend
+    on numpy's global RNG, which is left as it was. A state that stops
+    being finite raises :class:`SolverError`. If ``observe`` is given it
+    is applied to each state (in the raw coefficient convention) and only
+    the observations are stored; otherwise the trajectory
+    (len(times), dim) is returned.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d grid")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and non-negative")
     mat, d = _scaled(L)
@@ -112,51 +199,20 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
     if c.shape != (mat.shape[0],):
         raise ValueError(f"state has shape {c.shape} but the generator acts "
                          f"on dimension {mat.shape[0]}; wrong sector?")
-    trace = mat.diagonal().sum()
-
-    out = []
-
-    def emit(vec):
-        raw = vec / d if d is not None else vec
-        out.append(observe(raw) if observe is not None else raw.copy())
-
+    stepper = _TaylorStepper(mat)
     if d is not None:
         c = c * d
-    t_curr = 0.0
-    i = 0
-    n = len(times)
-    while i < n:
-        # longest uniform run starting at i (needs >= 3 points to pay off)
-        j = i + 1
-        if j < n:
-            dt = times[j] - times[i]
-            while j + 1 < n and abs((times[j + 1] - times[j]) - dt) <= 1e-9 * max(dt, 1e-300):
-                j += 1
-        run = times[i:j + 1]
-        if times[i] > t_curr:
-            c = _expm_multiply(mat * (times[i] - t_curr), c,
-                               traceA=trace * (times[i] - t_curr))
-            t_curr = times[i]
-        emit(c)
-        if len(run) >= 3:
-            dt = (run[-1] - run[0]) / (len(run) - 1)
-            k = 1
-            while k < len(run):
-                m = min(PROPAGATE_BLOCK, len(run) - k)
-                seg = _expm_multiply(mat, c, start=0.0, stop=m * dt,
-                                     num=m + 1, endpoint=True, traceA=trace)
-                for r in range(1, m + 1):
-                    emit(seg[r])
-                c = seg[-1]
-                t_curr += m * dt
-                k += m
-        else:
-            for t_next in run[1:]:
-                c = _expm_multiply(mat * (t_next - t_curr), c,
-                                   traceA=trace * (t_next - t_curr))
-                t_curr = t_next
-                emit(c)
-        i = j + 1
+    out = []
+    t_prev = 0.0
+    for t in times:
+        if t > t_prev:
+            c = stepper.step(c, t - t_prev)
+            if not np.isfinite(c).all():
+                raise SolverError(f"propagated state is not finite at "
+                                  f"delay t = {t:g}")
+            t_prev = t
+        raw = c / d if d is not None else c
+        out.append(observe(raw) if observe is not None else raw.copy())
     return np.asarray(out)
 
 

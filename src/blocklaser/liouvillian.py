@@ -103,7 +103,7 @@ def basis_scaling(n_atoms: int, cutoff: int, delta_n: int) -> np.ndarray:
     Physical coefficient vectors in the raw basis span binomially many
     orders of magnitude (the expansion of a product state carries factors
     C(N, k)), which destroys the conditioning of linear solves and of the
-    Krylov propagator beyond N of a few tens. Conjugating the sector
+    propagator beyond N of a few tens. Conjugating the sector
     matrices by this diagonal is an exact similarity that brings all
     physical coefficients to a common scale; solvers apply it internally
     and convert back, so the stored convention never changes. Computed in

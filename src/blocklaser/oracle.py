@@ -14,6 +14,7 @@ entry against literal operator products.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Sequence
 
@@ -44,8 +45,13 @@ def _mode_matrix(cutoff: int) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=32)
 def site_operators(n_atoms: int, cutoff: int) -> Dict[str, object]:
-    """Sparse per-atom sigma operators and the truncated mode operators."""
+    """Sparse per-atom sigma operators and the truncated mode operators.
+
+    Cached per (n_atoms, cutoff): every caller gets the same dict, lists
+    and matrices, and must not modify them.
+    """
     dim_ph = cutoff + 1
     eye_ph = sp.identity(dim_ph, format="csr")
 

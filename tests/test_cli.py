@@ -110,8 +110,8 @@ def test_identical_runs_are_bit_identical(tmp_path):
 
 
 def test_identical_g1_runs_with_geometric_tail_are_bit_identical(tmp_path):
-    # the tail's long single steps reach expm_multiply's random norm
-    # estimates; the global RNG moves in between, as in a longer session
+    # the tail's long steps need onenormest's random norm estimates; the
+    # global RNG moves in between, as in a longer session
     args = ["g1", "--n", "16", "--m", "1", "--g", "0.45", "--kappa", "1.0",
             "--w", "0.25", "--dt", "0.2", "--t-dense", "4.0",
             "--t-max", "500.0", "--n-tail", "12",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
@@ -8,7 +9,8 @@ from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         slow_eigenmode, expect_photon_number, expect_sigma_z,
                         expect_spin_spin)
 from blocklaser import dynamics
-from blocklaser.dynamics import DegenerateSteadyStateError, SymmetricState
+from blocklaser.dynamics import (DegenerateSteadyStateError, SolverError,
+                                 SymmetricState)
 from blocklaser.symbasis import BasisElement
 from blocklaser.oracle import (build_full_liouvillian, lift_state,
                                oracle_expectations, oracle_steady_state)
@@ -89,12 +91,71 @@ def test_propagate_grid_matches_single_steps(rng):
         propagate_grid(L, s.coeffs, [-1.0, 1.0])
 
 
+@pytest.mark.parametrize("case", ["sector N=24 charge -1", "oracle N=4 M=2"])
+def test_propagate_grid_matches_expm_multiply_reference(case):
+    if case.startswith("sector"):
+        L = liouvillian_for(ModelParams(24, 1, 24 ** -0.5, 1.0, 2.0 / 24), -1)
+        mat, d = dynamics._scaled(L)
+    else:
+        L = build_full_liouvillian(ModelParams(4, 2, 0.7, 1.1, 0.6,
+                                               spont_emission=0.2,
+                                               dephasing=0.1))
+        mat, d = L, np.ones(L.shape[0])
+    rng = np.random.default_rng(5)
+    c0 = (rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d))) / d
+    # hybrid grid: dense uniform run plus geometric tail
+    times = np.concatenate([np.linspace(0.0, 5.0, 51),
+                            np.geomspace(6.0, 400.0, 12)])
+    traj = propagate_grid(L, c0, times) * d
+    ref, c, t_prev = [], c0 * d, 0.0
+    trace = mat.diagonal().sum()
+    for t in times:
+        if t > t_prev:
+            c = spla.expm_multiply(mat * (t - t_prev), c,
+                                   traceA=trace * (t - t_prev))
+            t_prev = t
+        ref.append(c)
+    ref = np.asarray(ref)
+    assert np.abs(traj - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_norm_estimates_run_once_per_grid(monkeypatch):
+    calls = []
+    onenormest = spla.onenormest
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return onenormest(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "onenormest", count)
+    L = liouvillian_for(ModelParams(6, 1, 0.45, 1.0, 0.25), -1)
+    c0 = np.ones(len(L.sector), dtype=complex)
+    times = np.concatenate([np.linspace(0.0, 2.0, 11),
+                            np.geomspace(5.0, 5000.0, 120)])
+    propagate_grid(L, c0, times)
+    assert 0 < len(calls) <= 8
+    calls.clear()
+    propagate_grid(L, c0, times[:11])   # short gaps: ||h A||_1 suffices
+    assert calls == []
+
+
+def test_propagate_grid_rejects_non_finite_times_and_states():
+    one = sp.csr_matrix([[1.0]])
+    for times in ([0.0, 1.0, np.nan], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            propagate_grid(one, [1.0 + 0j], times)
+    with pytest.raises(SolverError, match="t = 1"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        propagate_grid(sp.csr_matrix([[800.0]]), [1.0 + 0j], [0.0, 0.5, 1.0])
+
+
 def test_propagate_grid_is_independent_of_global_rng():
     L = liouvillian_for(ModelParams(6, 1, 0.45, 1.0, 0.25), 0)
     c0 = initial_mixed_state(L.sector).coeffs
     times = np.concatenate([np.linspace(0.0, 2.0, 11),
                             np.geomspace(5.0, 500.0, 6)])
-    # the long tail steps reach expm_multiply's random norm estimates
+    # the long tail steps need onenormest's random norm estimates, which
+    # draw from the global RNG unless guarded (expm_multiply shows it)
     mat, d = dynamics._scaled(L)
     before = np.random.get_state()[1].copy()
     spla.expm_multiply(mat * 500.0, c0 * d)
