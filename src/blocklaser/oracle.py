@@ -6,6 +6,16 @@ ground truth for the symmetry-reduced solver at small N. Density
 matrices are flattened row-major, so A rho B maps to (A kron B^T) acting
 on the flattened vector.
 
+The full generator is built the way the sector builder builds its
+matrices, but from its own code: a rate-weighted sum of five unit-rate
+parts, each assembled once per (N, M) from the explicit per-atom
+operators and cached. Like ``site_operators``, the cached parts are
+shared and must not be modified; ``build_full_liouvillian`` always
+returns a new matrix. The module imports nothing from
+``blocklaser.liouvillian`` or ``blocklaser.opkernels`` (it shares only
+the propagator and the error types of ``dynamics``), so it stays an
+independent check of the sector generators.
+
 ``lift_element`` expands a symmetric basis element into its explicit
 matrix, which lets tests compare kernel and Liouvillian actions entry by
 entry against literal operator products.
@@ -72,14 +82,18 @@ def site_operators(n_atoms: int, cutoff: int) -> Dict[str, object]:
     }
 
 
-def full_hamiltonian(params: ModelParams) -> sp.csr_matrix:
-    ops = site_operators(params.n_atoms, params.photon_cutoff)
-    g = params.coupling
-    H = sp.csr_matrix((hilbert_dim(params.n_atoms, params.photon_cutoff),) * 2,
-                      dtype=complex)
-    for j in range(params.n_atoms):
-        H = H + 0.5 * g * (ops["sp"][j] @ ops["a"] + ops["sm"][j] @ ops["adag"])
+def _unit_hamiltonian(n_atoms: int, cutoff: int) -> sp.csr_matrix:
+    """H_1 = (1/2) sum_j (s_j^+ a + s_j^- a^+), the Hamiltonian at g = 1."""
+    ops = site_operators(n_atoms, cutoff)
+    H = sp.csr_matrix((hilbert_dim(n_atoms, cutoff),) * 2, dtype=complex)
+    for j in range(n_atoms):
+        H = H + 0.5 * (ops["sp"][j] @ ops["a"] + ops["sm"][j] @ ops["adag"])
     return H.tocsr()
+
+
+def full_hamiltonian(params: ModelParams) -> sp.csr_matrix:
+    return params.coupling * _unit_hamiltonian(params.n_atoms,
+                                               params.photon_cutoff)
 
 
 def _dissipator(c: sp.spmatrix, dim: int) -> sp.csr_matrix:
@@ -90,26 +104,54 @@ def _dissipator(c: sp.spmatrix, dim: int) -> sp.csr_matrix:
             - 0.5 * sp.kron(eye, cdc.T, format="csr"))
 
 
+@lru_cache(maxsize=16)
+def _full_unit_parts(n_atoms: int, cutoff: int) -> Dict[str, sp.csr_matrix]:
+    """Unit-rate superoperators of the five master-equation parts.
+
+    Each is built from the explicit per-atom operators: the commutator
+    i[rho, H_1], D[a], sum_j D[s_j^+], sum_j D[s_j^-] and
+    (1/4) sum_j D[s_j^z]. Cached per (n_atoms, cutoff); callers must not
+    modify them.
+    """
+    ops = site_operators(n_atoms, cutoff)
+    dim = hilbert_dim(n_atoms, cutoff)
+    eye = sp.identity(dim, format="csr")
+    H = _unit_hamiltonian(n_atoms, cutoff)
+
+    def summed(label):
+        return sum(_dissipator(c, dim) for c in ops[label])
+
+    return {
+        # i[rho, H] = i rho H - i H rho
+        "hamiltonian": 1j * (sp.kron(eye, H.T, format="csr")
+                             - sp.kron(H, eye, format="csr")),
+        "cavity_decay": _dissipator(ops["a"], dim),
+        "pump": summed("sp"),
+        "spont": summed("sm"),
+        "deph": 0.25 * summed("sz"),
+    }
+
+
 def build_full_liouvillian(params: ModelParams) -> sp.csr_matrix:
-    """Vectorized master-equation generator on the full space."""
+    """Vectorized master-equation generator on the full space, the
+    rate-weighted sum of the cached unit parts (zero rates skipped)."""
     validate(params)
     dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
     if dim > DEFAULT_HILBERT_CAP:
         raise ValueError(f"Hilbert dimension {dim} exceeds cap "
                          f"{DEFAULT_HILBERT_CAP}")
-    ops = site_operators(params.n_atoms, params.photon_cutoff)
-    eye = sp.identity(dim, format="csr")
-    H = full_hamiltonian(params)
-    # i[rho, H] = i rho H - i H rho
-    L = 1j * (sp.kron(eye, H.T, format="csr") - sp.kron(H, eye, format="csr"))
-    L = L + params.cavity_decay * _dissipator(ops["a"], dim)
-    for j in range(params.n_atoms):
-        if params.pump:
-            L = L + params.pump * _dissipator(ops["sp"][j], dim)
-        if params.spont_emission:
-            L = L + params.spont_emission * _dissipator(ops["sm"][j], dim)
-        if params.dephasing:
-            L = L + 0.25 * params.dephasing * _dissipator(ops["sz"][j], dim)
+    unit = _full_unit_parts(params.n_atoms, params.photon_cutoff)
+    rates = {
+        "hamiltonian": params.coupling,
+        "cavity_decay": params.cavity_decay,
+        "pump": params.pump,
+        "spont": params.spont_emission,
+        "deph": params.dephasing,
+    }
+    L = sp.csr_matrix((dim * dim,) * 2, dtype=complex)
+    for name, rate in rates.items():
+        if rate != 0.0:
+            L = L + rate * unit[name]
     return L.tocsr()
 
 
@@ -169,11 +211,13 @@ def oracle_steady_state(params: ModelParams, method: str = "solve") -> np.ndarra
     """Unique steady density matrix of the full master equation.
 
     ``method='solve'`` replaces one trace-redundant row of the vectorized
-    generator with the trace row and solves the sparse system;
+    generator with the trace row and solves the sparse system; a solution
+    that is not finite, or whose residual ||L v|| exceeds
+    1e-9 ||L||_1 ||v||, raises :class:`SolverError` (there is no fallback).
     ``method='eig'`` extracts the null vector from a dense
     eigendecomposition instead, asserting that the zero eigenvalue is
-    isolated from the rest of the spectrum by a documented gap (used as a
-    cross-check at very small dimensions).
+    isolated from the rest of the spectrum by a documented gap (an
+    explicit cross-check at very small dimensions).
     """
     L = build_full_liouvillian(params)
     dim = int(round(math.sqrt(L.shape[0])))
@@ -198,10 +242,14 @@ def oracle_steady_state(params: ModelParams, method: str = "solve") -> np.ndarra
         rhs = np.zeros(L.shape[0], dtype=complex)
         rhs[0] = 1.0
         vec = spla.spsolve(bordered, rhs)
+        if not np.all(np.isfinite(vec)):  # SuperLU: "exactly singular"
+            raise SolverError("oracle steady-state solve is not finite "
+                              "(singular bordered matrix)")
         resid = np.linalg.norm(L @ vec)
-        scale = spla.norm(L, 1) * np.linalg.norm(vec)
-        if not np.all(np.isfinite(vec)) or resid > 1e-9 * max(scale, 1e-300):
-            return oracle_steady_state(params, method="eig")
+        bound = 1e-9 * max(spla.norm(L, 1) * np.linalg.norm(vec), 1e-300)
+        if not resid <= bound:
+            raise SolverError(f"oracle steady-state residual {resid:.3e} "
+                              f"above tolerance {bound:.3e}")
     rho = vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real

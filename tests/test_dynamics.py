@@ -91,8 +91,11 @@ def test_propagate_grid_matches_single_steps(rng):
         propagate_grid(L, s.coeffs, [-1.0, 1.0])
 
 
-@pytest.mark.parametrize("case", ["sector N=24 charge -1", "oracle N=4 M=2"])
-def test_propagate_grid_matches_expm_multiply_reference(case):
+PROPAGATION_CASES = ["sector N=24 charge -1", "oracle N=4 M=2"]
+
+
+def _propagation_case(case):
+    """(generator, scaled matrix, scaling, raw start, hybrid time grid)."""
     if case.startswith("sector"):
         L = liouvillian_for(ModelParams(24, 1, 24 ** -0.5, 1.0, 2.0 / 24), -1)
         mat, d = dynamics._scaled(L)
@@ -106,6 +109,12 @@ def test_propagate_grid_matches_expm_multiply_reference(case):
     # hybrid grid: dense uniform run plus geometric tail
     times = np.concatenate([np.linspace(0.0, 5.0, 51),
                             np.geomspace(6.0, 400.0, 12)])
+    return L, mat, d, c0, times
+
+
+@pytest.mark.parametrize("case", PROPAGATION_CASES)
+def test_propagate_grid_matches_expm_multiply_reference(case):
+    L, mat, d, c0, times = _propagation_case(case)
     traj = propagate_grid(L, c0, times) * d
     ref, c, t_prev = [], c0 * d, 0.0
     trace = mat.diagonal().sum()
@@ -117,6 +126,40 @@ def test_propagate_grid_matches_expm_multiply_reference(case):
         ref.append(c)
     ref = np.asarray(ref)
     assert np.abs(traj - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _exact_exit_taylor_step(stepper, v, h):
+    """The Taylor loop that takes the exact max|f| after every update."""
+    m, s = stepper._degree(h)
+    eta = np.exp(h * stepper.mu / s)
+    f = v.copy()
+    for _ in range(s):
+        c1 = np.abs(v).max()
+        for j in range(m):
+            v = stepper.A @ v
+            v *= h / (s * (j + 1))
+            c2 = np.abs(v).max()
+            f += v
+            if c1 + c2 <= dynamics._TAYLOR_TOL * np.abs(f).max():
+                break
+            c1 = c2
+        f *= eta
+        v = f
+    return f
+
+
+@pytest.mark.parametrize("case", PROPAGATION_CASES)
+def test_running_bound_keeps_every_taylor_exit(case):
+    L, mat, d, c0, times = _propagation_case(case)
+    traj = propagate_grid(L, c0, times)
+    stepper = dynamics._TaylorStepper(mat)
+    ref, c, t_prev = [], c0 * d, 0.0
+    for t in times:
+        if t > t_prev:
+            c = _exact_exit_taylor_step(stepper, c, t - t_prev)
+            t_prev = t
+        ref.append(c / d)
+    assert np.array_equal(traj, np.asarray(ref))
 
 
 def test_norm_estimates_run_once_per_grid(monkeypatch):

@@ -1,14 +1,124 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from blocklaser import ModelParams, enumerate_sector, propagate_grid
-from blocklaser.dynamics import DegenerateSteadyStateError
-from blocklaser.oracle import (atom_swap, build_full_liouvillian, hilbert_dim,
-                               lift_element, lift_state, oracle_expectations,
-                               oracle_g1, oracle_g2, oracle_steady_state,
-                               oracle_two_time, site_operators)
+from blocklaser import ModelParams, enumerate_sector, oracle, propagate_grid
+from blocklaser.dynamics import DegenerateSteadyStateError, SolverError
+from blocklaser.oracle import (DEFAULT_HILBERT_CAP, atom_swap,
+                               build_full_liouvillian, full_hamiltonian,
+                               hilbert_dim, lift_element, lift_state,
+                               oracle_expectations, oracle_g1, oracle_g2,
+                               oracle_steady_state, oracle_two_time,
+                               site_operators)
 from blocklaser.symbasis import BasisElement
 from blocklaser.model import random_params
+
+
+def _per_term_liouvillian(params):
+    """The generator summed term by term, one Kronecker-built dissipator
+    per rate and atom, each scaled by its rate: a reference for the
+    cached unit parts."""
+    ops = site_operators(params.n_atoms, params.photon_cutoff)
+    dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
+    eye = sp.identity(dim, format="csr")
+
+    def dissipator(c):
+        cdc = (c.conj().T @ c).tocsr()
+        return (sp.kron(c, c.conj(), format="csr")
+                - 0.5 * sp.kron(cdc, eye, format="csr")
+                - 0.5 * sp.kron(eye, cdc.T, format="csr"))
+
+    H = sp.csr_matrix((dim, dim), dtype=complex)
+    for j in range(params.n_atoms):
+        H = H + 0.5 * params.coupling * (ops["sp"][j] @ ops["a"]
+                                         + ops["sm"][j] @ ops["adag"])
+    L = 1j * (sp.kron(eye, H.T, format="csr") - sp.kron(H, eye, format="csr"))
+    L = L + params.cavity_decay * dissipator(ops["a"])
+    for j in range(params.n_atoms):
+        if params.pump:
+            L = L + params.pump * dissipator(ops["sp"][j])
+        if params.spont_emission:
+            L = L + params.spont_emission * dissipator(ops["sm"][j])
+        if params.dephasing:
+            L = L + 0.25 * params.dephasing * dissipator(ops["sz"][j])
+    return L.tocsr()
+
+
+def test_unit_parts_reproduce_the_per_term_generator():
+    rng = np.random.default_rng(11)
+    systems = [(n, m) for n in range(1, 7)
+               for m in range(1, DEFAULT_HILBERT_CAP)
+               if hilbert_dim(n, m) <= DEFAULT_HILBERT_CAP]
+    assert (1, 31) in systems and (5, 1) in systems and len(systems) == 57
+    for n, m in systems:
+        p = random_params(rng, n, m)
+        for case in (p, dataclasses.replace(p, coupling=0.0),
+                     dataclasses.replace(p, pump=0.0),
+                     dataclasses.replace(p, spont_emission=0.0, dephasing=0.0)):
+            new, ref = build_full_liouvillian(case), _per_term_liouvillian(case)
+            new.eliminate_zeros()
+            ref.eliminate_zeros()
+            assert abs(new - ref).max() <= 1e-14 * abs(ref).max(), (case,)
+            assert ((new != 0) != (ref != 0)).nnz == 0, (case,)
+
+
+def test_cached_parts_do_not_leak_into_later_builds():
+    # the second system is exactly one unit part: cavity decay at rate 1
+    for p in (ModelParams(3, 1, 0.8, 1.2, 0.4, spont_emission=0.1,
+                          dephasing=0.3),
+              ModelParams(3, 1, 0.0, 1.0, 0.0)):
+        first = build_full_liouvillian(p)
+        expected = first.copy()
+        first.data[:] = 7.0
+        first.resize((4, 4))
+        again = build_full_liouvillian(p)
+        assert again.shape == expected.shape
+        assert abs(again - expected).max() == 0.0
+    p = ModelParams(3, 1, 1.0, 1.0, 0.0)
+    H = full_hamiltonian(p)
+    H_expected = H.copy()
+    H.data *= 3.0
+    assert abs(full_hamiltonian(p) - H_expected).max() == 0.0
+
+
+def _sector_route_imports(source: str) -> list:
+    """Imports of blocklaser.liouvillian or blocklaser.opkernels in a
+    module of the package (relative imports resolved)."""
+    forbidden = ("blocklaser.liouvillian", "blocklaser.opkernels")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "blocklaser" + (f".{base}" if base else "")
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [name for name in names
+                  if any(name == f or name.startswith(f + ".")
+                         for f in forbidden)]
+    return found
+
+
+def test_detector_sees_sector_route_imports():
+    assert _sector_route_imports(
+        "from .liouvillian import build_liouvillian\n"
+        "from . import opkernels\n"
+        "import blocklaser.opkernels as ok\n"
+        "from .dynamics import propagate_grid\n") == [
+        "blocklaser.liouvillian", "blocklaser.liouvillian.build_liouvillian",
+        "blocklaser.opkernels", "blocklaser.opkernels"]
+
+
+def test_oracle_takes_no_code_from_the_sector_builder():
+    source = Path(oracle.__file__).read_text()
+    assert _sector_route_imports(source) == []
 
 
 def test_cavity_only_spectrum():
@@ -105,6 +215,20 @@ def test_eig_path_reports_degeneracy():
     p = ModelParams(2, 1, 0.0, 1.0, 0.0)  # frozen atoms
     with pytest.raises(DegenerateSteadyStateError):
         oracle_steady_state(p, method="eig")
+
+
+def test_singular_solve_raises_solver_error():
+    p = ModelParams(2, 1, 0.0, 1.0, 0.0)  # frozen atoms: singular bordering
+    with pytest.warns(sp.linalg.MatrixRankWarning), \
+            pytest.raises(SolverError, match="not finite"):
+        oracle_steady_state(p)
+
+
+def test_solve_path_reports_its_residual(monkeypatch):
+    solve = sp.linalg.spsolve
+    monkeypatch.setattr(sp.linalg, "spsolve", lambda A, b: solve(A, b) + 1e-3)
+    with pytest.raises(SolverError, match=r"residual .* above tolerance"):
+        oracle_steady_state(ModelParams(2, 1, 0.9, 1.0, 0.5))
 
 
 def test_lift_state_reproduces_mixed_state():
