@@ -378,28 +378,38 @@ def _cmd_sweep(cfg: Dict) -> int:
 
 
 def _trace_grid(cfg: Dict) -> np.ndarray:
+    t_dense, n_tail = float(cfg["t_dense"]), int(cfg["n_tail"])
     t_max = None if cfg["t_max"] is None else float(cfg["t_max"])
-    return correlation_times(dt_dense=float(cfg["dt"]),
-                             t_dense=float(cfg["t_dense"]),
-                             t_max=t_max, n_tail=int(cfg["n_tail"]))
+    if n_tail > 0 and (t_max is None or t_max <= t_dense):
+        raise ConfigError("n_tail needs t_max beyond t_dense")
+    if n_tail <= 0 and t_max is not None and t_max > t_dense:
+        raise ConfigError("t_max beyond t_dense needs n_tail")
+    return correlation_times(dt_dense=float(cfg["dt"]), t_dense=t_dense,
+                             t_max=t_max, n_tail=n_tail)
 
 
-def _maybe_fit(cfg: Dict, trace):
-    if cfg["fit_t_min"] is None or cfg["fit_t_max"] is None:
-        return None
-    return fit_linewidth(trace, (float(cfg["fit_t_min"]), float(cfg["fit_t_max"])))
+def _fit_window(cfg: Dict):
+    """The tail-fit window (fit_t_min, fit_t_max), or None if neither is set."""
+    lo, hi = cfg["fit_t_min"], cfg["fit_t_max"]
+    if hi is None and lo is not None:
+        raise ConfigError("fit_t_min needs fit_t_max")
+    if lo is None and hi is not None:
+        raise ConfigError("fit_t_max needs fit_t_min")
+    return None if lo is None else (float(lo), float(hi))
 
 
 def _cmd_g1(cfg: Dict) -> int:
     params = _params_from_config(cfg)
+    times, window = _trace_grid(cfg), _fit_window(cfg)
     ss = _symmetric_steady(params)
-    trace = g1_trace(params, ss, _trace_grid(cfg))
+    trace = g1_trace(params, ss, times)
     meta = {"nb": trace.normalization}
-    try:
-        fit = _maybe_fit(cfg, trace)
-    except PoorFitError as exc:
-        print(f"warning: tail fit rejected: {exc}", file=sys.stderr)
-        fit = None
+    fit = None
+    if window is not None:
+        try:
+            fit = fit_linewidth(trace, window)
+        except PoorFitError as exc:
+            print(f"warning: tail fit rejected: {exc}", file=sys.stderr)
     if fit is not None:
         meta.update(fit_rate=fit.rate, fit_amplitude=fit.amplitude,
                     fit_log_residual_rms=fit.log_residual_rms)
@@ -411,8 +421,8 @@ def _cmd_g1(cfg: Dict) -> int:
 
 def _cmd_g2(cfg: Dict) -> int:
     params = _params_from_config(cfg)
-    ss = _symmetric_steady(params)
-    trace = g2_trace(params, ss, _trace_grid(cfg))
+    times = _trace_grid(cfg)
+    trace = g2_trace(params, _symmetric_steady(params), times)
     rows = [[t, float(v)] for t, v in zip(trace.times, trace.values)]
     _write_table(cfg, ["t", "g2"], rows, {"nb_squared": trace.normalization})
     return 0
@@ -420,15 +430,15 @@ def _cmd_g2(cfg: Dict) -> int:
 
 def _cmd_spectrum(cfg: Dict) -> int:
     params = _params_from_config(cfg)
+    times, window = _trace_grid(cfg), _fit_window(cfg)
     ss = _symmetric_steady(params)
-    trace = g1_trace(params, ss, _trace_grid(cfg))
-    fit = _maybe_fit(cfg, trace)
-    omega_max = cfg["omega_max"]
-    if omega_max is None:
-        freqs = None
+    trace = g1_trace(params, ss, times)
+    fit = None if window is None else fit_linewidth(trace, window)
+    if cfg["omega_max"] is None:   # a quarter of the grid's Nyquist frequency
+        omega_max = np.pi / (4.0 * np.min(np.diff(trace.times)))
     else:
-        freqs = np.linspace(-float(omega_max), float(omega_max),
-                            int(cfg["omega_points"]))
+        omega_max = float(cfg["omega_max"])
+    freqs = np.linspace(-omega_max, omega_max, int(cfg["omega_points"]))
     spec = power_spectrum(trace, freqs=freqs, tail_fit=fit)
     meta = dict(spec.metadata)
     meta["nb"] = trace.normalization

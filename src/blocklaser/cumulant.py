@@ -136,6 +136,8 @@ def cumulant_jacobian(state: CumulantState, params: ModelParams,
 
 #: a polished root moves by less than this (relative) under one more Newton step
 POLISH_RTOL = 1e-12
+#: Newton's residual gate, in units of the largest rate
+RESIDUAL_TOL = 1e-12
 
 
 def _rate_scale(params: ModelParams) -> float:
@@ -240,13 +242,12 @@ def _certificate_failure(y: np.ndarray, params: ModelParams, blockaded: bool,
     return None
 
 
-def cumulant_steady(params: ModelParams, blockaded: bool = True,
-                    residual_tol: float = 1e-12) -> CumulantState:
+def cumulant_steady(params: ModelParams, blockaded: bool = True) -> CumulantState:
     """Stable physical fixed point of the cumulant equations.
 
     A damped Newton iteration starts at the large-N closed form (see
     :func:`_closed_form_start`), runs to a scaled residual of
-    ``residual_tol`` (in units of the largest rate) and polishes the root
+    :data:`RESIDUAL_TOL` (in units of the largest rate) and polishes the root
     with full steps (see :func:`_newton`). The root is accepted only if it
     passes a certificate: the residual is still within the gate, the
     state lies in the physical range (-1 <= z <= 1, <S^+ S^-> >= 0,
@@ -264,7 +265,7 @@ def cumulant_steady(params: ModelParams, blockaded: bool = True,
     validate(params)
     if params.pump + params.spont_emission <= 0:
         raise ValueError("need pump + spont_emission > 0 for a relaxing fixed point")
-    tol = residual_tol * _rate_scale(params)
+    tol = RESIDUAL_TOL * _rate_scale(params)
     try:
         y = _newton(_closed_form_start(params, blockaded), params, blockaded, tol)
         failure = _certificate_failure(y, params, blockaded, tol)

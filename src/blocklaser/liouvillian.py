@@ -15,9 +15,10 @@ part's kernel chains (see :mod:`blocklaser.opkernels`) over blocks of
 the sector's columns at once, as arrays of source column, content and
 weight, and maps the targets to rows by one ``searchsorted`` of their
 packed keys; no operator product is ever formed in the full
-4^N (M+1)^2 space.
-Entries are bit-identical to the element-by-element expansion of
-:func:`~blocklaser.opkernels.apply_product`. The one-sided single-atom
+4^N (M+1)^2 space. Whatever the block size, each column's entries
+are bit-identical to its chains run through
+:func:`~blocklaser.opkernels.apply_chain` on that column alone and
+summed in chain order. The one-sided single-atom
 sums are lifted to collective operators via
 sum_j s_j^- s_j^+ = (N - S^z)/2 and sum_j s_j^+ s_j^- = (N + S^z)/2; the
 sandwich parts use the dedicated recycling kernels.
@@ -239,15 +240,3 @@ def liouvillian_for(params: ModelParams, delta_n: int) -> Superoperator:
     """
     sector = enumerate_sector(params.n_atoms, params.photon_cutoff, delta_n)
     return build_liouvillian(params, sector)
-
-
-def dump_coo(superop: Superoperator, path) -> None:
-    """Write the matrix as 'row col re im' text, sorted, for diffing."""
-    coo = superop.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# dim {coo.shape[0]} nnz {coo.nnz}\n")
-        for k in order:
-            v = coo.data[k]
-            fh.write(f"{coo.row[k]} {coo.col[k]} "
-                     f"{float(v.real)!r} {float(v.imag)!r}\n")

@@ -35,6 +35,13 @@ from .symbasis import BasisElement, SectorBasis, enumerate_sector
 #: at fig2b (2621 delays) a block is 2.7 MB, the whole 4001-row matrix 168 MB
 SPECTRUM_BLOCK = 64
 
+#: largest log-residual rms that fit_linewidth accepts
+FIT_RESIDUAL_TOL = 1e-2
+
+#: largest |g1| at the end of the trace that power_spectrum integrates
+#: without a tail fit
+DECAY_FLOOR = 1e-3
+
 
 class PoorFitError(SolverError):
     """Exponential tail fit rejected by the residual diagnostic."""
@@ -215,13 +222,12 @@ def correlation_times(dt_dense: float, t_dense: float,
 
 
 def fit_linewidth(trace: CorrelationTrace,
-                  window: Tuple[float, float],
-                  residual_tol: float = 1e-2) -> LinewidthFit:
+                  window: Tuple[float, float]) -> LinewidthFit:
     """Least-squares exponential fit of |g1| over a late-time window.
 
     Fits log|g1| = log(amplitude) - (rate/2) t and reports the rms of the
     log residuals; early windows that still contain fast transients are
-    rejected through ``residual_tol``. The window start should sit well
+    rejected through :data:`FIT_RESIDUAL_TOL`. The window start should sit well
     past the fast (cavity) decay time for the fit to be unbiased.
     """
     t_min, t_max = window
@@ -236,9 +242,9 @@ def fit_linewidth(trace: CorrelationTrace,
     (slope, intercept), cov = np.polyfit(t, logy, 1, cov=True)
     resid = logy - (slope * t + intercept)
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    if rms > residual_tol:
+    if rms > FIT_RESIDUAL_TOL:
         raise PoorFitError(
-            f"log-residual rms {rms:.3e} above {residual_tol:.1e}; "
+            f"log-residual rms {rms:.3e} above {FIT_RESIDUAL_TOL:.1e}; "
             "tail is not a single exponential over this window")
     if slope >= 0:
         raise PoorFitError("tail is non-decaying over the fit window")
@@ -249,10 +255,8 @@ def fit_linewidth(trace: CorrelationTrace,
                         window=(float(t_min), float(t_max)))
 
 
-def power_spectrum(trace: CorrelationTrace,
-                   freqs: Optional[np.ndarray] = None,
-                   tail_fit: Optional[LinewidthFit] = None,
-                   decay_floor: float = 1e-3) -> Spectrum:
+def power_spectrum(trace: CorrelationTrace, freqs: np.ndarray,
+                   tail_fit: Optional[LinewidthFit] = None) -> Spectrum:
     """Normalized emission spectrum S(w) = (1/2pi) int g1(t) e^{iwt} dt.
 
     Uses g1(-t) = conj(g1(t)), i.e. S(w) = (1/pi) Re int_0^inf g1 e^{iwt}.
@@ -260,15 +264,11 @@ def power_spectrum(trace: CorrelationTrace,
     into its Lorentzian of half-width rate/2 and only the residual is
     integrated numerically; the narrow coherent peak and the broad
     structure then never share one quadrature grid. Without a fit the
-    trace must itself have decayed below ``decay_floor``. The phase matrix
+    trace must itself have decayed below :data:`DECAY_FLOOR`. The phase matrix
     exp(i w t) is evaluated ``SPECTRUM_BLOCK`` frequencies at a time.
     """
     t = trace.times
     g = trace.values
-    if freqs is None:
-        dt = np.min(np.diff(t))
-        wmax = np.pi / (4.0 * dt)
-        freqs = np.linspace(-wmax, wmax, 2001)
     freqs = np.asarray(freqs, dtype=float)
 
     meta = {"window_length": float(t[-1])}
@@ -278,7 +278,7 @@ def power_spectrum(trace: CorrelationTrace,
         lorentz = (tail_fit.amplitude / np.pi) * half / (half ** 2 + freqs ** 2)
         meta.update(tail_rate=tail_fit.rate, tail_amplitude=tail_fit.amplitude)
     else:
-        if np.abs(g[-1]) > decay_floor:
+        if np.abs(g[-1]) > DECAY_FLOOR:
             raise SolverError(
                 f"|g1| = {np.abs(g[-1]):.3e} at the end of the trace; "
                 "supply a tail fit or extend the grid")

@@ -4,20 +4,13 @@ Every elementary operator is one entry of the rule table :data:`KERNELS`.
 An entry names the factor it acts on (atomic or photon) and lists its
 rules; a rule maps the content counts ``(n_plus, n_minus, n_z, n_adag,
 n_a)`` and ``n_i = N - n_plus - n_minus - n_z`` to a target factor and a
-closed-form weight. The weights are written only here. Two evaluators
-read the table:
-
-- :func:`apply_kernel` (and the kind-checked :func:`apply_cavity`,
-  :func:`apply_collective`, :func:`apply_recycling`) expands one
-  :class:`~blocklaser.symbasis.BasisElement` into a merged list of
-  ``(BasisElement, weight)`` pairs; :func:`apply_product` composes them;
-- :func:`apply_chain` applies a chain of kernels to arrays of source
-  column, content and weight covering whole sectors at once.
-
-Both drop outputs that violate the index bounds (they do not exist in the
-truncated space; the offending operator annihilates them) and zero
-weights, and both merge equal targets by summing in the same order, so
-they give bit-identical weights.
+closed-form weight. The weights are written only here, and
+:func:`apply_chain` is the one evaluator of the table: it applies a chain
+of kernels to arrays of source column, content and weight, one element
+or whole sectors at once. It drops outputs that violate the index bounds
+(they do not exist in the truncated space; the offending operator
+annihilates them) and zero weights, and it merges equal targets of one
+source column by summing in a fixed order.
 
 Cavity rules. With ``p = n_adag`` and ``q = n_a`` the photon factor is the
 normal-ordered product (a^+)^p a^q, so right-multiplying by a and
@@ -44,31 +37,26 @@ get their own kernels.
 
 Dephasing. sum_j s_j^z (.) s_j^z flips the sign of every s^+ or s^- slot
 and leaves s^z and identity slots alone, so the dephasing Lindbladian is
-diagonal in this basis; see :func:`apply_dephasing_diag`.
+diagonal in this basis: the "dephasing" kernel is the factor
+n_plus + n_minus, and L_deph = -(gamma_d/4) sum_j (rho - s_j^z rho s_j^z)
+acts on an element as -(gamma_d/2) (n_plus + n_minus) times it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .symbasis import BasisElement, packed_keys
-
-WeightedElements = List[Tuple[BasisElement, float]]
-
-CAVITY_KINDS = ("a_right", "adag_left", "adag_right", "a_left")
-COLLECTIVE_KINDS = ("sp_left", "sp_right", "sm_left", "sm_right",
-                    "sz_left", "sz_right")
-RECYCLING_KINDS = ("emission_sandwich", "pump_sandwich")
+from .symbasis import packed_keys
 
 
 class Counts:
-    """Content counts of one element (ints) or of many (int arrays)."""
+    """Content counts of n elements (int arrays), with N and the cutoff M."""
 
-    def __init__(self, pl, mi, z, p, q, n_atoms=None, cutoff=None):
+    def __init__(self, pl, mi, z, p, q, n_atoms, cutoff):
         self.pl, self.mi, self.z, self.p, self.q = pl, mi, z, p, q
         self.n_atoms, self.M = n_atoms, cutoff
 
@@ -174,104 +162,17 @@ KERNELS: Dict[str, KernelRules] = {
 }
 
 
-def _merge_photon(terms: WeightedElements, cutoff: int) -> WeightedElements:
-    out: Dict[BasisElement, float] = {}
-    for e, w in terms:
-        if w == 0.0 or not (0 <= e.n_adag <= cutoff and 0 <= e.n_a <= cutoff):
-            continue
-        out[e] = out.get(e, 0.0) + w
-    return [(e, w) for e, w in out.items() if w != 0.0]
-
-
-def _merge_atomic(terms: WeightedElements, n_atoms: int) -> WeightedElements:
-    out: Dict[BasisElement, float] = {}
-    for e, w in terms:
-        if w == 0.0 or min(e.n_plus, e.n_minus, e.n_z) < 0:
-            continue
-        if e.n_plus + e.n_minus + e.n_z > n_atoms:
-            continue
-        out[e] = out.get(e, 0.0) + w
-    return [(e, w) for e, w in out.items() if w != 0.0]
-
-
-def apply_kernel(kind: str, e: BasisElement, n_atoms: Optional[int] = None,
-                 cutoff: Optional[int] = None) -> WeightedElements:
-    """Expand one kernel of the rule table on one element.
-
-    Atomic kernels need ``n_atoms``, cavity kernels ``cutoff``.
-    """
-    kernel = KERNELS[kind]
-    c = Counts(*e, n_atoms=n_atoms, cutoff=cutoff)
-    terms = []
-    for rule in kernel.rules:
-        t = rule.target(c)
-        f = (BasisElement(*t, *e[3:]) if kernel.atomic
-             else BasisElement(*e[:3], *t))
-        terms.append((f, float(rule.weight(c))))
-    if kernel.atomic:
-        return _merge_atomic(terms, n_atoms)
-    return _merge_photon(terms, cutoff)
-
-
-def apply_cavity(kind: str, e: BasisElement, cutoff: int) -> WeightedElements:
-    """Expand a or a^+ applied on one side of the photon factor of ``e``."""
-    if kind not in CAVITY_KINDS:
-        raise ValueError(f"unknown cavity kind {kind!r}")
-    return apply_kernel(kind, e, cutoff=cutoff)
-
-
-def apply_collective(kind: str, e: BasisElement, n_atoms: int) -> WeightedElements:
-    """Expand a collective S^+, S^- or S^z applied on one side of ``e``."""
-    if kind not in COLLECTIVE_KINDS:
-        raise ValueError(f"unknown collective kind {kind!r}")
-    return apply_kernel(kind, e, n_atoms=n_atoms)
-
-
-def apply_recycling(kind: str, e: BasisElement, n_atoms: int) -> WeightedElements:
-    """Expand the per-atom sandwich sums 2 sum_j s_j^-+ (.) s_j^+-."""
-    if kind not in RECYCLING_KINDS:
-        raise ValueError(f"unknown recycling kind {kind!r}")
-    return apply_kernel(kind, e, n_atoms=n_atoms)
-
-
-def apply_dephasing_diag(e: BasisElement) -> float:
-    """Diagonal factor of the dephasing Lindbladian on ``e``.
-
-    L_deph = -(gamma_d/4) sum_j (rho - s_j^z rho s_j^z) acts on a basis
-    element as -(gamma_d/2) (n_plus + n_minus) times the element: each
-    coherence slot flips sign under the s^z sandwich, all other slots are
-    invariant. Returns the non-negative factor (n_plus + n_minus).
-    """
-    return float(KERNELS["dephasing"].rules[0].weight(Counts(*e)))
-
-
-Kernel = Callable[[BasisElement], WeightedElements]
-
-
-def apply_product(kernels: Sequence[Kernel], e: BasisElement) -> WeightedElements:
-    """Compose kernels sequentially; atomic and photon factors commute,
-    so operator products split into independent single-factor kernels."""
-    current: WeightedElements = [(e, 1.0)]
-    for kernel in kernels:
-        nxt: Dict[BasisElement, float] = {}
-        for f, w in current:
-            for g, v in kernel(f):
-                nxt[g] = nxt.get(g, 0.0) + w * v
-        current = [(f, w) for f, w in nxt.items() if w != 0.0]
-    return current
-
-
 def _kernel_arrays(kind: str, contents: np.ndarray, n_atoms: int,
                    cutoff: int):
     """One kernel on n legal source contents (an (n, 5) array).
 
     Returns (source, target contents, weight) arrays of the live outputs,
-    source by source in rule order, with equal targets of one source
-    merged and illegal or zero terms dropped as in :func:`_merge_photon` /
-    :func:`_merge_atomic`.
+    source by source in rule order. Equal targets of one source are summed
+    in rule order into the first; illegal targets and zero weights are
+    dropped.
     """
     kernel = KERNELS[kind]
-    c = Counts(*contents.T, n_atoms=n_atoms, cutoff=cutoff)
+    c = Counts(*contents.T, n_atoms, cutoff)
     n, n_rules = len(contents), len(kernel.rules)
     span = range(0, 3) if kernel.atomic else range(3, 5)
     factors = [[np.broadcast_to(v, n) for v in rule.target(c)]
@@ -304,11 +205,9 @@ def _kernel_arrays(kind: str, contents: np.ndarray, n_atoms: int,
 
 def merge_entries(cols: np.ndarray, contents: np.ndarray, weights: np.ndarray,
                   n_atoms: int, cutoff: int):
-    """Sum the weights of equal (column, content) entries in array order
-    and drop zero sums; entries keep the order of first appearance.
-
-    This is what the dict accumulation of :func:`apply_product` does,
-    including its order of additions.
+    """Sum the weights of equal (column, content) entries in array order,
+    as a dict accumulation would, and drop zero sums; entries keep the
+    order of first appearance.
     """
     span = (n_atoms + 1) ** 3 * (cutoff + 1) ** 2   # number of packed keys
     if len(cols) and int(cols.max()) >= np.iinfo(np.int64).max // span:
@@ -331,8 +230,8 @@ def apply_chain(kinds: Sequence[str], cols: np.ndarray, contents: np.ndarray,
     """Apply a chain of kernels to arrays of source column, content (n, 5)
     and weight; returns the same three arrays for the merged output.
 
-    Entry for entry this is :func:`apply_product` over the kernels of
-    :func:`apply_kernel`, with each source column kept apart.
+    Each kernel's outputs are merged per source column before the next
+    kernel runs, so source columns never mix.
     """
     for kind in kinds:
         src, targets, v = _kernel_arrays(kind, contents, n_atoms, cutoff)

@@ -175,6 +175,45 @@ def test_g1_g2_and_spectrum_outputs(tmp_path):
     assert "omega_eff" in meta
 
 
+def test_spectrum_default_band_takes_omega_points(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--n", "3", "--m", "1", "--g", "0.5", "--w", "0.5",
+                 "--t-dense", "80", "--omega-points", "11",
+                 "--out", str(out)]) == 0
+    meta, _, rows = read_table(out)
+    assert meta["omega_points"] == "11"
+    assert len(rows) == 11
+    # the band is +- pi / (4 dt) of the default dt
+    assert rows[-1, 0] == pytest.approx(np.pi / (4 * 0.05), rel=1e-12)
+
+
+@pytest.mark.parametrize("command,given,message", [
+    ("g1", ["--t-max", "200"], "t_max beyond t_dense needs n_tail"),
+    ("g2", ["--t-max", "200"], "t_max beyond t_dense needs n_tail"),
+    ("spectrum", ["--n-tail", "20"], "n_tail needs t_max beyond t_dense"),
+    ("g1", ["--n-tail", "20"], "n_tail needs t_max beyond t_dense"),
+    ("g1", ["--t-max", "20", "--n-tail", "10"],
+     "n_tail needs t_max beyond t_dense"),
+    ("g1", ["--fit-t-min", "10"], "fit_t_min needs fit_t_max"),
+    ("spectrum", ["--fit-t-max", "30"], "fit_t_max needs fit_t_min"),
+])
+def test_half_given_option_pair_is_config_error(command, given, message,
+                                                capsys):
+    # raised before any solve, instead of echoing the half and ignoring it
+    argv = [command, "--n", "3", "--m", "1", "--g", "0.5", "--w", "0.5"]
+    assert main(argv + given) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_tail_grid_override_to_dense_only_still_runs(tmp_path):
+    # t_max at the end of the dense grid needs no tail (README's g2 example)
+    out = tmp_path / "g2.csv"
+    assert main(["g2", "--preset", "fig2c", "--n", "4", "--t-dense", "2",
+                 "--t-max", "2", "--n-tail", "0", "--out", str(out)]) == 0
+    _, _, rows = read_table(out)
+    assert len(rows) == 41
+
+
 def test_cumulant_command_reports_closed_forms(tmp_path):
     out = tmp_path / "c.csv"
     assert main(["cumulant", "--n", "100000", "--m", "1",

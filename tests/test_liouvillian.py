@@ -9,8 +9,7 @@ from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         trace_functional)
 from blocklaser import liouvillian
 from blocklaser.liouvillian import (DROP_TOL, _part_terms, _unit_parts,
-                                    basis_scaling, dump_coo)
-from blocklaser.opkernels import apply_kernel, apply_product
+                                    basis_scaling)
 from blocklaser.dynamics import SymmetricState
 from blocklaser.oracle import build_full_liouvillian, lift_element, lift_state
 from blocklaser.model import random_params
@@ -170,9 +169,9 @@ def test_one_sector_is_assembled_once(rng):
     assert _unit_parts.cache_info().misses == 1
 
 
-def entrywise_unit_parts(n_atoms, cutoff, delta_n):
-    """The unit parts rebuilt element by element: each column's chains
-    through apply_product on the rule table, summed in a dict."""
+def entrywise_unit_parts(expand, n_atoms, cutoff, delta_n):
+    """The unit parts rebuilt column by column: each column's chains run
+    on that element alone (the ``expand`` fixture), summed in a dict."""
     sector = enumerate_sector(n_atoms, cutoff, delta_n)
     dim = len(sector)
     parts = {}
@@ -181,9 +180,7 @@ def entrywise_unit_parts(n_atoms, cutoff, delta_n):
         for j, e in enumerate(sector.elements):
             acc = {}
             for coef, kinds in chains:
-                kernels = [lambda f, k=k: apply_kernel(k, f, n_atoms, cutoff)
-                           for k in kinds]
-                for f, w in apply_product(kernels, e):
+                for f, w in expand(kinds, e, n_atoms, cutoff).items():
                     acc[f] = acc.get(f, 0.0) + coef * w
             for f, v in acc.items():
                 if v != 0.0:
@@ -208,8 +205,8 @@ def canonical_coo(mat):
     (1, 1, 0), (1, 2, 1), (3, 2, 0), (3, 2, -1), (4, 3, 2), (24, 1, -1),
     (2, 1, 4)])
 def test_array_assembly_equals_entrywise_expansion(n_atoms, cutoff, delta_n,
-                                                   monkeypatch):
-    ref = entrywise_unit_parts(n_atoms, cutoff, delta_n)
+                                                   monkeypatch, expand):
+    ref = entrywise_unit_parts(expand, n_atoms, cutoff, delta_n)
     dim = len(enumerate_sector(n_atoms, cutoff, delta_n))
     builds = [_unit_parts(n_atoms, cutoff, delta_n)]
     monkeypatch.setattr(liouvillian, "ASSEMBLY_BLOCK", 7)  # many blocks
@@ -222,20 +219,6 @@ def test_array_assembly_equals_entrywise_expansion(n_atoms, cutoff, delta_n,
                 assert np.array_equal(a, b), name
     if delta_n == 4:  # |delta_n| > N + M: the empty sector
         assert dim == 0
-
-
-def test_coordinate_dump_roundtrip(tmp_path):
-    p = ModelParams(2, 1, 1.0, 0.7, 0.4)
-    L = liouvillian_for(p, 0)
-    path = tmp_path / "l.coo"
-    dump_coo(L, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("# dim 12 nnz")
-    rebuilt = np.zeros((12, 12), dtype=complex)
-    for line in lines[1:]:
-        i, j, re, im = line.split()
-        rebuilt[int(i), int(j)] = float(re) + 1j * float(im)
-    assert np.abs(rebuilt - L.matrix.toarray()).max() == 0.0
 
 
 def test_basis_scaling_matches_lifted_norms():

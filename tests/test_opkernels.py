@@ -1,31 +1,28 @@
-"""Kernel rules against literal operator products on the lifted basis."""
+"""Kernel rules against literal operator products on the lifted basis.
+
+Per-element expansions run through the ``expand`` fixture (conftest.py),
+which is :func:`~blocklaser.opkernels.apply_chain` on a one-element array.
+"""
 
 import numpy as np
 import pytest
 
 from blocklaser import BasisElement, enumerate_sector
-from blocklaser.opkernels import (apply_cavity, apply_chain, apply_collective,
-                                  apply_dephasing_diag, apply_kernel,
-                                  apply_product, apply_recycling,
-                                  merge_entries)
+from blocklaser.opkernels import KERNELS, apply_chain, merge_entries
 from blocklaser.symbasis import is_legal
 from blocklaser.oracle import lift_element, site_operators
 
 
-def as_dict(terms):
-    return {e: w for e, w in terms}
-
-
 def rebuild(terms, n_atoms, cutoff, shape):
     out = np.zeros(shape, dtype=complex)
-    for e, w in terms:
+    for e, w in terms.items():
         out += w * lift_element(e, n_atoms, cutoff)
     return out
 
 
 @pytest.mark.parametrize("n_atoms,cutoff", [(1, 1), (2, 1), (1, 2), (2, 2),
                                             (3, 1), (3, 2)])
-def test_every_kernel_matches_explicit_products(n_atoms, cutoff):
+def test_every_kernel_matches_explicit_products(n_atoms, cutoff, expand):
     ops = site_operators(n_atoms, cutoff)
     Sp = sum(o.toarray() for o in ops["sp"])
     Sm = sum(o.toarray() for o in ops["sm"])
@@ -35,144 +32,143 @@ def test_every_kernel_matches_explicit_products(n_atoms, cutoff):
         for e in enumerate_sector(n_atoms, cutoff, delta).elements:
             E = lift_element(e, n_atoms, cutoff)
             cases = [
-                (E @ a, apply_cavity("a_right", e, cutoff)),
-                (ad @ E, apply_cavity("adag_left", e, cutoff)),
-                (E @ ad, apply_cavity("adag_right", e, cutoff)),
-                (a @ E, apply_cavity("a_left", e, cutoff)),
-                (Sp @ E, apply_collective("sp_left", e, n_atoms)),
-                (E @ Sp, apply_collective("sp_right", e, n_atoms)),
-                (Sm @ E, apply_collective("sm_left", e, n_atoms)),
-                (E @ Sm, apply_collective("sm_right", e, n_atoms)),
-                (Sz @ E, apply_collective("sz_left", e, n_atoms)),
-                (E @ Sz, apply_collective("sz_right", e, n_atoms)),
+                (E @ a, "a_right"),
+                (ad @ E, "adag_left"),
+                (E @ ad, "adag_right"),
+                (a @ E, "a_left"),
+                (Sp @ E, "sp_left"),
+                (E @ Sp, "sp_right"),
+                (Sm @ E, "sm_left"),
+                (E @ Sm, "sm_right"),
+                (Sz @ E, "sz_left"),
+                (E @ Sz, "sz_right"),
                 (sum(2 * sm.toarray() @ E @ sp.toarray()
                      for sp, sm in zip(ops["sp"], ops["sm"])),
-                 apply_recycling("emission_sandwich", e, n_atoms)),
+                 "emission_sandwich"),
                 (sum(2 * sp.toarray() @ E @ sm.toarray()
                      for sp, sm in zip(ops["sp"], ops["sm"])),
-                 apply_recycling("pump_sandwich", e, n_atoms)),
+                 "pump_sandwich"),
             ]
-            for direct, terms in cases:
+            for direct, kind in cases:
+                terms = expand((kind,), e, n_atoms, cutoff)
                 got = rebuild(terms, n_atoms, cutoff, E.shape)
                 assert np.abs(got - direct).max() < 1e-12
             # dephasing sandwich: sum_j sz rho sz = (N - 2(n+ + n-)) rho
             sandwich = sum(sz.toarray() @ E @ sz.toarray() for sz in ops["sz"])
-            factor = n_atoms - 2 * apply_dephasing_diag(e)
+            diag = expand(("dephasing",), e, n_atoms, cutoff)
+            assert set(diag) <= {e}
+            factor = n_atoms - 2 * diag.get(e, 0.0)
             assert np.abs(sandwich - factor * E).max() < 1e-12
 
 
-def test_right_mode_application_is_an_index_shift():
+def test_right_mode_application_is_an_index_shift(expand):
     e = BasisElement(1, 0, 2, 0, 0)
-    assert as_dict(apply_cavity("a_right", e, 2)) == {
-        BasisElement(1, 0, 2, 0, 1): 1.0}
+    assert expand(("a_right",), e, 3, 2) == {BasisElement(1, 0, 2, 0, 1): 1.0}
 
 
-def test_blockaded_reordering_gives_identity_minus_number():
+def test_blockaded_reordering_gives_identity_minus_number(expand):
     # a a^+ = |0><0| = 1 - a^+ a on the two-level mode
-    out = as_dict(apply_cavity("adag_right", BasisElement(0, 0, 0, 0, 1), 1))
+    out = expand(("adag_right",), BasisElement(0, 0, 0, 0, 1), 1, 1)
     assert out == {BasisElement(0, 0, 0, 0, 0): 1.0,
                    BasisElement(0, 0, 0, 1, 1): -1.0}
-    out = as_dict(apply_cavity("a_left", BasisElement(0, 0, 0, 1, 0), 1))
+    out = expand(("a_left",), BasisElement(0, 0, 0, 1, 0), 1, 1)
     assert out == {BasisElement(0, 0, 0, 0, 0): 1.0,
                    BasisElement(0, 0, 0, 1, 1): -1.0}
 
 
-def test_large_cutoff_recovers_harmonic_relations():
+def test_large_cutoff_recovers_harmonic_relations(expand):
     # far from the boundary only a negligible 1/(M - n)! truncation weight
     # survives next to the harmonic-oscillator terms
     for kind, e in [("adag_right", BasisElement(0, 0, 0, 1, 2)),
                     ("a_left", BasisElement(0, 0, 0, 2, 1))]:
-        out = as_dict(apply_cavity(kind, e, 10))
+        out = expand((kind,), e, 1, 10)
         assert out.pop(BasisElement(0, 0, 0, 2, 2)) == 1.0
         assert out.pop(BasisElement(0, 0, 0, 1, 1)) == 2.0
         assert all(abs(w) < 1e-4 for w in out.values())
 
 
-def test_collective_examples():
-    out = as_dict(apply_collective("sz_left", BasisElement(0, 0, 0, 0, 0), 2))
+def test_collective_examples(expand):
+    out = expand(("sz_left",), BasisElement(0, 0, 0, 0, 0), 2, 1)
     assert out == {BasisElement(0, 0, 1, 0, 0): 2.0}
-    out = as_dict(apply_collective("sz_left", BasisElement(1, 0, 0, 0, 1), 1))
+    out = expand(("sz_left",), BasisElement(1, 0, 0, 0, 1), 1, 1)
     assert out == {BasisElement(1, 0, 0, 0, 1): 1.0}
-    out = as_dict(apply_collective("sp_left", BasisElement(0, 0, 0, 0, 0), 1))
+    out = expand(("sp_left",), BasisElement(0, 0, 0, 0, 0), 1, 1)
     assert out == {BasisElement(1, 0, 0, 0, 0): 1.0}
 
 
-def test_recycling_examples():
-    out = as_dict(apply_recycling("pump_sandwich", BasisElement(0, 0, 0, 0, 0), 1))
+def test_recycling_examples(expand):
+    out = expand(("pump_sandwich",), BasisElement(0, 0, 0, 0, 0), 1, 1)
     assert out == {BasisElement(0, 0, 0, 0, 0): 1.0,
                    BasisElement(0, 0, 1, 0, 0): 1.0}
     # 2 s^- (sz/2) s^+ = (1 - sz)/2 by direct 2x2 algebra; the stated rule
     # produces both the lowered and the diagonal term
-    out = as_dict(apply_recycling("emission_sandwich", BasisElement(0, 0, 1, 0, 0), 1))
+    out = expand(("emission_sandwich",), BasisElement(0, 0, 1, 0, 0), 1, 1)
     assert out == {BasisElement(0, 0, 0, 0, 0): 1.0,
                    BasisElement(0, 0, 1, 0, 0): -1.0}
 
 
-def test_saturated_content_drops_raising_term():
+def test_saturated_content_drops_raising_term(expand):
     # N_I = 0 kills the (n_z + 1) branch
     e = BasisElement(1, 1, 1, 0, 0)
     for kind in ("emission_sandwich", "pump_sandwich"):
-        out = as_dict(apply_recycling(kind, e, 3))
+        out = expand((kind,), e, 3, 1)
         assert BasisElement(1, 1, 2, 0, 0) not in out
 
 
-def test_dephasing_diagonal_factors():
-    assert apply_dephasing_diag(BasisElement(0, 0, 3, 1, 1)) == 0.0
-    assert apply_dephasing_diag(BasisElement(1, 0, 0, 0, 0)) == 1.0
-    assert apply_dephasing_diag(BasisElement(1, 1, 0, 1, 0)) == 2.0
+def test_dephasing_diagonal_factors(expand):
+    # a zero factor is a dropped entry
+    e = BasisElement(0, 0, 3, 1, 1)
+    assert expand(("dephasing",), e, 3, 1) == {}
+    e = BasisElement(1, 0, 0, 0, 0)
+    assert expand(("dephasing",), e, 1, 1) == {e: 1.0}
+    e = BasisElement(1, 1, 0, 1, 0)
+    assert expand(("dephasing",), e, 2, 1) == {e: 2.0}
 
 
-def test_outputs_are_merged_legal_and_nonzero(rng):
-    for _ in range(50):
-        n_atoms = int(rng.integers(1, 5))
-        cutoff = int(rng.integers(1, 4))
-        sector = enumerate_sector(n_atoms, cutoff,
-                                  int(rng.integers(-2, 3)))
-        if len(sector) == 0:
-            continue
-        e = sector.elements[int(rng.integers(len(sector)))]
-        outputs = []
-        for kind in ("a_right", "adag_left", "adag_right", "a_left"):
-            outputs.append(apply_cavity(kind, e, cutoff))
-        for kind in ("sp_left", "sp_right", "sm_left", "sm_right",
-                     "sz_left", "sz_right"):
-            outputs.append(apply_collective(kind, e, n_atoms))
-        for kind in ("emission_sandwich", "pump_sandwich"):
-            outputs.append(apply_recycling(kind, e, n_atoms))
-        for terms in outputs:
-            elements = [f for f, _ in terms]
-            assert len(set(elements)) == len(elements)
-            assert all(is_legal(f, n_atoms, cutoff) for f in elements)
-            assert all(w != 0.0 for _, w in terms)
+def test_outputs_are_merged_legal_and_nonzero():
+    # every kind on every element of every sector with N <= 4, M <= 3; a
+    # dict would hide duplicate targets, so the chains run on whole sectors
+    # (test_chain_arrays_equal_per_element_calls ties these to `expand`)
+    for n_atoms in range(1, 5):
+        for cutoff in range(1, 4):
+            for delta in range(-(n_atoms + cutoff), n_atoms + cutoff + 1):
+                sector = enumerate_sector(n_atoms, cutoff, delta)
+                for kind in KERNELS:
+                    cols, contents, w = apply_chain(
+                        (kind,), np.arange(len(sector)), sector.contents,
+                        np.ones(len(sector)), n_atoms, cutoff)
+                    pairs = [(int(j), BasisElement(*map(int, f)))
+                             for j, f in zip(cols, contents)]
+                    assert len(set(pairs)) == len(pairs)
+                    assert all(is_legal(f, n_atoms, cutoff) for _, f in pairs)
+                    assert np.all(w != 0.0)
 
 
-def test_charge_shifts_per_kind():
+def test_charge_shifts_per_kind(expand):
     shifts = {"a_right": -1, "adag_left": 1, "adag_right": 1, "a_left": -1}
     e = BasisElement(1, 1, 0, 1, 1)
     for kind, shift in shifts.items():
-        for f, _ in apply_cavity(kind, e, 2):
+        for f in expand((kind,), e, 2, 2):
             assert f.delta_n - e.delta_n == shift
     shifts = {"sp_left": 1, "sp_right": 1, "sm_left": -1, "sm_right": -1,
               "sz_left": 0, "sz_right": 0}
     for kind, shift in shifts.items():
-        for f, _ in apply_collective(kind, e, 3):
+        for f in expand((kind,), e, 3, 1):
             assert f.delta_n - e.delta_n == shift
 
 
-def test_master_equation_pairings_preserve_charge():
+def test_master_equation_pairings_preserve_charge(expand):
     # every left/right pairing that appears in the generator is neutral
     M, N = 2, 3
-    cav = lambda kind: (lambda x: apply_cavity(kind, x, M))
-    col = lambda kind: (lambda x: apply_collective(kind, x, N))
     pairings = [
-        [col("sp_right"), cav("a_right")],    # rho S^+ a
-        [col("sm_left"), cav("adag_left")],   # S^- a^+ rho
-        [cav("a_left"), cav("adag_right")],   # a rho a^+
-        [cav("adag_right"), cav("a_right")],  # rho a^+ a
+        ("sp_right", "a_right"),    # rho S^+ a
+        ("sm_left", "adag_left"),   # S^- a^+ rho
+        ("a_left", "adag_right"),   # a rho a^+
+        ("adag_right", "a_right"),  # rho a^+ a
     ]
     for e in enumerate_sector(N, M, 0).elements:
         for chain in pairings:
-            for f, _ in apply_product(chain, e):
+            for f in expand(chain, e, N, M):
                 assert f.delta_n == e.delta_n
 
 
@@ -190,20 +186,20 @@ def test_merge_entries_sums_in_order_and_keeps_first_appearance():
         merge_entries(np.array([2 ** 60]), contents[:1], w[:1], 2, 1)
 
 
-def test_chain_arrays_equal_product_expansion(rng):
+def test_chain_arrays_equal_per_element_calls(expand):
+    # a whole sector at once gives each source column's own outputs, in
+    # column order: sources never mix
     chains = [("sp_right", "a_right"), ("a_left", "adag_right"),
               ("adag_right", "a_right"), ("sm_left", "sz_right"),
               ("pump_sandwich", "emission_sandwich", "dephasing")]
     for n_atoms, cutoff in [(1, 1), (3, 2), (4, 3)]:
         sector = enumerate_sector(n_atoms, cutoff, 0)
         for kinds in chains:
-            kernels = [lambda e, k=k: apply_kernel(k, e, n_atoms, cutoff)
-                       for k in kinds]
             cols, contents, w = apply_chain(
                 kinds, np.arange(len(sector)), sector.contents,
                 np.ones(len(sector)), n_atoms, cutoff)
             got = [(int(j), BasisElement(*map(int, f)), x)
                    for j, f, x in zip(cols, contents, w)]
             ref = [(j, f, x) for j, e in enumerate(sector.elements)
-                   for f, x in apply_product(kernels, e)]
+                   for f, x in expand(kinds, e, n_atoms, cutoff).items()]
             assert got == ref, kinds
