@@ -11,9 +11,10 @@ validate   cross-check the symmetric solver against the brute-force
            reference at small N and exit nonzero on disagreement
 
 Option resolution order: built-in defaults, then ``--preset``, then the
-``--config`` YAML file, then explicit flags. The effective configuration
-is echoed into every output header, so outputs are reproducible and
-bit-identical across runs of the same build.
+``--config`` YAML file, then explicit flags. The effective value of every
+key the command reads (see ``READS``) is echoed into its output header,
+so outputs are reproducible and bit-identical across runs of the same
+build.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 validation failure.
@@ -288,11 +289,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_PARAM_KEYS = ("n", "m", "g", "kappa", "kappa_tilde", "w", "w_unit",
+               "gamma", "gamma_d")
+_GRID_KEYS = ("dt", "t_dense", "t_max", "n_tail")
+_FIT_KEYS = ("fit_t_min", "fit_t_max")
+
+#: the config keys each command reads besides ``out``, the ones its header
+#: echoes (a sweep overrides ``w`` at every point)
+READS: Dict[str, tuple] = {
+    "steady": _PARAM_KEYS + ("engine",),
+    "sweep": tuple(k for k in _PARAM_KEYS if k != "w")
+    + ("engine", "w_min", "w_max", "w_steps", "w_scale"),
+    "g1": _PARAM_KEYS + _GRID_KEYS + _FIT_KEYS,
+    "g2": _PARAM_KEYS + _GRID_KEYS,
+    "spectrum": _PARAM_KEYS + _GRID_KEYS + _FIT_KEYS
+    + ("omega_max", "omega_points"),
+    "cumulant": _PARAM_KEYS + ("engine",),
+    "validate": ("n", "m", "seed", "draws", "trace_points", "tol_obs",
+                 "tol_trace"),
+}
+
+
 def _metadata_lines(cfg: Dict) -> List[str]:
     lines = [f"blocklaser {__version__}", f"command: {cfg['command']}"]
     if cfg.get("preset"):
         lines.append(f"preset: {cfg['preset']}")
-    for key in sorted(k for k in cfg if k not in ("command", "preset", "out")):
+    for key in sorted(READS[cfg["command"]] + ("format",)):
         value = cfg[key]
         if value is None:
             continue

@@ -7,9 +7,13 @@ exponentially ill-scaled in N, and without the similarity both sparse LU
 and the propagator silently lose accuracy beyond a few tens of atoms.
 Inputs and outputs always use the raw coefficient convention.
 
-Time evolution has one propagator, ``propagate_grid``: each gap of a time
-grid is one step of the truncated Taylor method of Al-Mohy & Higham
-(2011), with the norms that choose the Taylor degree taken once per grid.
+Time evolution has one propagator, ``propagate_grid``, the truncated
+Taylor method of Al-Mohy & Higham (2011) with the norms that choose the
+Taylor degree taken once per grid. Grid points closer together than
+H_max = theta_55 / ||A||_1 share one Taylor run, whose terms are read at
+each of them (dense output); a longer gap is one step of its own.
+Readouts are linear functionals, so a run is read through its terms
+without forming the state at every point.
 
 Every steady state, whatever the sector size, takes one sparse LU of the
 trace-bordered Liouvillian B. Its factors give the solution, and, through
@@ -22,7 +26,7 @@ iterative fallback: a singular or degenerate sector raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,51 +158,85 @@ class _TaylorStepper:
         # the first of the cheapest, counted in mat-vecs m s
         return min(choices, key=lambda ms: ms[0] * ms[1])
 
-    def step(self, v: np.ndarray, h: float) -> np.ndarray:
-        """exp(h mat) v, the Taylor loop with its early exit.
+    def _partial_sum(self, v: np.ndarray, h: float, s: int, m: int,
+                     rows: Optional[list] = None) -> np.ndarray:
+        """One of s sub-steps without its factor e^(mu h / s): the sum of
+        the terms (h A / s)^j v / j!, j = 0..m, up to the early exit.
 
         The exit test c1 + c2 <= tol max|f| needs max|f| only when it can
         pass: fmax, grown from max|v| by c2 and a rounding slack at each
         update, bounds the computed max|f| from above, so while the test
         fails against fmax it fails against max|f| too, and every exit
-        falls where the exact test alone would put it.
+        falls where the exact test alone would put it. With ``rows``, each
+        term j >= 1 is appended to it.
         """
+        c1 = np.abs(v).max()
+        fmax = c1  # v is f here
+        f = v.copy()
+        for j in range(m):
+            v = self.A @ v
+            v *= h / (s * (j + 1))
+            if rows is not None:
+                rows.append(v)
+            c2 = np.abs(v).max()
+            f += v
+            fmax = (fmax + c2) * _FMAX_SLACK
+            if (c1 + c2 <= _TAYLOR_TOL * fmax
+                    and c1 + c2 <= _TAYLOR_TOL * np.abs(f).max()):
+                break
+            c1 = c2
+        return f
+
+    def step(self, v: np.ndarray, h: float) -> np.ndarray:
+        """exp(h mat) v in the s sub-steps of degree m* that h needs."""
         m, s = self._degree(h)
         eta = np.exp(h * self.mu / s)
-        f = v.copy()
         for _ in range(s):
-            c1 = np.abs(v).max()
-            fmax = c1  # v is f here
-            for j in range(m):
-                v = self.A @ v
-                v *= h / (s * (j + 1))
-                c2 = np.abs(v).max()
-                f += v
-                fmax = (fmax + c2) * _FMAX_SLACK
-                if (c1 + c2 <= _TAYLOR_TOL * fmax
-                        and c1 + c2 <= _TAYLOR_TOL * np.abs(f).max()):
-                    break
-                c1 = c2
-            f *= eta
-            v = f
-        return f
+            v = self._partial_sum(v, h, s, m)
+            v *= eta
+        return v
+
+    def run(self, v: np.ndarray, h: float) -> tuple:
+        """(term rows, exp(h mat) v) of one step with h ||A||_1 <= theta_55.
+
+        Row j of the (k, n) array is (h A)^j v / j!, for the k terms the
+        loop took, so exp(tau mat) v = e^(mu tau) sum_j (tau / h)^j row_j
+        for every 0 < tau <= h. Such an h always takes s = 1 and never
+        needs ``onenormest``. The end state is ``step(v, h)`` bit for bit.
+        """
+        m, s = self._degree(h)
+        if s != 1:
+            raise AssertionError(f"a run of h ||A||_1 = {h * self.norm1:g} "
+                                 f"took {s} sub-steps")
+        rows = [v]
+        f = self._partial_sum(v, h, 1, m, rows)
+        f *= np.exp(h * self.mu)
+        return np.asarray(rows), f
 
 
 def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
-                   observe: Optional[Callable[[np.ndarray], complex]] = None
-                   ) -> np.ndarray:
+                   observe: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply exp(L t) c0 on an increasing time grid starting from t = 0.
 
     ``L`` is a :class:`Superoperator` (propagated in the scaled basis) or
-    a bare sparse matrix (used as is). Each gap between consecutive grid
-    times, dense or geometric, is one step of the truncated Taylor method
-    of Al-Mohy & Higham (2011); the norms that choose its degree are
-    taken once per call (see ``_TaylorStepper``). Results do not depend
-    on numpy's global RNG, which is left as it was. A state that stops
-    being finite raises :class:`SolverError`. If ``observe`` is given it
-    is applied to each state (in the raw coefficient convention) and only
-    the observations are stored; otherwise the trajectory
-    (len(times), dim) is returned.
+    a bare sparse matrix (used as is). The grid is walked in truncated
+    Taylor steps of Al-Mohy & Higham (2011), with the norms that choose
+    their degree taken once per call (see ``_TaylorStepper``):
+
+    - the grid points within H_max = theta_55 / ||A||_1 of the last
+      propagated time t0 share one run of step H, up to the farthest of
+      them; every point t of the run is read from its term rows as
+      e^(mu tau) sum_j (tau / H)^j row_j with tau = t - t0, and the end
+      state starts the next run (dense output, Al-Mohy & Higham, section
+      5). A run takes s = 1 and no norm estimate, and each read point has
+      ||tau A||_1 <= theta_m for the degree m the run used;
+    - a gap longer than H_max is one step of s sub-steps.
+
+    Results do not depend on numpy's global RNG, which is left as it
+    was. A state or read value that is not finite raises
+    :class:`SolverError` naming its delay. ``observe``, if given, is a
+    row vector l in the raw coefficient convention, and l . c(t) is
+    returned for each t; otherwise the trajectory (len(times), dim) is.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -207,26 +245,63 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
         raise ValueError("times must be finite")
     if np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and non-negative")
+    if callable(observe):
+        raise TypeError("observe is a row vector of the linear readout, "
+                        "not a callable")
     mat, d = _scaled(L)
+    dim = mat.shape[0]
     c = np.asarray(c0, dtype=complex)
-    if c.shape != (mat.shape[0],):
+    if c.shape != (dim,):
         raise ValueError(f"state has shape {c.shape} but the generator acts "
-                         f"on dimension {mat.shape[0]}; wrong sector?")
+                         f"on dimension {dim}; wrong sector?")
     stepper = _TaylorStepper(mat)
-    if d is not None:
-        c = c * d
-    out = []
-    t_prev = 0.0
-    for t in times:
-        if t > t_prev:
-            c = stepper.step(c, t - t_prev)
-            if not np.isfinite(c).all():
-                raise SolverError(f"propagated state is not finite at "
-                                  f"delay t = {t:g}")
-            t_prev = t
-        raw = c / d if d is not None else c
-        out.append(observe(raw) if observe is not None else raw.copy())
-    return np.asarray(out)
+    if d is None:
+        d = np.ones(dim)
+    c = c * d
+    if observe is None:
+        out = np.empty((len(times), dim), dtype=complex)
+    else:
+        ell = np.asarray(observe)
+        if ell.shape != (dim,):
+            raise ValueError(f"observe has shape {ell.shape}, not ({dim},)")
+        ell = ell / d     # the readout of a scaled-basis state
+        out = np.empty(len(times), dtype=complex)
+
+    def read(state):
+        return state / d if observe is None else ell @ state
+
+    i, t_prev = 0, 0.0
+    if times[0] == 0.0:
+        out[0] = read(c)
+        i = 1
+    while i < len(times):
+        # the points of one run: h ||A||_1 <= theta_55, as _fragment_3_1
+        # computes it, so the run takes s = 1
+        end = i + int(np.searchsorted((times[i:] - t_prev) * stepper.norm1,
+                                      _THETA[_M_MAX], side="right")) - 1
+        if end < i:
+            end = i
+            c = stepper.step(c, times[i] - t_prev)
+        else:
+            h = times[end] - t_prev
+            rows, c = stepper.run(c, h)
+            tau = times[i:end] - t_prev
+            weights = (np.exp(stepper.mu * tau)[:, None]
+                       * np.vander(tau / h, len(rows), increasing=True))
+            out[i:end] = (weights @ (rows @ ell) if observe is not None
+                          else (weights @ rows) / d)
+            finite = np.isfinite(out[i:end])
+            if out.ndim == 2:
+                finite = finite.all(axis=1)
+            if not finite.all():
+                raise SolverError(f"propagated state is not finite at delay "
+                                  f"t = {times[i + np.argmin(finite)]:g}")
+        if not np.isfinite(c).all():
+            raise SolverError(f"propagated state is not finite at "
+                              f"delay t = {times[end]:g}")
+        out[end] = read(c)
+        i, t_prev = end + 1, times[end]
+    return out
 
 
 @dataclass

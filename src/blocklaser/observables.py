@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .dynamics import SolverError, SymmetricState, propagate_grid
 from .liouvillian import liouvillian_for, photon_trace_weights, trace_functional
@@ -31,8 +30,9 @@ from .model import ModelParams
 from .opkernels import apply_chain
 from .symbasis import BasisElement, SectorBasis, enumerate_sector
 
-#: frequency rows per block of power_spectrum's exp(i w t) phase matrix;
-#: at fig2b (2621 delays) a block is 2.7 MB, the whole 4001-row matrix 168 MB
+#: frequency rows per block of power_spectrum's cos(w t) and sin(w t)
+#: matrices; at fig2b (2621 delays) a block's pair is 2.7 MB, the whole
+#: 4001-row pair 168 MB
 SPECTRUM_BLOCK = 64
 
 #: largest log-residual rms that fit_linewidth accepts
@@ -76,19 +76,30 @@ class LinewidthFit:
     window: Tuple[float, float]
 
 
-def _diag_sum(state: SymmetricState, content: Tuple[int, int, int],
-              extra_m_weight=None) -> complex:
-    """Sum c_(content, m, m) * weight(m) over the photon diagonal."""
-    sector = state.sector
-    pm = photon_trace_weights(sector.photon_cutoff)
-    total = 0.0 + 0.0j
+def _diag_functional(sector: SectorBasis, content: Tuple[int, int, int],
+                     weights: np.ndarray) -> np.ndarray:
+    """Row vector with weights[m] at the elements (content, m, m)."""
+    row = np.zeros(len(sector))
     for m in range(sector.photon_cutoff + 1):
         k = sector.index_of(BasisElement(*content, m, m))
-        if k is None:
-            continue
-        w = pm[m] if extra_m_weight is None else extra_m_weight(m, pm)
-        total += state.coeffs[k] * w
-    return total
+        if k is not None:
+            row[k] = weights[m]
+    return row
+
+
+def _diag_sum(state: SymmetricState, content: Tuple[int, int, int]) -> complex:
+    """Sum c_(content, m, m) P_m over the photon diagonal."""
+    pm = photon_trace_weights(state.sector.photon_cutoff)
+    return _diag_functional(state.sector, content, pm) @ state.coeffs
+
+
+def number_functional(sector: SectorBasis) -> np.ndarray:
+    """Row vector n with <a^+ a> = n . c: weights P_{m+1} + m P_m at the
+    elements (0,0,0,m,m), with P_{M+1} = 0."""
+    pm = photon_trace_weights(sector.photon_cutoff)
+    m = np.arange(len(pm))
+    return _diag_functional(sector, (0, 0, 0),
+                            np.append(pm[1:], 0.0) + m * pm)
 
 
 def expect_sigma_z(state: SymmetricState) -> float:
@@ -106,13 +117,7 @@ def expect_spin_spin(state: SymmetricState) -> float:
 
 def expect_photon_number(state: SymmetricState) -> float:
     """Cavity occupation <a^+ a>."""
-    pm = photon_trace_weights(state.sector.photon_cutoff)
-
-    def weight(m, _pm):
-        high = pm[m + 1] if m + 1 < len(pm) else 0.0
-        return high + m * pm[m]
-
-    return _diag_sum(state, (0, 0, 0), weight).real
+    return (number_functional(state.sector) @ state.coeffs).real
 
 
 def _apply_mode_chain(state_coeffs: np.ndarray, sector: SectorBasis,
@@ -170,9 +175,9 @@ def g1_trace(params: ModelParams, steady: SymmetricState,
     c0 = _apply_mode_chain(steady.coeffs, sector, ["a_left"], shifted)
     pairing = _adag_trace_pairing(shifted)
     L1 = liouvillian_for(params, shifted.delta_n)
-    values = propagate_grid(L1, c0, times, observe=lambda c: pairing @ c)
+    values = propagate_grid(L1, c0, times, observe=pairing)
     return CorrelationTrace(times=np.asarray(times, dtype=float),
-                            values=np.asarray(values) / nb,
+                            values=values / nb,
                             normalization=nb)
 
 
@@ -189,13 +194,9 @@ def g2_trace(params: ModelParams, steady: SymmetricState,
     sector = steady.sector
     c0 = _apply_mode_chain(steady.coeffs, sector, ["a_left", "adag_right"], sector)
     L0 = liouvillian_for(params, sector.delta_n)
-
-    def number_readout(c):
-        return expect_photon_number(SymmetricState(sector, c))
-
-    values = propagate_grid(L0, c0, times, observe=number_readout)
+    values = propagate_grid(L0, c0, times, observe=number_functional(sector))
     return CorrelationTrace(times=np.asarray(times, dtype=float),
-                            values=np.real(np.asarray(values)) / nb ** 2,
+                            values=values.real / nb ** 2,
                             normalization=nb ** 2)
 
 
@@ -264,8 +265,9 @@ def power_spectrum(trace: CorrelationTrace, freqs: np.ndarray,
     into its Lorentzian of half-width rate/2 and only the residual is
     integrated numerically; the narrow coherent peak and the broad
     structure then never share one quadrature grid. Without a fit the
-    trace must itself have decayed below :data:`DECAY_FLOOR`. The phase matrix
-    exp(i w t) is evaluated ``SPECTRUM_BLOCK`` frequencies at a time.
+    trace must itself have decayed below :data:`DECAY_FLOOR`. The
+    trapezoid rule is a weighted sum over the delays, taken as cos and sin
+    matrix-vector products ``SPECTRUM_BLOCK`` frequencies at a time.
     """
     t = trace.times
     g = trace.values
@@ -284,10 +286,17 @@ def power_spectrum(trace: CorrelationTrace, freqs: np.ndarray,
                 "supply a tail fit or extend the grid")
         residual = g
         lorentz = 0.0
+    # with trapezoid weights q: Re int r e^{iwt} dt
+    #   = cos(w t) @ (q Re r) - sin(w t) @ (q Im r)
+    dt = np.diff(t)
+    q = np.zeros(len(t))
+    q[:-1] += 0.5 * dt
+    q[1:] += 0.5 * dt
+    re, im = q * residual.real, q * residual.imag
     numeric = np.empty(len(freqs))
     for lo in range(0, len(freqs), SPECTRUM_BLOCK):
-        phases = np.exp(1j * np.outer(freqs[lo:lo + SPECTRUM_BLOCK], t))
-        numeric[lo:lo + SPECTRUM_BLOCK] = trapezoid(
-            phases * residual[None, :], t, axis=1).real
+        phase = np.outer(freqs[lo:lo + SPECTRUM_BLOCK], t)
+        numeric[lo:lo + SPECTRUM_BLOCK] = (np.cos(phase) @ re
+                                           - np.sin(phase) @ im)
     values = lorentz + numeric / np.pi
     return Spectrum(freqs=freqs, values=values, metadata=meta)

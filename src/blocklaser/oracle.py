@@ -296,9 +296,7 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
     seed = B @ rho_ss @ B.conj().T if sandwich else B @ rho_ss
     L = build_full_liouvillian(params)
     pairing = A.T.reshape(-1)  # Tr[A X] = vec(A^T) . vec(X), row-major
-    values = propagate_grid(L, seed.reshape(-1), times,
-                            observe=lambda v: pairing @ v)
-    return np.asarray(values)
+    return propagate_grid(L, seed.reshape(-1), times, observe=pairing)
 
 
 def oracle_g1(params: ModelParams, times: Sequence[float],

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from blocklaser import cli
 from blocklaser.cli import ConfigError, main, resolve_config
 
 
@@ -173,6 +174,58 @@ def test_g1_g2_and_spectrum_outputs(tmp_path):
     area = np.trapezoid(rows[:, 1], rows[:, 0])
     assert area == pytest.approx(1.0, abs=0.1)
     assert "omega_eff" in meta
+
+
+def test_header_echoes_fit_window_only_where_read(tmp_path):
+    # g2 never fits, so the preset's fit window stays out of its header
+    headers = {}
+    for command in ("g1", "g2"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--preset", "fig2c", "--n", "4",
+                     "--out", str(out)]) == 0
+        headers[command], _, _ = read_table(out)
+    assert not [k for k in headers["g2"] if k.startswith("fit_")]
+    assert headers["g1"]["fit_t_min"] == "30.0"
+    assert headers["g1"]["fit_t_max"] == "4500.0"
+
+
+class _ReadLog(dict):
+    """A config dict that records every key read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady", "--n", "3", "--g", "0.5"],
+    ["sweep", "--n", "3", "--g", "0.5", "--w-min", "0.1", "--w-max", "0.5",
+     "--w-steps", "2"],
+    ["g1", "--n", "3", "--g", "0.5", "--t-dense", "2", "--t-max", "40",
+     "--n-tail", "4", "--fit-t-min", "10", "--fit-t-max", "40"],
+    ["g2", "--n", "3", "--g", "0.5", "--t-dense", "2"],
+    ["spectrum", "--n", "3", "--g", "0.5", "--t-dense", "80",
+     "--omega-points", "11"],
+    ["cumulant", "--n", "30", "--g", "0.1", "--engine", "cumulant"],
+    ["validate", "--n", "2", "--m", "1", "--draws", "1",
+     "--trace-points", "5"],
+])
+def test_header_echoes_the_keys_the_command_reads(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    cfg = _ReadLog(resolve_config(argv + ["--out", str(out)]))
+    assert cli._HANDLERS[cfg["command"]](cfg) == 0
+    meta, _, _ = read_table(out)
+    read = cfg.read - {"command", "preset", "out"}
+    echoed = set(meta) & set(cli.DEFAULTS)
+    assert echoed == {k for k in read if cfg[k] is not None}
 
 
 def test_spectrum_default_band_takes_omega_points(tmp_path):

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
-                        liouvillian_for, trace_functional,
+                        correlation_times, liouvillian_for, trace_functional,
                         initial_mixed_state, propagate_grid, steady_state,
                         slow_eigenmode, expect_photon_number, expect_sigma_z,
                         expect_spin_spin)
@@ -82,8 +82,9 @@ def test_propagate_grid_matches_single_steps(rng):
     for k in (0, 3, 10, 12, 17):
         single = propagate_grid(L, s.coeffs, [times[k]])[0]
         assert np.abs(traj[k] - single).max() < 1e-11
-    observed = propagate_grid(L, s.coeffs, times,
-                              observe=lambda c: c[0])
+    e0 = np.zeros(len(s.coeffs))
+    e0[0] = 1.0
+    observed = propagate_grid(L, s.coeffs, times, observe=e0)
     assert np.allclose(observed, traj[:, 0])
     with pytest.raises(ValueError):
         propagate_grid(L, s.coeffs, [0.0, 0.0, 1.0])
@@ -129,15 +130,18 @@ def test_propagate_grid_matches_expm_multiply_reference(case):
 
 
 def _exact_exit_taylor_step(stepper, v, h):
-    """The Taylor loop that takes the exact max|f| after every update."""
+    """The Taylor loop that takes the exact max|f| after every update:
+    (exp(h mat) v, the term rows of its last sub-step)."""
     m, s = stepper._degree(h)
     eta = np.exp(h * stepper.mu / s)
     f = v.copy()
     for _ in range(s):
+        rows = [v.copy()]
         c1 = np.abs(v).max()
         for j in range(m):
             v = stepper.A @ v
             v *= h / (s * (j + 1))
+            rows.append(v)
             c2 = np.abs(v).max()
             f += v
             if c1 + c2 <= dynamics._TAYLOR_TOL * np.abs(f).max():
@@ -145,21 +149,108 @@ def _exact_exit_taylor_step(stepper, v, h):
             c1 = c2
         f *= eta
         v = f
-    return f
+    return f, np.asarray(rows)
+
+
+def _longest_run(stepper):
+    """The largest h with h ||A||_1 <= theta_55: the longest Taylor run."""
+    theta = dynamics._THETA[dynamics._M_MAX]
+    h = theta / stepper.norm1
+    while h * stepper.norm1 > theta:
+        h = np.nextafter(h, 0.0)
+    return h
 
 
 @pytest.mark.parametrize("case", PROPAGATION_CASES)
 def test_running_bound_keeps_every_taylor_exit(case):
     L, mat, d, c0, times = _propagation_case(case)
-    traj = propagate_grid(L, c0, times)
     stepper = dynamics._TaylorStepper(mat)
-    ref, c, t_prev = [], c0 * d, 0.0
-    for t in times:
-        if t > t_prev:
-            c = _exact_exit_taylor_step(stepper, c, t - t_prev)
-            t_prev = t
-        ref.append(c / d)
-    assert np.array_equal(traj, np.asarray(ref))
+    h_run = _longest_run(stepper)
+    c, t_prev = c0 * d, 0.0
+    for t in times[1:]:
+        # the s-substep step of every gap of the hybrid grid
+        ref, _ = _exact_exit_taylor_step(stepper, c, t - t_prev)
+        assert np.array_equal(stepper.step(c, t - t_prev), ref)
+        # term-rows runs from the same state, the longest one included
+        for h in (h_run, 0.37 * h_run, t - t_prev):
+            if h * stepper.norm1 <= dynamics._THETA[dynamics._M_MAX]:
+                end, ref_rows = _exact_exit_taylor_step(stepper, c, h)
+                rows, run_end = stepper.run(c, h)
+                assert np.array_equal(rows, ref_rows)
+                assert np.array_equal(run_end, end)
+        c, t_prev = ref, t
+
+
+@pytest.mark.parametrize("case", PROPAGATION_CASES)
+def test_dense_output_reads_match_expm_multiply_per_point(case):
+    L, mat, d, c0, _ = _propagation_case(case)
+    h_run = _longest_run(dynamics._TaylorStepper(mat))
+    # three runs, the first two full and every read point inside one
+    times = np.linspace(0.0, 2.5 * h_run, 31)
+    traj = propagate_grid(L, c0, times) * d
+    trace = mat.diagonal().sum()
+    ref = np.asarray([spla.expm_multiply(mat * t, c0 * d, traceA=trace * t)
+                      for t in times])
+    assert np.abs(traj - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", PROPAGATION_CASES)
+def test_linear_readout_equals_trajectory_pairing(case):
+    L, _, d, c0, times = _propagation_case(case)
+    rng = np.random.default_rng(11)
+    ell = rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d))
+    traj = propagate_grid(L, c0, times)
+    observed = propagate_grid(L, c0, times, observe=ell)
+    scale = np.abs(traj).max(axis=1) * np.abs(ell).sum()
+    assert np.all(np.abs(observed - traj @ ell) <= 1e-13 * scale)
+
+
+def test_dense_grid_takes_one_run_per_longest_step(monkeypatch):
+    calls, runs, steps = [], [], []
+    onenormest = spla.onenormest
+    run, step = dynamics._TaylorStepper.run, dynamics._TaylorStepper.step
+
+    def count(log, fn):
+        def wrapped(*args, **kwargs):
+            log.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spla, "onenormest", count(calls, onenormest))
+    monkeypatch.setattr(dynamics._TaylorStepper, "run", count(runs, run))
+    monkeypatch.setattr(dynamics._TaylorStepper, "step", count(steps, step))
+    L, mat, d, c0, _ = _propagation_case("sector N=24 charge -1")
+    times = correlation_times(0.02, 50.0)
+    assert len(times) == 2501
+    h_max = _longest_run(dynamics._TaylorStepper(mat))
+    propagate_grid(L, c0, times, observe=np.ones(len(d)))
+    # a run spans the whole gaps that fit in h_max (67 here); 2500 gaps
+    # then take as many runs as h_max-long steps would
+    per_run = int(h_max / 0.02)
+    assert len(runs) == -(-2500 // per_run) == int(np.ceil(50.0 / h_max))
+    assert calls == [] and steps == []
+
+
+def test_short_steps_take_one_substep():
+    stepper = dynamics._TaylorStepper(sp.csr_matrix([[0.0, 1.0], [-1.0, 0.0]]))
+    theta = dynamics._THETA[dynamics._M_MAX]
+    norms = np.append(np.linspace(0.0, theta, 20001),
+                      [t for t in dynamics._THETA.values() if t <= theta]
+                      + [np.nextafter(t, 0.0) for t in dynamics._THETA.values()
+                         if t <= theta])
+    for norm in norms:
+        h = norm / stepper.norm1
+        if h * stepper.norm1 <= theta:
+            assert stepper._fragment_3_1(h)[1] == 1, norm
+
+
+def test_propagate_grid_rejects_callable_observe():
+    L = liouvillian_for(ModelParams(2, 1, 1.0, 1.0, 0.5), 0)
+    c0 = initial_mixed_state(L.sector).coeffs
+    with pytest.raises(TypeError, match="row vector"):
+        propagate_grid(L, c0, [0.0, 1.0], observe=lambda c: c[0])
+    with pytest.raises(ValueError, match="observe"):
+        propagate_grid(L, c0, [0.0, 1.0], observe=np.ones(3))
 
 
 def test_norm_estimates_run_once_per_grid(monkeypatch):
@@ -190,6 +281,12 @@ def test_propagate_grid_rejects_non_finite_times_and_states():
     with pytest.raises(SolverError, match="t = 1"), \
             np.errstate(over="ignore", invalid="ignore"):
         propagate_grid(sp.csr_matrix([[800.0]]), [1.0 + 0j], [0.0, 0.5, 1.0])
+    # ||A||_1 = 0 puts every point in one run: t = 1 is a read point there
+    for observe in (None, np.ones(1)):
+        with pytest.raises(SolverError, match="t = 1$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            propagate_grid(sp.csr_matrix([[800.0]]), [1.0 + 0j],
+                           [0.0, 0.5, 1.0, 1.5], observe=observe)
 
 
 def test_propagate_grid_is_independent_of_global_rng():
