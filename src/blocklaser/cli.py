@@ -196,15 +196,14 @@ def _load_config_file(path: str) -> Dict:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must be a mapping")
-    flat = {}
+    cfg = {}
     for key, value in data.items():
         key = str(key).replace("-", "_")
         if isinstance(value, dict):
-            for sub, subval in value.items():
-                flat[f"{key}_{str(sub).replace('-', '_')}"] = subval
-        else:
-            flat[key] = value
-    return flat
+            raise ConfigError(f"config key {key!r} holds a mapping; "
+                              "keys are long option names with scalar values")
+        cfg[key] = value
+    return cfg
 
 
 def resolve_config(argv: Sequence[str]) -> Dict:
@@ -559,7 +558,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationFailure as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 4
-    except (SolverError, PoorFitError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

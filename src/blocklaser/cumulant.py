@@ -24,13 +24,22 @@ blockaded steady state has the closed form
     n      = (1/4) (1 + wt - sqrt((1 - wt)^2 + 4 wt^2 kt^2)),
 
 which the factorization reproduces exactly at N -> infinity.
-:func:`cumulant_steady` therefore starts Newton there, polishes the root
-with full steps and certifies it: residual within the gate, physical
-range (<S^+ S^-> >= 0 allows s < 0) and a Jacobian with every eigenvalue
-in the left half plane. Only a root that fails falls back to Radau
-relaxation from the weakly excited state, whose polished end point must
-pass the same certificate; a Newton run from the fully inverted state
-probes for competing admissible roots.
+
+Every fixed point at finite N is a root of one cubic. Re x relaxes to 0
+on its own, and with n = N g t, x = i kappa t the equations for n and
+Re x hold for every t. Those for z and s then give
+
+    z = z0 - z1 t,   z0 = (w - gamma)/(w + gamma),  z1 = 2 g kappa/(w + gamma),
+    s = g kappa t z / (w + gamma + gamma_d),
+
+and dx/dt = 0 is a polynomial of degree <= 3 in t (the t^3 term comes
+from the blockade's 2n, so the normal mode gives a quadratic). Nothing is
+divided by g or kappa, so the uncoupled atom (g = 0) and the lossless
+mode (kappa = 0) are ordinary roots. :func:`cumulant_steady` takes the
+real roots, polishes those in the physical range with full Newton steps
+and certifies each: residual within the gate, physical range
+(<S^+ S^-> >= 0 allows s < 0) and a Jacobian with every eigenvalue in the
+left half plane. Exactly one root must pass.
 
 No two-time function is modelled here. The paper's linewidth of the
 narrow spectral component,
@@ -51,12 +60,10 @@ kt = 0.316 it is 0.492 C gamma, which the exact slow rates 0.662, 0.597,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dynamics import SolverError
 from .model import ModelParams, derive_scales, validate
@@ -138,6 +145,10 @@ def cumulant_jacobian(state: CumulantState, params: ModelParams,
 POLISH_RTOL = 1e-12
 #: Newton's residual gate, in units of the largest rate
 RESIDUAL_TOL = 1e-12
+#: a root t of the cubic is real when |Im t| is at most this times |t|
+REAL_RTOL = 1e-6
+#: slack of the physical-range screen in :func:`_admissible`
+ADMISSIBLE_SLACK = 1e-6
 
 
 def _rate_scale(params: ModelParams) -> float:
@@ -146,86 +157,60 @@ def _rate_scale(params: ModelParams) -> float:
                params.n_atoms * params.coupling)
 
 
-def _newton(y0: np.ndarray, params: ModelParams, blockaded: bool,
-            tol: float) -> np.ndarray:
-    """Damped Newton to a residual of ``tol``, then full steps until the
-    step is below ``POLISH_RTOL`` of the state or stops shrinking.
+def _fixed_points(params: ModelParams, blockaded: bool) -> List[np.ndarray]:
+    """Every real fixed point, from the real roots t of one cubic.
 
-    The residual gate alone stops short of the root where the Jacobian
-    is ill-conditioned: next to the normal-mode threshold (cond ~ 2.5e7)
-    a state at residual 1.6e-12 is still 4e-6 relative off the root, and
-    one more step still leaves 1.6e-10.
+    With n = N g t and x = i kappa t (see the module docstring) z, s and
+    the mode factor B = 1 - 2 N g t (or 1) are linear or quadratic in t,
+    so Im dx/dt = (g/2) X(t) - ((w + kappa + gamma + gamma_d)/2) kappa t
+    is a polynomial in t, with X as in :func:`_rhs_vec`. Complex pairs
+    within :data:`REAL_RTOL` of the real axis count once, at their real
+    part.
     """
-    y = y0.copy()
-    fnorm = np.linalg.norm(_rhs_vec(y, params, blockaded), np.inf)
+    N = params.n_atoms
+    g, kappa, w = params.coupling, params.cavity_decay, params.pump
+    gam, gam_d = params.spont_emission, params.dephasing
+    z0 = (w - gam) / (w + gam)
+    z1 = 2.0 * g * kappa / (w + gam)
+    a = g * kappa / (w + gam + gam_d)          # s = a t z
+    b = 2.0 * N * g if blockaded else 0.0     # B = 1 - b t
+    half = 0.5 * (w + kappa + gam + gam_d)
+    # (N - 1) s + (z + 1)/2 = p0 + p1 t + p2 t^2
+    p0 = 0.5 * (z0 + 1.0)
+    p1 = (N - 1) * a * z0 - 0.5 * z1
+    p2 = -(N - 1) * a * z1
+    # X = (p0 + p1 t + p2 t^2)(1 - b t) + N g t (z0 - z1 t)
+    coeffs = 0.5 * g * np.array([-b * p2,
+                                 p2 - b * p1 - N * g * z1,
+                                 p1 - b * p0 + N * g * z0,
+                                 p0])
+    coeffs[2] -= half * kappa
+    roots = np.roots(coeffs)
+    real = np.unique(roots.real[np.abs(roots.imag) <= REAL_RTOL * np.abs(roots)])
+    return [np.array([z0 - z1 * t, a * t * (z0 - z1 * t), N * g * t, 0.0, kappa * t])
+            for t in real]
+
+
+def _polish(y: np.ndarray, params: ModelParams, blockaded: bool) -> np.ndarray:
+    """Full Newton steps until the step is below ``POLISH_RTOL`` of the
+    state or stops shrinking.
+
+    A residual gate alone would stop short of the root where the Jacobian
+    is ill-conditioned: next to the normal-mode threshold (cond ~ 2.5e7)
+    a state at residual 1.6e-12 is still 4e-6 relative off the root.
+    """
     last = np.inf
     for _ in range(80):
-        f = _rhs_vec(y, params, blockaded)
-        J = _jac_vec(y, params, blockaded)
         try:
-            step = np.linalg.solve(J, -f)
+            step = np.linalg.solve(_jac_vec(y, params, blockaded),
+                                   -_rhs_vec(y, params, blockaded))
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular cumulant Jacobian") from exc
-        if fnorm <= tol:
-            size = np.linalg.norm(step, np.inf)
-            if size <= POLISH_RTOL * np.linalg.norm(y, np.inf) or size >= last:
-                return y
-            y, last = y + step, size
-            fnorm = np.linalg.norm(_rhs_vec(y, params, blockaded), np.inf)
-            continue
-        lam = 1.0
-        while lam > 2 ** -30:
-            ytrial = y + lam * step
-            ftrial = np.linalg.norm(_rhs_vec(ytrial, params, blockaded), np.inf)
-            if ftrial < fnorm:
-                y, fnorm = ytrial, ftrial
-                break
-            lam *= 0.5
-        else:
-            break
-    raise SolverError(f"cumulant fixed point stalled at residual {fnorm:.3e}")
-
-
-def _closed_form_start(params: ModelParams, blockaded: bool) -> np.ndarray:
-    """Newton start from the large-N closed form.
-
-    Above threshold (wt kt^2 < B) this is z = 1 - 2n/wt, s = z n/wt and
-    x = i kappa n/(N g), with n from :func:`closed_form_photon` and
-    B = 1 - 2n for the blockaded mode, or z = wt kt^2, n = wt (1 - z)/2
-    and B = 1 for the normal mode. Otherwise it is the uncoupled pumped
-    atom, z = (w - gamma)/(w + gamma) with the rest at 0. The
-    above-threshold start ignores gamma and gamma_d.
-    """
-    w, gam = params.pump, params.spont_emission
-    if w > 0 and params.coupling > 0 and params.cavity_decay > 0:
-        sc = derive_scales(params)
-        wt, kt = sc.w_tilde, sc.kappa_tilde
-        if blockaded:
-            n = closed_form_photon(params)
-            B = 1.0 - 2.0 * n
-        else:
-            n = 0.5 * wt * (1.0 - wt * kt ** 2)
-            B = 1.0
-        if wt * kt ** 2 < B:
-            z = 1.0 - 2.0 * n / wt
-            v = params.cavity_decay * n / (params.n_atoms * params.coupling)
-            return np.array([z, z * n / wt, n, 0.0, v])
-    return np.array([(w - gam) / (w + gam), 0.0, 0.0, 0.0, 0.0])
-
-
-def _relax(params: ModelParams, blockaded: bool) -> np.ndarray:
-    """Radau from the weakly excited state (all atoms down, empty mode)
-    out to 200 times the slowest relaxation time."""
-    slow = min(r for r in (params.pump + params.spont_emission,
-                           params.cavity_decay) if r > 0)
-    y0 = np.array([-1.0, 0.0, 0.0, 0.0, 0.0])
-    sol = solve_ivp(lambda t, y: _rhs_vec(y, params, blockaded),
-                    (0.0, 200.0 / slow), y0, method="Radau",
-                    jac=lambda t, y: _jac_vec(y, params, blockaded),
-                    rtol=1e-10, atol=1e-13)
-    if not sol.success:
-        raise SolverError(f"cumulant relaxation failed: {sol.message}")
-    return sol.y[:, -1]
+        size = np.linalg.norm(step, np.inf)
+        if size <= POLISH_RTOL * np.linalg.norm(y, np.inf) or size >= last:
+            return y
+        y, last = y + step, size
+    raise SolverError(f"Newton polish still moving by {last:.3e} after 80 steps")
 
 
 def _certificate_failure(y: np.ndarray, params: ModelParams, blockaded: bool,
@@ -245,58 +230,46 @@ def _certificate_failure(y: np.ndarray, params: ModelParams, blockaded: bool,
 def cumulant_steady(params: ModelParams, blockaded: bool = True) -> CumulantState:
     """Stable physical fixed point of the cumulant equations.
 
-    A damped Newton iteration starts at the large-N closed form (see
-    :func:`_closed_form_start`), runs to a scaled residual of
-    :data:`RESIDUAL_TOL` (in units of the largest rate) and polishes the root
-    with full steps (see :func:`_newton`). The root is accepted only if it
-    passes a certificate: the residual is still within the gate, the
-    state lies in the physical range (-1 <= z <= 1, <S^+ S^-> >= 0,
-    s <= 1/4, n >= 0) and every eigenvalue of the Jacobian there has a
-    negative real part.
-
-    The closed form ignores gamma and gamma_d, and where they matter
-    (e.g. gamma = w) Newton from it can stall or land on another root.
-    Only then does forward integration from the weakly excited state
-    select the physical branch; its end point gets the same Newton polish
-    and certificate, and a failure of either raises SolverError naming
-    the failed check. A second Newton run from the fully inverted state
-    probes for competing roots and warns if one is admissible.
+    Every real fixed point comes from the roots of one cubic (see
+    :func:`_fixed_points`). Those in the physical range (-1 <= z <= 1,
+    <S^+ S^-> >= 0, s <= 1/4, n >= 0) are polished with full Newton steps
+    (see :func:`_polish`) and must pass a certificate: the residual is
+    within :data:`RESIDUAL_TOL` (in units of the largest rate), the state
+    is still in the physical range and every eigenvalue of the Jacobian
+    there has a negative real part. The one root that passes is returned.
+    If none or more than one passes (a self-pulsing regime, or
+    bistability), SolverError lists every root's failed check.
     """
     validate(params)
     if params.pump + params.spont_emission <= 0:
         raise ValueError("need pump + spont_emission > 0 for a relaxing fixed point")
     tol = RESIDUAL_TOL * _rate_scale(params)
-    try:
-        y = _newton(_closed_form_start(params, blockaded), params, blockaded, tol)
-        failure = _certificate_failure(y, params, blockaded, tol)
-    except SolverError as exc:
-        failure = str(exc)
-    if failure is not None:
-        y = _newton(_relax(params, blockaded), params, blockaded, tol)
-        failure = _certificate_failure(y, params, blockaded, tol)
-        if failure is not None:
-            raise SolverError(f"relaxed cumulant fixed point fails its certificate: {failure}")
-
-    try:
-        alt = _newton(np.array([1.0, 0.0, 0.0, 0.0, 0.0]), params, blockaded, tol)
-        distinct = np.linalg.norm(alt - y, np.inf) > 1e-6 * (1.0 + np.linalg.norm(y, np.inf))
-        if distinct and _admissible(alt, params.n_atoms):
-            # the polynomial system always has spurious roots outside the
-            # physical ranges; only a competing admissible root is news
-            warnings.warn(
-                "cumulant equations admit another admissible root "
-                f"{CumulantState.from_vector(alt)}; returning the certified "
-                "stable branch", stacklevel=2)
-    except SolverError:
-        pass
-    return CumulantState.from_vector(y)
+    roots, checks = [], []
+    for y in _fixed_points(params, blockaded):
+        if not _admissible(y, params.n_atoms):
+            failure = f"state {CumulantState.from_vector(y)} outside the physical range"
+        else:
+            try:
+                y = _polish(y, params, blockaded)
+                failure = _certificate_failure(y, params, blockaded, tol)
+            except SolverError as exc:
+                failure = str(exc)
+        if failure is None:
+            roots.append(y)
+        checks.append(failure or f"certified {CumulantState.from_vector(y)}")
+    if len(roots) == 1:
+        return CumulantState.from_vector(roots[0])
+    raise SolverError(f"{len(roots)} certified cumulant fixed points among "
+                      f"{len(checks)} real roots: " + "; ".join(checks))
 
 
-def _admissible(y: np.ndarray, n_atoms: int, slack: float = 1e-6) -> bool:
+def _admissible(y: np.ndarray, n_atoms: int) -> bool:
     """Physical range: -1 <= z <= 1, s <= 1/4, n >= 0 and
     <S^+ S^-> = N (1 + z)/2 + N (N - 1) s >= 0, i.e. s may be negative
-    (anticorrelated atoms) down to -(1 + z)/(2 (N - 1))."""
+    (anticorrelated atoms) down to -(1 + z)/(2 (N - 1)), each within
+    :data:`ADMISSIBLE_SLACK`."""
     z, s, n = y[0], y[1], y[2]
+    slack = ADMISSIBLE_SLACK
     s_min = -(1.0 + z) / (2.0 * (n_atoms - 1)) if n_atoms > 1 else -np.inf
     return (-1.0 - slack <= z <= 1.0 + slack
             and s_min - slack <= s <= 0.25 + slack

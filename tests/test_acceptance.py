@@ -6,11 +6,11 @@ once per module and shared.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import curve_fit
+from scipy.sparse.linalg import expm_multiply
 
 from blocklaser import (ModelParams, derive_scales, enumerate_sector,
                         sector_dimension, build_liouvillian, liouvillian_for,
@@ -21,18 +21,14 @@ from blocklaser import (ModelParams, derive_scales, enumerate_sector,
                         closed_form_photon, cumulant_steady, large_n_linewidth,
                         slow_eigenmode)
 from blocklaser.cli import validation_report
+from blocklaser.dynamics import _scaled
 from blocklaser.model import coupling_from_kappa_tilde, random_params
+from blocklaser.observables import _adag_trace_pairing, _apply_mode_chain
 
 
 def report(name, ok, detail):
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
-
-
-def quiet_cumulant(params, blockaded=True):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return cumulant_steady(params, blockaded=blockaded)
 
 
 def symmetric_steady(params):
@@ -84,7 +80,7 @@ def convergence_sweeps():
         for wt in wts:
             p = ModelParams(N, 1, g, 1.0, wt / N)
             exact = expect_spin_spin(symmetric_steady(p))
-            cum = quiet_cumulant(p).spsm
+            cum = cumulant_steady(p).spsm
             rows.append((wt, exact, cum))
         data[N] = rows
     return data
@@ -113,12 +109,12 @@ def test_criterion_2_blockaded_superradiance_threshold():
     N = 100000
     g = coupling_from_kappa_tilde(N, 1.0, 0.25)
     wts = np.arange(0.2, 4.0001, 0.05)
-    nbs = [quiet_cumulant(ModelParams(N, 1, g, 1.0, wt / N)).nb for wt in wts]
+    nbs = [cumulant_steady(ModelParams(N, 1, g, 1.0, wt / N)).nb for wt in wts]
     peak_blockaded = float(wts[int(np.argmax(nbs))])
 
     wts_n = np.geomspace(1.0, 40.0, 60)
-    nbs_n = [quiet_cumulant(ModelParams(N, 1, g, 1.0, wt / N),
-                            blockaded=False).nb for wt in wts_n]
+    nbs_n = [cumulant_steady(ModelParams(N, 1, g, 1.0, wt / N),
+                             blockaded=False).nb for wt in wts_n]
     kt2 = derive_scales(ModelParams(N, 1, g, 1.0, 0.1)).kappa_tilde ** 2
     peak_normal = float(wts_n[int(np.argmax(nbs_n))] * kt2)  # in N C gamma units
 
@@ -198,6 +194,20 @@ def test_criterion_4_linewidth_vs_closed_form(fig2c):
     # approach the reference from above as N grows (test_linewidth_n_study),
     # so the remaining gap is the O(1/N) correction at N = 100
     assert ok
+
+
+@pytest.mark.parametrize("t", [10.0, 25.0, 50.0])
+def test_fig2b_g1_matches_per_delay_expm_multiply(fig2b, t):
+    # N = 100 propagation against scipy's expm_multiply of the same scaled
+    # charge -1 matrix, one call per delay; 1e-8 absolute at |g1| ~ 0.03
+    p, ss, trace = fig2b["params"], fig2b["steady"], fig2b["trace"]
+    shifted = enumerate_sector(p.n_atoms, p.photon_cutoff, -1)
+    c0 = _apply_mode_chain(ss.coeffs, ss.sector, ["a_left"], shifted)
+    mat, d = _scaled(liouvillian_for(p, -1))
+    pairing = _adag_trace_pairing(shifted) / d
+    exact = pairing @ expm_multiply(t * mat, c0 * d) / trace.normalization
+    (k,) = np.flatnonzero(np.isclose(trace.times, t, rtol=0.0, atol=1e-9))
+    assert abs(trace.values[k] - exact) <= 1e-8
 
 
 def _relative_error_bound(mode):

@@ -56,6 +56,13 @@ def test_unknown_config_key_rejected(tmp_path):
             resolve_config(["--config", str(cfg_file)])
 
 
+def test_nested_config_mapping_is_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text("command: sweep\nw:\n  min: 0.1\n  max: 1.0\n")
+    assert main(["--config", str(cfg_file)]) == 2
+    assert "'w' holds a mapping" in capsys.readouterr().err
+
+
 def test_steady_csv_matches_api(tmp_path):
     out = tmp_path / "steady.csv"
     rc = main(["steady", "--n", "4", "--m", "1", "--g", "0.5", "--kappa", "1.0",

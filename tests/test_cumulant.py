@@ -1,7 +1,6 @@
-import warnings
-
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import blocklaser.cumulant as cm
 from blocklaser import (ModelParams, derive_scales,
@@ -20,12 +19,6 @@ def params_for(n_atoms, w_tilde, kappa_tilde, kappa=1.0, gamma=0.0, gamma_d=0.0)
                        gamma, gamma_d)
 
 
-def quiet_steady(params, blockaded=True):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return cumulant_steady(params, blockaded=blockaded)
-
-
 def preset_params(name, indices):
     """Parameter sets of a cumulant sweep preset at the given grid indices."""
     c = PRESETS[name]
@@ -40,18 +33,30 @@ def certified(params, state, blockaded=True):
     return cm._certificate_failure(state.as_vector(), params, blockaded, tol) is None
 
 
-@pytest.fixture
-def relax_calls(monkeypatch):
-    """Record every entry into the Radau relaxation fallback."""
-    calls = []
-    relax = cm._relax
+def relaxed_root(params, blockaded):
+    """Reference root independent of the cubic: Radau from the weakly
+    excited state (all atoms down, empty mode) out to 200 times the slowest
+    relaxation time, then the Newton polish."""
+    slow = min(r for r in (params.pump + params.spont_emission,
+                           params.cavity_decay) if r > 0)
+    sol = solve_ivp(lambda t, y: cm._rhs_vec(y, params, blockaded),
+                    (0.0, 200.0 / slow), np.array([-1.0, 0.0, 0.0, 0.0, 0.0]),
+                    method="Radau",
+                    jac=lambda t, y: cm._jac_vec(y, params, blockaded),
+                    rtol=1e-10, atol=1e-13)
+    assert sol.success, sol.message
+    return cm._polish(sol.y[:, -1], params, blockaded)
 
-    def spy(params, blockaded):
-        calls.append(params)
-        return relax(params, blockaded)
 
-    monkeypatch.setattr(cm, "_relax", spy)
-    return calls
+def random_draw(rng):
+    """N = 1-1e5, wt = 0.02-60, kt = 0.03-1.5 (log-uniform), kappa =
+    0.1-10, gamma up to w and gamma_d up to 0.3 w."""
+    N = int(round(10 ** rng.uniform(0.0, 5.0)))
+    wt, kt, kappa = (10 ** rng.uniform(np.log10(lo), np.log10(hi))
+                     for lo, hi in ((0.02, 60.0), (0.03, 1.5), (0.1, 10.0)))
+    w = wt * kappa / N
+    return ModelParams(N, 1, kappa / (N * kt), kappa, w,
+                       rng.uniform(0.0, w), rng.uniform(0.0, 0.3 * w))
 
 
 def test_pumped_fixed_point_is_stationary_without_coupling():
@@ -95,7 +100,7 @@ def test_jacobian_matches_finite_differences(rng):
 
 def test_steady_residual_is_tiny():
     p = params_for(1000, 1.3, 0.3)
-    st = quiet_steady(p)
+    st = cumulant_steady(p)
     resid = np.abs(cumulant_rhs(st, p).as_vector()).max()
     scale = max(p.cavity_decay, p.n_atoms * p.coupling)
     assert resid <= 1e-12 * scale
@@ -115,7 +120,7 @@ def test_steady_agrees_with_closed_form_at_large_n():
         for wt in (0.2, 1.0, 2.4):
             for kt in (0.05, 0.3, 0.5):
                 p = params_for(N, wt, kt)
-                st = quiet_steady(p)
+                st = cumulant_steady(p)
                 assert abs(st.nb - closed_form_photon(p)) < 20.0 / N
 
 
@@ -200,19 +205,18 @@ def test_large_n_linewidth_needs_coherent_emission():
 def test_cumulant_close_to_exact_numerics_midscale():
     N = 30
     p = ModelParams(N, 1, 1.0 / np.sqrt(10 * N), 1.0, 1.0 / N)
-    st = quiet_steady(p)
+    st = cumulant_steady(p)
     L = liouvillian_for(p, 0)
     ss = steady_state(L, trace_functional(L.sector))
     assert abs(st.spsm - expect_spin_spin(ss)) < 0.02
 
 
-def test_anticorrelated_root_is_admissible(relax_calls):
+def test_anticorrelated_root_is_admissible():
     # below threshold at small N the atoms are anticorrelated: s < 0 with
     # <S^+ S^-> = N (1 + z)/2 + N (N - 1) s still positive
     p = params_for(10, 0.197, 0.037)
-    st = quiet_steady(p)
+    st = cumulant_steady(p)
     assert st.spsm == pytest.approx(-0.049, abs=1e-3)
-    assert relax_calls == []
     assert certified(p, st)
     y = st.as_vector()
     assert cm._admissible(y, n_atoms=10)
@@ -226,7 +230,7 @@ def test_near_threshold_root_is_polished():
     # gate alone leaves the state 3e-7 relative off the root
     (p,) = preset_params("fig2a-normal", [63])
     assert derive_scales(p).w_tilde == pytest.approx(15.7635, abs=1e-4)
-    st = quiet_steady(p, blockaded=False)
+    st = cumulant_steady(p, blockaded=False)
     y = st.as_vector()
     step = np.linalg.solve(cumulant_jacobian(st, p, blockaded=False),
                            -cumulant_rhs(st, p, blockaded=False).as_vector())
@@ -237,44 +241,88 @@ def test_near_threshold_root_is_polished():
     ("fig2a-blockaded", True, range(5, 80, 10), 1e-12),
     ("fig2a-normal", False, (0, 10, 20, 30, 40, 50, 63, 75), 1e-8),
 ])
-def test_closed_form_route_matches_relaxation_route(relax_calls, name, blockaded,
-                                                    indices, rtol):
+def test_cubic_route_matches_relaxation_route(name, blockaded, indices, rtol):
     for p in preset_params(name, indices):
-        y = quiet_steady(p, blockaded).as_vector()
-        assert relax_calls == []
-        tol = 1e-12 * cm._rate_scale(p)
-        relaxed = cm._newton(cm._relax(p, blockaded), p, blockaded, tol)
-        relax_calls.clear()
+        y = cumulant_steady(p, blockaded).as_vector()
+        relaxed = relaxed_root(p, blockaded)
         assert np.abs(y - relaxed).max() <= rtol * np.abs(relaxed).max()
 
 
-def test_fallback_relaxes_where_the_closed_form_start_fails(relax_calls):
-    # gamma = w: the closed form (which ignores gamma) leads Newton astray
+def test_root_with_spontaneous_emission_equal_to_pump_is_certified():
+    # gamma = w, far from the large-N closed form, which ignores gamma
     N, wt = 10 ** 5, 0.3
     p = params_for(N, wt, 1.1, gamma=wt / N)
-    st = quiet_steady(p)
-    assert len(relax_calls) == 1
+    st = cumulant_steady(p)
     assert certified(p, st)
+    relaxed = relaxed_root(p, True)
+    assert np.abs(st.as_vector() - relaxed).max() <= 1e-12 * np.abs(relaxed).max()
 
 
-def test_certificate_failure_of_the_relaxed_root_raises(monkeypatch):
-    # both routes land on the inverted spurious root with n < 0
-    inverted = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    monkeypatch.setattr(cm, "_closed_form_start", lambda params, blockaded: inverted)
-    monkeypatch.setattr(cm, "_relax", lambda params, blockaded: inverted)
+@pytest.mark.parametrize("params, blockaded, expected", [
+    # uncoupled pumped atom: z = (w - gamma)/(w + gamma), nothing else
+    (ModelParams(50, 1, 0.0, 1.0, 0.3, 0.1, 0.05), True, (0.5, 0.0, 0.0)),
+    (ModelParams(50, 1, 0.0, 1.0, 0.3, 0.1, 0.05), False, (0.5, 0.0, 0.0)),
+    # lossless blockaded mode: n = (1 + z)/2
+    (ModelParams(50, 1, 0.1, 0.0, 0.3, 0.1, 0.05), True, (0.5, 0.0, 0.75)),
+    (ModelParams(50, 1, 0.1, 0.0, 0.3), True, (1.0, 0.0, 1.0)),
+])
+def test_uncoupled_and_lossless_roots(params, blockaded, expected):
+    st = cumulant_steady(params, blockaded)
+    assert (st.sz, st.spsm, st.nb) == pytest.approx(expected, abs=1e-15)
+    assert st.bdsm == 0.0
+
+
+def test_lossless_normal_mode_has_no_physical_root():
+    with pytest.raises(SolverError, match="0 certified .* outside the physical range"):
+        cumulant_steady(ModelParams(50, 1, 0.1, 0.0, 0.3), blockaded=False)
+
+
+def test_certificate_failure_of_a_spurious_root_raises(monkeypatch):
+    p = params_for(1000, 1.3, 0.3)
+    spurious = [y for y in cm._fixed_points(p, True)
+                if not cm._admissible(y, p.n_atoms)]
+    assert spurious
+    monkeypatch.setattr(cm, "_fixed_points", lambda params, blockaded: spurious[:1])
     with pytest.raises(SolverError, match="outside the physical range"):
-        cumulant_steady(params_for(1000, 1.3, 0.3))
+        cumulant_steady(p)
 
 
-def test_unstable_root_is_refused(monkeypatch):
+def test_two_certified_roots_raise(monkeypatch):
+    p = params_for(1000, 1.3, 0.3)
+    root = cumulant_steady(p).as_vector()
+    monkeypatch.setattr(cm, "_fixed_points",
+                        lambda params, blockaded: [root, root * (1 + 1e-9)])
+    with pytest.raises(SolverError, match="2 certified") as err:
+        cumulant_steady(p)
+    assert str(err.value).count("certified CumulantState") == 2
+
+
+def test_unstable_root_is_refused():
     # a self-pulsing normal-mode point: the only admissible fixed point has
-    # a growing oscillation (Radau circles a limit cycle, which takes a
-    # minute to integrate, so the relaxation here returns a point near it)
+    # a growing oscillation, refused without integrating the limit cycle
     p = params_for(384, 27.2, 0.032)
+    roots = [y for y in cm._fixed_points(p, False)
+             if cm._admissible(y, p.n_atoms)]
+    assert len(roots) == 1
     tol = 1e-12 * cm._rate_scale(p)
-    root = cm._newton(cm._closed_form_start(p, False), p, False, tol)
-    assert cm._admissible(root, n_atoms=p.n_atoms)
+    root = cm._polish(roots[0], p, False)
     assert "unstable" in cm._certificate_failure(root, p, False, tol)
-    monkeypatch.setattr(cm, "_relax", lambda params, blockaded: root * (1 + 1e-3))
     with pytest.raises(SolverError, match="unstable"):
         cumulant_steady(p, blockaded=False)
+
+
+@pytest.mark.parametrize("blockaded, degree", [(True, 3), (False, 2)])
+def test_admissible_fixed_points_are_roots(blockaded, degree):
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        p = random_draw(rng)
+        tol = 1e-12 * cm._rate_scale(p)
+        points = cm._fixed_points(p, blockaded)
+        assert len(points) <= degree
+        for y in points:
+            if cm._admissible(y, p.n_atoms):
+                # the cubic's roots are fixed points already; the polish
+                # only removes rounding
+                root = cm._polish(y, p, blockaded)
+                assert np.abs(root - y).max() <= 1e-8 * np.abs(root).max(), p
+                assert np.abs(cm._rhs_vec(root, p, blockaded)).max() <= tol, p

@@ -1,6 +1,9 @@
 """The package uses only scipy's public API, so ``scipy>=1.10`` holds."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import blocklaser
@@ -39,3 +42,13 @@ def test_no_module_imports_private_scipy():
     assert len(modules) >= 10
     for path in modules:
         assert _private_scipy_imports(path.read_text()) == [], path.name
+
+
+def test_import_loads_no_integrator_or_optimizer():
+    code = ("import sys, blocklaser\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
