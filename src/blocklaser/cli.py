@@ -399,13 +399,19 @@ def _cmd_sweep(cfg: Dict) -> int:
 
 
 def _trace_grid(cfg: Dict) -> np.ndarray:
-    t_dense, n_tail = float(cfg["t_dense"]), int(cfg["n_tail"])
+    dt, t_dense = float(cfg["dt"]), float(cfg["t_dense"])
+    n_tail = int(cfg["n_tail"])
     t_max = None if cfg["t_max"] is None else float(cfg["t_max"])
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(t_dense) and t_dense >= 0):
+        raise ConfigError(
+            f"t_dense must be non-negative and finite, got {t_dense!r}")
     if n_tail > 0 and (t_max is None or t_max <= t_dense):
         raise ConfigError("n_tail needs t_max beyond t_dense")
     if n_tail <= 0 and t_max is not None and t_max > t_dense:
         raise ConfigError("t_max beyond t_dense needs n_tail")
-    return correlation_times(dt_dense=float(cfg["dt"]), t_dense=t_dense,
+    return correlation_times(dt_dense=dt, t_dense=t_dense,
                              t_max=t_max, n_tail=n_tail)
 
 
@@ -452,6 +458,12 @@ def _cmd_g2(cfg: Dict) -> int:
 def _cmd_spectrum(cfg: Dict) -> int:
     params = _params_from_config(cfg)
     times, window = _trace_grid(cfg), _fit_window(cfg)
+    if len(times) < 2:
+        raise ConfigError("spectrum needs at least two delays; "
+                          "raise t_dense or lower dt")
+    n_freqs = int(cfg["omega_points"])
+    if n_freqs < 1:
+        raise ConfigError(f"omega_points must be at least 1, got {n_freqs}")
     ss = _symmetric_steady(params)
     trace = g1_trace(params, ss, times)
     fit = None if window is None else fit_linewidth(trace, window)
@@ -459,7 +471,7 @@ def _cmd_spectrum(cfg: Dict) -> int:
         omega_max = np.pi / (4.0 * np.min(np.diff(trace.times)))
     else:
         omega_max = float(cfg["omega_max"])
-    freqs = np.linspace(-omega_max, omega_max, int(cfg["omega_points"]))
+    freqs = np.linspace(-omega_max, omega_max, n_freqs)
     spec = power_spectrum(trace, freqs=freqs, tail_fit=fit)
     meta = dict(spec.metadata)
     meta["nb"] = trace.normalization
@@ -472,7 +484,11 @@ def _cmd_spectrum(cfg: Dict) -> int:
 
 def _cmd_cumulant(cfg: Dict) -> int:
     params = _params_from_config(cfg)
-    blockaded = cfg["engine"] != "cumulant-normal"
+    # every engine but cumulant-normal runs the blockaded cumulant, and
+    # the header names the variant that ran
+    if cfg["engine"] != "cumulant-normal":
+        cfg["engine"] = "cumulant"
+    blockaded = cfg["engine"] == "cumulant"
     cu = cumulant_steady(params, blockaded=blockaded)
     wt = params.pump * params.n_atoms / params.cavity_decay
     columns = ["w", "w_tilde", "sz", "spsm", "nb", "im_bdsm",
@@ -492,6 +508,10 @@ def validation_report(n: int, m: int, seed: int, draws: int,
     if hilbert_dim(n, m) > DEFAULT_HILBERT_CAP:
         raise ConfigError(
             f"validation needs 2^N (M+1) <= {DEFAULT_HILBERT_CAP}")
+    if draws < 1:
+        raise ConfigError(f"draws must be at least 1, got {draws}")
+    if trace_points < 1:
+        raise ConfigError(f"trace_points must be at least 1, got {trace_points}")
     rng = np.random.default_rng(seed)
     rows = []
     for k in range(draws):

@@ -238,11 +238,17 @@ def cumulant_steady(params: ModelParams, blockaded: bool = True) -> CumulantStat
     is still in the physical range and every eigenvalue of the Jacobian
     there has a negative real part. The one root that passes is returned.
     If none or more than one passes (a self-pulsing regime, or
-    bistability), SolverError lists every root's failed check.
+    bistability), SolverError lists every root's failed check. With
+    g = 0 and kappa = 0 together every n is a fixed point, and
+    SolverError says so.
     """
     validate(params)
     if params.pump + params.spont_emission <= 0:
         raise ValueError("need pump + spont_emission > 0 for a relaxing fixed point")
+    if params.coupling == 0.0 and params.cavity_decay == 0.0:
+        # every coefficient of the cubic vanishes: every n is a fixed point
+        raise SolverError("g = 0 and kappa = 0 leave the mode occupation "
+                          "undetermined")
     tol = RESIDUAL_TOL * _rate_scale(params)
     roots, checks = [], []
     for y in _fixed_points(params, blockaded):

@@ -10,15 +10,14 @@ The master equation
     L_deph  = -(gamma_d/4) sum_j (rho - s_j^z rho s_j^z),
 
 conserves the U(1) charge of the symmetric basis, so it restricts to a
-sparse matrix on each fixed-charge sector. Assembly evaluates each
-part's kernel chains (see :mod:`blocklaser.opkernels`) over blocks of
-the sector's columns at once, as arrays of source column, content and
-weight, and maps the targets to rows by one ``searchsorted`` of their
-packed keys; no operator product is ever formed in the full
-4^N (M+1)^2 space. Whatever the block size, each column's entries
-are bit-identical to its chains run through
-:func:`~blocklaser.opkernels.apply_chain` on that column alone and
-summed in chain order. The one-sided single-atom
+sparse matrix on each fixed-charge sector. Every sparse operator from
+one sector to another (a unit-rate part of the generator, the a . rho
+and a . rho . a^+ seeds of g1 and g2, the a^+ trace pairing) is one
+:func:`chain_matrix`: its kernel chains (see :mod:`blocklaser.opkernels`)
+run over blocks of source columns at once, the targets are mapped to
+rows by one ``searchsorted`` of their packed keys, and the sparse
+constructor sums all paths to one entry at once; no operator product is
+ever formed in the full 4^N (M+1)^2 space. The one-sided single-atom
 sums are lifted to collective operators via
 sum_j s_j^- s_j^+ = (N - S^z)/2 and sum_j s_j^+ s_j^- = (N + S^z)/2; the
 sandwich parts use the dedicated recycling kernels.
@@ -33,16 +32,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import ModelParams, validate
-from .opkernels import apply_chain, merge_entries
+from .opkernels import apply_chain
 from .symbasis import BasisElement, SectorBasis, enumerate_sector
 
-#: entries with |value| below this after merging are rounding dust and dropped
+#: entries with |value| below this after summing are rounding dust and dropped
 DROP_TOL = 1e-15
 
 #: sector columns assembled together. One part and one block at a time
@@ -70,19 +69,27 @@ def photon_trace_weights(cutoff: int) -> np.ndarray:
                     dtype=float)
 
 
+def diagonal_functional(sector: SectorBasis, atomic: Tuple[int, int, int],
+                        weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row vector with weights[m] at the elements (atomic, m, m) and zero
+    elsewhere; the weights default to the photon traces P_m. Sectors with
+    delta_n != 0 contain no such element and get an all-zero row."""
+    if weights is None:
+        weights = photon_trace_weights(sector.photon_cutoff)
+    c = sector.contents
+    on = np.all(c[:, :3] == atomic, axis=1) & (c[:, 3] == c[:, 4])
+    row = np.zeros(len(sector))
+    row[on] = weights[c[on, 3]]
+    return row
+
+
 def trace_functional(sector: SectorBasis) -> np.ndarray:
     """Weights t with Tr[rho] = t . c for coefficient vectors c.
 
     Only elements with no atomic content and equal photon powers have a
-    nonzero trace; the weight of (0,0,0,m,m) is P_m. Sectors with
-    delta_n != 0 contain no such element and get an all-zero functional.
+    nonzero trace; the weight of (0,0,0,m,m) is P_m.
     """
-    c = sector.contents
-    traced = ((c[:, 0] == 0) & (c[:, 1] == 0) & (c[:, 2] == 0)
-              & (c[:, 3] == c[:, 4]))
-    weights = np.zeros(len(sector))
-    weights[traced] = photon_trace_weights(sector.photon_cutoff)[c[traced, 3]]
-    return weights
+    return diagonal_functional(sector, (0, 0, 0))
 
 
 def _photon_hs_norm(p: int, q: int, cutoff: int) -> float:
@@ -164,44 +171,50 @@ def _part_terms(n_atoms: int):
     }
 
 
-@lru_cache(maxsize=64)
-def _unit_parts(n_atoms: int, cutoff: int, delta_n: int) -> Dict[str, sp.csr_matrix]:
-    """Unit-rate part matrices on the given sector, cached.
+@lru_cache(maxsize=512)   # 64 sectors' five parts, seeds and pairings
+def chain_matrix(chains: Tuple[Tuple[complex, Tuple[str, ...]], ...],
+                 n_atoms: int, cutoff: int, source_dn: int,
+                 target_dn: int) -> sp.csr_matrix:
+    """Sparse matrix of sum_k coef_k chain_k from the source_dn sector to
+    the target_dn sector, cached; treat it as immutable.
 
-    The chains run over ``ASSEMBLY_BLOCK`` columns at a time; within a
-    block, the chains of a part are summed entry by entry in chain order,
-    as a per-column dict accumulation would sum them.
+    ``chains`` holds (coef_k, kinds_k) pairs; the kernels of kinds_k act
+    in order, and an empty kinds_k is the identity. The chains run over
+    ``ASSEMBLY_BLOCK`` source columns at a time, and every path through a
+    chain is one (row, column, coef * weight) entry. The sparse
+    constructor sums the entries of one position once, and sums below
+    ``DROP_TOL`` are dropped.
     """
-    sector = enumerate_sector(n_atoms, cutoff, delta_n)
-    dim = len(sector)
-    parts = {}
-    for name, chains in _part_terms(n_atoms).items():
-        blocks = []
-        # one (empty) block for an empty sector
-        for lo in range(0, max(dim, 1), ASSEMBLY_BLOCK):
-            columns = np.arange(lo, min(lo + ASSEMBLY_BLOCK, dim))
-            contents = sector.contents[columns]
-            ones = np.ones(len(columns))
-            pieces = [apply_chain(kinds, columns, contents, ones,
-                                  n_atoms, cutoff) for _, kinds in chains]
-            cols, targets, vals = merge_entries(
-                np.concatenate([p[0] for p in pieces]),
-                np.concatenate([p[1] for p in pieces]),
-                np.concatenate([coef * p[2]
-                                for (coef, _), p in zip(chains, pieces)]),
-                n_atoms, cutoff)
-            rows = sector.positions(targets)
-            if (rows < 0).any():  # kernels preserve the charge; cannot happen
-                f = BasisElement(*map(int, targets[np.argmax(rows < 0)]))
-                raise AssertionError(f"element {f} escaped sector {sector}")
-            blocks.append((rows.astype(np.int32), cols.astype(np.int32), vals))
-        rows, cols, vals = (np.concatenate(x) for x in zip(*blocks))
-        mat = sp.csr_matrix((vals.astype(complex), (rows, cols)),
-                            shape=(dim, dim))
-        mat.data[np.abs(mat.data) < DROP_TOL] = 0
-        mat.eliminate_zeros()
-        parts[name] = mat
-    return parts
+    source = enumerate_sector(n_atoms, cutoff, source_dn)
+    target = enumerate_sector(n_atoms, cutoff, target_dn)
+    blocks = []
+    # one (empty) block for an empty sector
+    for lo in range(0, max(len(source), 1), ASSEMBLY_BLOCK):
+        columns = np.arange(lo, min(lo + ASSEMBLY_BLOCK, len(source)))
+        pieces = [apply_chain(kinds, columns, source.contents[columns],
+                              n_atoms, cutoff) for _, kinds in chains]
+        targets = np.concatenate([p[1] for p in pieces])
+        rows = target.positions(targets)
+        if (rows < 0).any():  # kernels shift the charge deterministically
+            f = BasisElement(*map(int, targets[np.argmax(rows < 0)]))
+            raise AssertionError(f"element {f} escaped sector {target}")
+        blocks.append((rows.astype(np.int32),
+                       np.concatenate([p[0] for p in pieces]).astype(np.int32),
+                       np.concatenate([coef * p[2] for (coef, _), p
+                                       in zip(chains, pieces)])))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*blocks))
+    mat = sp.csr_matrix((vals.astype(complex), (rows, cols)),
+                        shape=(len(target), len(source)))
+    mat.data[np.abs(mat.data) < DROP_TOL] = 0
+    mat.eliminate_zeros()
+    return mat
+
+
+def _unit_parts(n_atoms: int, cutoff: int, delta_n: int) -> Dict[str, sp.csr_matrix]:
+    """Unit-rate part matrices on the given sector, each a cached
+    :func:`chain_matrix`."""
+    return {name: chain_matrix(tuple(chains), n_atoms, cutoff, delta_n, delta_n)
+            for name, chains in _part_terms(n_atoms).items()}
 
 
 def _rates(params: ModelParams) -> Dict[str, float]:

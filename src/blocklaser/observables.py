@@ -25,10 +25,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import SolverError, SymmetricState, propagate_grid
-from .liouvillian import liouvillian_for, photon_trace_weights, trace_functional
+from .liouvillian import (chain_matrix, diagonal_functional, liouvillian_for,
+                          photon_trace_weights, trace_functional)
 from .model import ModelParams
-from .opkernels import apply_chain
-from .symbasis import BasisElement, SectorBasis, enumerate_sector
+from .symbasis import SectorBasis, enumerate_sector
 
 #: frequency rows per block of power_spectrum's cos(w t) and sin(w t)
 #: matrices; at fig2b (2621 delays) a block's pair is 2.7 MB, the whole
@@ -76,35 +76,19 @@ class LinewidthFit:
     window: Tuple[float, float]
 
 
-def _diag_functional(sector: SectorBasis, content: Tuple[int, int, int],
-                     weights: np.ndarray) -> np.ndarray:
-    """Row vector with weights[m] at the elements (content, m, m)."""
-    row = np.zeros(len(sector))
-    for m in range(sector.photon_cutoff + 1):
-        k = sector.index_of(BasisElement(*content, m, m))
-        if k is not None:
-            row[k] = weights[m]
-    return row
-
-
-def _diag_sum(state: SymmetricState, content: Tuple[int, int, int]) -> complex:
-    """Sum c_(content, m, m) P_m over the photon diagonal."""
-    pm = photon_trace_weights(state.sector.photon_cutoff)
-    return _diag_functional(state.sector, content, pm) @ state.coeffs
-
-
 def number_functional(sector: SectorBasis) -> np.ndarray:
     """Row vector n with <a^+ a> = n . c: weights P_{m+1} + m P_m at the
     elements (0,0,0,m,m), with P_{M+1} = 0."""
     pm = photon_trace_weights(sector.photon_cutoff)
     m = np.arange(len(pm))
-    return _diag_functional(sector, (0, 0, 0),
-                            np.append(pm[1:], 0.0) + m * pm)
+    return diagonal_functional(sector, (0, 0, 0),
+                               np.append(pm[1:], 0.0) + m * pm)
 
 
 def expect_sigma_z(state: SymmetricState) -> float:
     """Per-atom inversion <s_1^z>."""
-    return (_diag_sum(state, (0, 0, 1)) / state.sector.n_atoms).real
+    row = diagonal_functional(state.sector, (0, 0, 1))
+    return (row @ state.coeffs / state.sector.n_atoms).real
 
 
 def expect_spin_spin(state: SymmetricState) -> float:
@@ -112,7 +96,8 @@ def expect_spin_spin(state: SymmetricState) -> float:
     N = state.sector.n_atoms
     if N < 2:
         raise ValueError("spin-spin coherence needs at least two atoms")
-    return (_diag_sum(state, (1, 1, 0)) / (4.0 * N * (N - 1))).real
+    row = diagonal_functional(state.sector, (1, 1, 0))
+    return (row @ state.coeffs / (4.0 * N * (N - 1))).real
 
 
 def expect_photon_number(state: SymmetricState) -> float:
@@ -120,42 +105,11 @@ def expect_photon_number(state: SymmetricState) -> float:
     return (number_functional(state.sector) @ state.coeffs).real
 
 
-def _apply_mode_chain(state_coeffs: np.ndarray, sector: SectorBasis,
-                      kinds: Sequence[str], target: SectorBasis) -> np.ndarray:
-    """Apply a chain of cavity kernels to a coefficient vector.
-
-    The kernels are composed element-wise before any sector lookup, so
-    intermediate products may pass through other charge sectors; the final
-    elements must all land in ``target``. Contributions to one target
-    element add up in column order.
-    """
-    src = np.flatnonzero(state_coeffs != 0.0)
-    cols, contents, w = apply_chain(kinds, src, sector.contents[src],
-                                    np.ones(len(src)), sector.n_atoms,
-                                    sector.photon_cutoff)
-    rows = target.positions(contents)
-    if (rows < 0).any():  # cavity kernels shift the charge deterministically
-        f = BasisElement(*map(int, contents[np.argmax(rows < 0)]))
-        raise AssertionError(f"element {f} missed sector {target}")
-    terms = w * state_coeffs[cols]
-    out = np.empty(len(target), dtype=complex)
-    out.real = np.bincount(rows, terms.real, minlength=len(target))
-    out.imag = np.bincount(rows, terms.imag, minlength=len(target))
-    return out
-
-
 def _adag_trace_pairing(target: SectorBasis) -> np.ndarray:
     """Row vector v with Tr[a^+ rho'] = v . c' on the shifted sector."""
-    charge0 = enumerate_sector(target.n_atoms, target.photon_cutoff,
-                               target.delta_n + 1)
-    t0 = trace_functional(charge0)
-    cols, contents, w = apply_chain(("adag_left",), np.arange(len(target)),
-                                    target.contents, np.ones(len(target)),
-                                    target.n_atoms, target.photon_cutoff)
-    rows = charge0.positions(contents)
-    hit = rows >= 0
-    return np.bincount(cols[hit], w[hit] * t0[rows[hit]],
-                       minlength=len(target))
+    N, M, dn = target.n_atoms, target.photon_cutoff, target.delta_n
+    adag = chain_matrix(((1.0, ("adag_left",)),), N, M, dn, dn + 1)
+    return (adag.T @ trace_functional(enumerate_sector(N, M, dn + 1))).real
 
 
 def g1_trace(params: ModelParams, steady: SymmetricState,
@@ -170,11 +124,11 @@ def g1_trace(params: ModelParams, steady: SymmetricState,
     if nb <= 1e-14:
         raise SolverError("zero photon number; g1 normalization undefined")
     sector = steady.sector
-    shifted = enumerate_sector(sector.n_atoms, sector.photon_cutoff,
-                               sector.delta_n - 1)
-    c0 = _apply_mode_chain(steady.coeffs, sector, ["a_left"], shifted)
-    pairing = _adag_trace_pairing(shifted)
-    L1 = liouvillian_for(params, shifted.delta_n)
+    N, M, dn = sector.n_atoms, sector.photon_cutoff, sector.delta_n
+    seed = chain_matrix(((1.0, ("a_left",)),), N, M, dn, dn - 1)
+    c0 = seed @ steady.coeffs
+    pairing = _adag_trace_pairing(enumerate_sector(N, M, dn - 1))
+    L1 = liouvillian_for(params, dn - 1)
     values = propagate_grid(L1, c0, times, observe=pairing)
     return CorrelationTrace(times=np.asarray(times, dtype=float),
                             values=values / nb,
@@ -192,8 +146,10 @@ def g2_trace(params: ModelParams, steady: SymmetricState,
     if nb <= 1e-14:
         raise SolverError("zero photon number; g2 normalization undefined")
     sector = steady.sector
-    c0 = _apply_mode_chain(steady.coeffs, sector, ["a_left", "adag_right"], sector)
-    L0 = liouvillian_for(params, sector.delta_n)
+    N, M, dn = sector.n_atoms, sector.photon_cutoff, sector.delta_n
+    seed = chain_matrix(((1.0, ("a_left", "adag_right")),), N, M, dn, dn)
+    c0 = seed @ steady.coeffs
+    L0 = liouvillian_for(params, dn)
     values = propagate_grid(L0, c0, times, observe=number_functional(sector))
     return CorrelationTrace(times=np.asarray(times, dtype=float),
                             values=values.real / nb ** 2,

@@ -6,11 +6,13 @@ rules; a rule maps the content counts ``(n_plus, n_minus, n_z, n_adag,
 n_a)`` and ``n_i = N - n_plus - n_minus - n_z`` to a target factor and a
 closed-form weight. The weights are written only here, and
 :func:`apply_chain` is the one evaluator of the table: it applies a chain
-of kernels to arrays of source column, content and weight, one element
-or whole sectors at once. It drops outputs that violate the index bounds
-(they do not exist in the truncated space; the offending operator
-annihilates them) and zero weights, and it merges equal targets of one
-source column by summing in a fixed order.
+of kernels to arrays of source column and content, one element or whole
+sectors at once, and returns every path through the chain with its
+weight. It drops outputs that violate the index bounds (they do not
+exist in the truncated space; the offending operator annihilates them)
+and zero weights. Equal targets of one source column are not merged;
+:func:`blocklaser.liouvillian.chain_matrix` sums them once, as entries of
+a sparse matrix.
 
 Cavity rules. With ``p = n_adag`` and ``q = n_a`` the photon factor is the
 normal-ordered product (a^+)^p a^q, so right-multiplying by a and
@@ -49,8 +51,6 @@ from functools import lru_cache
 from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
-
-from .symbasis import packed_keys
 
 
 class Counts:
@@ -167,8 +167,7 @@ def _kernel_arrays(kind: str, contents: np.ndarray, n_atoms: int,
     """One kernel on n legal source contents (an (n, 5) array).
 
     Returns (source, target contents, weight) arrays of the live outputs,
-    source by source in rule order. Equal targets of one source are summed
-    in rule order into the first; illegal targets and zero weights are
+    source by source in rule order; illegal targets and zero weights are
     dropped.
     """
     kernel = KERNELS[kind]
@@ -187,15 +186,6 @@ def _kernel_arrays(kind: str, contents: np.ndarray, n_atoms: int,
         else:
             legal = (t[0] >= 0) & (t[1] >= 0) & (t[0] <= cutoff) & (t[1] <= cutoff)
         live[:, r] = legal & (weights[:, r] != 0.0)
-    # equal targets of one source add up in rule order, into the first
-    for r2 in range(1, n_rules):
-        for r1 in range(r2):
-            same = live[:, r1] & live[:, r2]
-            for a, b in zip(factors[r1], factors[r2]):
-                same &= a == b
-            weights[same, r1] += weights[same, r2]
-            live[same, r2] = False
-    live &= weights != 0.0
     src, rule = np.nonzero(live)
     targets = contents[src]
     for k, column in zip(span, zip(*factors)):
@@ -203,38 +193,17 @@ def _kernel_arrays(kind: str, contents: np.ndarray, n_atoms: int,
     return src, targets, weights[src, rule]
 
 
-def merge_entries(cols: np.ndarray, contents: np.ndarray, weights: np.ndarray,
-                  n_atoms: int, cutoff: int):
-    """Sum the weights of equal (column, content) entries in array order,
-    as a dict accumulation would, and drop zero sums; entries keep the
-    order of first appearance.
-    """
-    span = (n_atoms + 1) ** 3 * (cutoff + 1) ** 2   # number of packed keys
-    if len(cols) and int(cols.max()) >= np.iinfo(np.int64).max // span:
-        raise OverflowError("column and content keys overflow int64")
-    keys = cols.astype(np.int64) * span + packed_keys(contents, n_atoms, cutoff)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if np.iscomplexobj(weights):
-        sums = np.empty(len(first), dtype=complex)
-        sums.real = np.bincount(inverse, weights.real, minlength=len(first))
-        sums.imag = np.bincount(inverse, weights.imag, minlength=len(first))
-    else:
-        sums = np.bincount(inverse, weights, minlength=len(first))
-    order = np.argsort(first)
-    order = order[sums[order] != 0.0]
-    return cols[first[order]], contents[first[order]], sums[order]
-
-
 def apply_chain(kinds: Sequence[str], cols: np.ndarray, contents: np.ndarray,
-                weights: np.ndarray, n_atoms: int, cutoff: int):
-    """Apply a chain of kernels to arrays of source column, content (n, 5)
-    and weight; returns the same three arrays for the merged output.
+                n_atoms: int, cutoff: int):
+    """Apply a chain of kernels to arrays of source column and content
+    (n, 5); returns (column, target content, weight) arrays, one entry per
+    path through the chain, source by source.
 
-    Each kernel's outputs are merged per source column before the next
-    kernel runs, so source columns never mix.
+    Paths that reach the same target from one column stay separate
+    entries; their weights add up wherever the entries are summed.
     """
+    weights = np.ones(len(cols))
     for kind in kinds:
-        src, targets, v = _kernel_arrays(kind, contents, n_atoms, cutoff)
-        cols, contents, weights = merge_entries(
-            cols[src], targets, weights[src] * v, n_atoms, cutoff)
+        src, contents, v = _kernel_arrays(kind, contents, n_atoms, cutoff)
+        cols, weights = cols[src], weights[src] * v
     return cols, contents, weights

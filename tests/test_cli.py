@@ -265,6 +265,40 @@ def test_half_given_option_pair_is_config_error(command, given, message,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["g1", "--dt", "0"], "dt must be positive"),
+    (["g1", "--dt", "-0.1"], "dt must be positive"),
+    (["g2", "--t-dense", "-1"], "t_dense must be non-negative"),
+    (["validate", "--trace-points", "0"], "trace_points must be at least 1"),
+    (["validate", "--draws", "0"], "draws must be at least 1"),
+    (["spectrum", "--omega-points", "0"], "omega_points must be at least 1"),
+    (["spectrum", "--t-dense", "0"], "spectrum needs at least two delays"),
+])
+def test_invalid_grid_or_draw_count_is_config_error(argv, message, capsys):
+    # raised before any solve instead of a traceback from the numerics
+    assert main(argv + ["--n", "3", "--m", "1", "--g", "0.3"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cumulant_of_uncoupled_lossless_mode_is_solver_error(capsys):
+    assert main(["cumulant", "--n", "5", "--g", "0", "--kappa", "0",
+                 "--w", "0.3"]) == 3
+    assert ("g = 0 and kappa = 0 leave the mode occupation undetermined"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("engine,header", [([], "cumulant"),
+                                           (["--engine", "symmetric"], "cumulant"),
+                                           (["--engine", "cumulant-normal"],
+                                            "cumulant-normal")])
+def test_cumulant_header_names_the_variant_that_ran(engine, header, tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["cumulant", "--n", "30", "--g", "0.1", "--out", str(out)]
+                + engine) == 0
+    meta, _, _ = read_table(out)
+    assert meta["engine"] == header
+
+
 def test_tail_grid_override_to_dense_only_still_runs(tmp_path):
     # t_max at the end of the dense grid needs no tail (README's g2 example)
     out = tmp_path / "g2.csv"

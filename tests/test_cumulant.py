@@ -311,6 +311,16 @@ def test_unstable_root_is_refused():
         cumulant_steady(p, blockaded=False)
 
 
+@pytest.mark.parametrize("blockaded", [True, False])
+def test_uncoupled_lossless_mode_is_undetermined(blockaded):
+    # g = 0 with kappa = 0: every coefficient of the cubic vanishes
+    p = ModelParams(5, 1, 0.0, 0.0, 0.3)
+    assert not cm._fixed_points(p, blockaded)
+    with pytest.raises(SolverError, match="g = 0 and kappa = 0 leave the "
+                                          "mode occupation undetermined"):
+        cumulant_steady(p, blockaded=blockaded)
+
+
 @pytest.mark.parametrize("blockaded, degree", [(True, 3), (False, 2)])
 def test_admissible_fixed_points_are_roots(blockaded, degree):
     rng = np.random.default_rng(13)

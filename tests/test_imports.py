@@ -1,4 +1,6 @@
-"""The package uses only scipy's public API, so ``scipy>=1.10`` holds."""
+"""Import rules of the package: only scipy's public API (so ``scipy>=1.10``
+holds), only the Liouvillian reads the kernel table, and a lean
+``import blocklaser``."""
 
 import ast
 import os
@@ -11,19 +13,31 @@ import blocklaser
 PACKAGE = Path(blocklaser.__file__).parent
 
 
-def _private_scipy_imports(source: str) -> list:
+def _imported_names(source: str) -> list:
+    """Every module a source imports, with relative imports resolved inside
+    the package; ``from m import x`` gives both ``m`` and ``m.x``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [node.module] + [f"{node.module}.{alias.name}"
-                                     for alias in node.names]
-        else:
-            continue
-        found += [name for name in names if name.split(".")[0] == "scipy"
-                  and any(part.startswith("_") for part in name.split("."))]
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "blocklaser" + (f".{base}" if base else "")
+            found += [base] + [f"{base}.{alias.name}" for alias in node.names]
     return found
+
+
+def _private_scipy_imports(source: str) -> list:
+    return [name for name in _imported_names(source)
+            if name.split(".")[0] == "scipy"
+            and any(part.startswith("_") for part in name.split("."))]
+
+
+def _kernel_table_imports(source: str) -> list:
+    return [name for name in _imported_names(source)
+            if name == "blocklaser.opkernels"
+            or name.startswith("blocklaser.opkernels.")]
 
 
 def test_detector_sees_private_modules():
@@ -42,6 +56,27 @@ def test_no_module_imports_private_scipy():
     assert len(modules) >= 10
     for path in modules:
         assert _private_scipy_imports(path.read_text()) == [], path.name
+
+
+def test_detector_sees_kernel_table_imports():
+    assert _kernel_table_imports(
+        "from .opkernels import apply_chain\n"
+        "from . import opkernels, symbasis\n"
+        "import blocklaser.opkernels as ok\n"
+        "from blocklaser import opkernels\n"
+        "from .liouvillian import chain_matrix\n"
+        "import blocklaser.opkernels_extra\n") == [
+        "blocklaser.opkernels", "blocklaser.opkernels.apply_chain",
+        "blocklaser.opkernels", "blocklaser.opkernels",
+        "blocklaser.opkernels"]
+
+
+def test_only_the_liouvillian_imports_the_kernel_table():
+    # every sparse operator built from the kernel rules is a
+    # liouvillian.chain_matrix; other modules take that, not the rules
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if _kernel_table_imports(path.read_text())]
+    assert importers == ["liouvillian.py"]
 
 
 def test_import_loads_no_integrator_or_optimizer():

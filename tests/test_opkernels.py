@@ -1,14 +1,15 @@
 """Kernel rules against literal operator products on the lifted basis.
 
 Per-element expansions run through the ``expand`` fixture (conftest.py),
-which is :func:`~blocklaser.opkernels.apply_chain` on a one-element array.
+which runs :func:`~blocklaser.opkernels.apply_chain` on a one-element
+array and sums the paths to each target.
 """
 
 import numpy as np
 import pytest
 
 from blocklaser import BasisElement, enumerate_sector
-from blocklaser.opkernels import KERNELS, apply_chain, merge_entries
+from blocklaser.opkernels import KERNELS, apply_chain
 from blocklaser.symbasis import is_legal
 from blocklaser.oracle import lift_element, site_operators
 
@@ -125,22 +126,18 @@ def test_dephasing_diagonal_factors(expand):
     assert expand(("dephasing",), e, 2, 1) == {e: 2.0}
 
 
-def test_outputs_are_merged_legal_and_nonzero():
-    # every kind on every element of every sector with N <= 4, M <= 3; a
-    # dict would hide duplicate targets, so the chains run on whole sectors
-    # (test_chain_arrays_equal_per_element_calls ties these to `expand`)
+def test_outputs_are_legal_and_nonzero():
+    # every kind on every element of every sector with N <= 4, M <= 3
     for n_atoms in range(1, 5):
         for cutoff in range(1, 4):
             for delta in range(-(n_atoms + cutoff), n_atoms + cutoff + 1):
                 sector = enumerate_sector(n_atoms, cutoff, delta)
                 for kind in KERNELS:
-                    cols, contents, w = apply_chain(
+                    _, contents, w = apply_chain(
                         (kind,), np.arange(len(sector)), sector.contents,
-                        np.ones(len(sector)), n_atoms, cutoff)
-                    pairs = [(int(j), BasisElement(*map(int, f)))
-                             for j, f in zip(cols, contents)]
-                    assert len(set(pairs)) == len(pairs)
-                    assert all(is_legal(f, n_atoms, cutoff) for _, f in pairs)
+                        n_atoms, cutoff)
+                    assert all(is_legal(BasisElement(*map(int, f)), n_atoms,
+                                        cutoff) for f in contents)
                     assert np.all(w != 0.0)
 
 
@@ -172,22 +169,8 @@ def test_master_equation_pairings_preserve_charge(expand):
                 assert f.delta_n == e.delta_n
 
 
-def test_merge_entries_sums_in_order_and_keeps_first_appearance():
-    cols = np.array([1, 1, 0, 1, 1])
-    contents = np.array([[0, 0, 2, 0, 0], [0, 0, 1, 0, 0], [0, 0, 2, 0, 0],
-                         [0, 0, 2, 0, 0], [0, 0, 1, 0, 0]], dtype=np.int32)
-    w = np.array([0.1, 1.0, 5.0, 0.2, -1.0])
-    c, f, v = merge_entries(cols, contents, w, 2, 1)
-    # (1, z=2) first, then (1, z=1) summing to zero is dropped, then (0, z=2)
-    assert c.tolist() == [1, 0]
-    assert f[:, 2].tolist() == [2, 2]
-    assert v.tolist() == [0.1 + 0.2, 5.0]
-    with pytest.raises(OverflowError):
-        merge_entries(np.array([2 ** 60]), contents[:1], w[:1], 2, 1)
-
-
-def test_chain_arrays_equal_per_element_calls(expand):
-    # a whole sector at once gives each source column's own outputs, in
+def test_chain_arrays_equal_per_element_calls():
+    # a whole sector at once gives each source column's own paths, in
     # column order: sources never mix
     chains = [("sp_right", "a_right"), ("a_left", "adag_right"),
               ("adag_right", "a_right"), ("sm_left", "sz_right"),
@@ -195,11 +178,9 @@ def test_chain_arrays_equal_per_element_calls(expand):
     for n_atoms, cutoff in [(1, 1), (3, 2), (4, 3)]:
         sector = enumerate_sector(n_atoms, cutoff, 0)
         for kinds in chains:
-            cols, contents, w = apply_chain(
-                kinds, np.arange(len(sector)), sector.contents,
-                np.ones(len(sector)), n_atoms, cutoff)
-            got = [(int(j), BasisElement(*map(int, f)), x)
-                   for j, f, x in zip(cols, contents, w)]
-            ref = [(j, f, x) for j, e in enumerate(sector.elements)
-                   for f, x in expand(kinds, e, n_atoms, cutoff).items()]
-            assert got == ref, kinds
+            got = apply_chain(kinds, np.arange(len(sector)), sector.contents,
+                              n_atoms, cutoff)
+            alone = [apply_chain(kinds, np.array([j]), sector.contents[j:j + 1],
+                                 n_atoms, cutoff) for j in range(len(sector))]
+            for a, b in zip(got, zip(*alone)):
+                assert np.array_equal(a, np.concatenate(b)), kinds
