@@ -10,8 +10,9 @@ from .model import DerivedScales, ModelParams, derive_scales, validate
 from .symbasis import BasisElement, SectorBasis, enumerate_sector, sector_dimension
 from .liouvillian import (Superoperator, build_liouvillian, liouvillian_for,
                           photon_trace_weights, trace_functional)
-from .dynamics import (DegenerateSteadyStateError, SlowMode, SolverError,
-                       SymmetricState, initial_mixed_state, propagate_grid,
+from .dynamics import (DegenerateSteadyStateError, PrecisionLossError,
+                       Propagation, SlowMode, SolverError, SymmetricState,
+                       initial_mixed_state, propagate, propagate_grid,
                        slow_eigenmode, steady_state)
 from .observables import (CorrelationTrace, LinewidthFit, PoorFitError,
                           Spectrum, correlation_times, effective_rabi,
@@ -29,9 +30,9 @@ __all__ = [
     "BasisElement", "SectorBasis", "enumerate_sector", "sector_dimension",
     "Superoperator", "build_liouvillian", "liouvillian_for",
     "photon_trace_weights", "trace_functional",
-    "SymmetricState", "initial_mixed_state", "propagate_grid",
-    "steady_state", "SlowMode", "slow_eigenmode", "SolverError",
-    "DegenerateSteadyStateError",
+    "SymmetricState", "initial_mixed_state", "propagate", "propagate_grid",
+    "Propagation", "steady_state", "SlowMode", "slow_eigenmode",
+    "SolverError", "DegenerateSteadyStateError", "PrecisionLossError",
     "CorrelationTrace", "Spectrum", "LinewidthFit", "PoorFitError",
     "correlation_times", "effective_rabi", "expect_photon_number",
     "expect_sigma_z", "expect_spin_spin", "fit_linewidth", "g1_trace",

@@ -425,12 +425,19 @@ def _fit_window(cfg: Dict):
     return None if lo is None else (float(lo), float(hi))
 
 
+def _tail_meta(trace) -> Dict:
+    """Where the trace's tail became the closed-form one-mode decay, and
+    its eigenvalue; None for a trace propagated to its last delay."""
+    return {"analytic_tail_delay": trace.tail_delay,
+            "analytic_tail_eigenvalue": trace.tail_eigenvalue}
+
+
 def _cmd_g1(cfg: Dict) -> int:
     params = _params_from_config(cfg)
     times, window = _trace_grid(cfg), _fit_window(cfg)
     ss = _symmetric_steady(params)
     trace = g1_trace(params, ss, times)
-    meta = {"nb": trace.normalization}
+    meta = {"nb": trace.normalization, **_tail_meta(trace)}
     fit = None
     if window is not None:
         try:
@@ -473,8 +480,7 @@ def _cmd_spectrum(cfg: Dict) -> int:
         omega_max = float(cfg["omega_max"])
     freqs = np.linspace(-omega_max, omega_max, n_freqs)
     spec = power_spectrum(trace, freqs=freqs, tail_fit=fit)
-    meta = dict(spec.metadata)
-    meta["nb"] = trace.normalization
+    meta = dict(spec.metadata, nb=trace.normalization, **_tail_meta(trace))
     if params.n_atoms >= 2:
         meta["omega_eff"] = effective_rabi(params, expect_spin_spin(ss))
     rows = [[w, v] for w, v in zip(spec.freqs, spec.values)]

@@ -7,20 +7,29 @@ exponentially ill-scaled in N, and without the similarity both sparse LU
 and the propagator silently lose accuracy beyond a few tens of atoms.
 Inputs and outputs always use the raw coefficient convention.
 
-Time evolution has one propagator, ``propagate_grid``, the truncated
-Taylor method of Al-Mohy & Higham (2011) with the norms that choose the
-Taylor degree taken once per grid. Grid points closer together than
-H_max = theta_55 / ||A||_1 share one Taylor run, whose terms are read at
-each of them (dense output); a longer gap is one step of its own.
-Readouts are linear functionals, so a run is read through its terms
-without forming the state at every point.
+Time evolution has one propagator, ``propagate`` (``propagate_grid``
+returns its values), the truncated Taylor method of Al-Mohy & Higham
+(2011) with the norms that choose the Taylor degree taken once per grid.
+Grid points closer together than H_max = theta_55 / ||A||_1 share one
+Taylor run, whose terms are read at each of them (dense output); a
+longer gap is one step of its own. Readouts are linear functionals, so a
+run is read through its terms without forming the state at every point.
+Late in a decay the state is one slow eigenmode. After each long step
+from t_k to t_k+1 = t_k + h, the walk compares the propagated state
+c(t_k+1) with e^(theta h) c(t_k), theta the Rayleigh quotient of c(t_k).
+Once they agree to a tolerance scaled by h over the span still ahead,
+and Re theta < 0, every later point is read in closed form as c(t_k+1)
+e^(theta (t - t_k+1)) (analytic tail). A rotating, growing or
+still-mixing state fails the test and is propagated as before.
 
 Every steady state, whatever the sector size, takes one sparse LU of the
 trace-bordered Liouvillian B. Its factors give the solution, and, through
 the pencil (B, P) with P the projector that drops the bordered row, the
 charge-0 spectral gap that certifies uniqueness. There is no dense or
 iterative fallback: a singular or degenerate sector raises
-:class:`DegenerateSteadyStateError`.
+:class:`DegenerateSteadyStateError`, and a state that breaks a bound every
+density matrix keeps (0 <= nb <= M, |sz| <= 1, spsm >= -(1 + sz) / (2 (N -
+1))) raises :class:`PrecisionLossError`.
 """
 
 from __future__ import annotations
@@ -32,7 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .liouvillian import Superoperator, basis_scaling, trace_functional
+from .liouvillian import (Superoperator, basis_scaling, diagonal_functional,
+                          number_functional, trace_functional)
 from .symbasis import BasisElement, SectorBasis
 
 
@@ -42,6 +52,10 @@ class SolverError(RuntimeError):
 
 class DegenerateSteadyStateError(SolverError):
     """The Liouvillian null space is not one-dimensional."""
+
+
+class PrecisionLossError(SolverError):
+    """A computed state breaks a bound that holds for every density matrix."""
 
 
 @dataclass
@@ -99,6 +113,8 @@ _FMAX_SLACK = 1.0 + 2.0 ** -40
 #: condition (3.13) with l = 2 estimator columns and one vector: below
 #: this ||h A||_1 the degree choice needs no estimate of ||A^p||_1
 _NORM_ONLY_BOUND = 2 * 2 * _P_MAX * (_P_MAX + 3) * _THETA[_M_MAX] / _M_MAX
+#: relative error allowed over the whole analytic tail of ``propagate``
+_TAIL_TOL = 1e-12
 
 
 class _TaylorStepper:
@@ -214,8 +230,31 @@ class _TaylorStepper:
         return np.asarray(rows), f
 
 
+@dataclass
+class Propagation:
+    """Values of one ``propagate`` walk and how its late tail was read.
+
+    ``tail_delay`` is the grid delay after which every later point was read
+    in closed form from the state there, as v e^(tail_eigenvalue (t -
+    tail_delay)); both are None when the walk propagated to the last point.
+    """
+
+    values: np.ndarray
+    tail_delay: Optional[float] = None
+    tail_eigenvalue: Optional[complex] = None
+
+
 def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
                    observe: Optional[np.ndarray] = None) -> np.ndarray:
+    """Apply exp(L t) c0 on an increasing time grid starting from t = 0.
+
+    The values of :func:`propagate`; see there.
+    """
+    return propagate(L, c0, times, observe).values
+
+
+def propagate(L, c0: np.ndarray, times: Sequence[float],
+              observe: Optional[np.ndarray] = None) -> Propagation:
     """Apply exp(L t) c0 on an increasing time grid starting from t = 0.
 
     ``L`` is a :class:`Superoperator` (propagated in the scaled basis) or
@@ -230,7 +269,18 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
       state starts the next run (dense output, Al-Mohy & Higham, section
       5). A run takes s = 1 and no norm estimate, and each read point has
       ||tau A||_1 <= theta_m for the degree m the run used;
-    - a gap longer than H_max is one step of s sub-steps.
+    - a gap longer than H_max is one step of s sub-steps, from t_k to
+      t_k+1 = t_k + h. Before it, theta = c^H mat c / c^H c, the Rayleigh
+      quotient of the state c(t_k), costs one mat-vec. If Re theta < 0 and
+      the propagated state is the one-mode prediction to within
+
+          ||c(t_k+1) - e^(theta h) c(t_k)|| <= tol ||c(t_k+1)|| h / (T - t_k+1)
+
+      (T the last grid delay, tol = :data:`_TAIL_TOL`), the state is one
+      decaying eigenvector to that accuracy over the whole remaining
+      span: the walk stops, and every later point t is read in closed
+      form as c(t_k+1) e^(theta (t - t_k+1)) (analytic tail). A rotating
+      or growing state fails the test and keeps propagating.
 
     Results do not depend on numpy's global RNG, which is left as it
     was. A state or read value that is not finite raises
@@ -279,9 +329,13 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
         # computes it, so the run takes s = 1
         end = i + int(np.searchsorted((times[i:] - t_prev) * stepper.norm1,
                                       _THETA[_M_MAX], side="right")) - 1
+        theta = None
         if end < i:
-            end = i
-            c = stepper.step(c, times[i] - t_prev)
+            end, h = i, times[i] - t_prev
+            if end + 1 < len(times) and c.any():
+                theta = stepper.mu + np.vdot(c, stepper.A @ c) / np.vdot(c, c)
+                before = c
+            c = stepper.step(c, h)
         else:
             h = times[end] - t_prev
             rows, c = stepper.run(c, h)
@@ -301,7 +355,13 @@ def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
                               f"delay t = {times[end]:g}")
         out[end] = read(c)
         i, t_prev = end + 1, times[end]
-    return out
+        if (theta is not None and theta.real < 0.0
+                and np.linalg.norm(c - np.exp(theta * h) * before)
+                <= _TAIL_TOL * np.linalg.norm(c) * h / (times[-1] - t_prev)):
+            out[i:] = np.multiply.outer(np.exp(theta * (times[i:] - t_prev)),
+                                        out[end])
+            return Propagation(out, float(t_prev), complex(theta))
+    return Propagation(out)
 
 
 @dataclass
@@ -416,7 +476,11 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
       and uniqueness needs it above null_tol = max(tol ||L||_1,
       1e-12 max(||L||_1, 1)); otherwise
       :class:`DegenerateSteadyStateError` reports the gap and null_tol,
-      whose ratio is the uniqueness margin.
+      whose ratio is the uniqueness margin;
+    - the state must keep the bounds every density matrix keeps, 0 <= nb
+      <= M, |sz| <= 1 and spsm >= -(1 + sz) / (2 (N - 1)); a state that
+      breaks one has lost precision in the solve, and
+      :class:`PrecisionLossError` names the observable and the bound.
     """
     sector = L.sector
     if sector.delta_n != 0:
@@ -453,4 +517,38 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
     if abs(tr) < 1e-10 * tr_mass:
         raise DegenerateSteadyStateError("null vector is traceless")
     y = y / tr
-    return SymmetricState(sector=sector, coeffs=y / d)
+    state = SymmetricState(sector=sector, coeffs=y / d)
+    _check_physical_range(state)
+    return state
+
+
+#: rounding allowance of the physical-range gate, far above the rounding
+#: of a certified solve and far below a lost digit of an observable
+_RANGE_SLACK = 1e-9
+
+
+def _check_physical_range(state: SymmetricState) -> None:
+    """Raise :class:`PrecisionLossError` unless 0 <= nb <= M, |sz| <= 1 and
+    spsm >= -(1 + sz) / (2 (N - 1)), each within :data:`_RANGE_SLACK`.
+
+    The bounds hold for every density matrix (the last is <S^+ S^-> =
+    N (1 + sz) / 2 + N (N - 1) spsm >= 0), so a steady state that breaks
+    one has lost its accuracy in the solve; the readouts are those of
+    ``observables.expect_*``.
+    """
+    sector, c = state.sector, state.coeffs
+    N, M = sector.n_atoms, sector.photon_cutoff
+    nb = (number_functional(sector) @ c).real
+    sz = (diagonal_functional(sector, (0, 0, 1)) @ c / N).real
+    bounds = [("nb", nb, 0.0, float(M)), ("sz", sz, -1.0, 1.0)]
+    if N >= 2:
+        spsm = (diagonal_functional(sector, (1, 1, 0)) @ c
+                / (4.0 * N * (N - 1))).real
+        bounds.append(("spsm", spsm, -(1.0 + sz) / (2.0 * (N - 1)), np.inf))
+    for name, value, lo, hi in bounds:
+        if not lo - _RANGE_SLACK <= value <= hi + _RANGE_SLACK:
+            bound = (f"{name} >= {lo:.6g}" if hi == np.inf
+                     else f"{lo:g} <= {name} <= {hi:g}")
+            raise PrecisionLossError(
+                f"steady state breaks the physical bound {bound}: "
+                f"{name} = {value:.6g} (N = {N}, M = {M})")

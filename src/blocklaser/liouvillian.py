@@ -92,6 +92,15 @@ def trace_functional(sector: SectorBasis) -> np.ndarray:
     return diagonal_functional(sector, (0, 0, 0))
 
 
+def number_functional(sector: SectorBasis) -> np.ndarray:
+    """Row vector n with <a^+ a> = n . c: weights P_{m+1} + m P_m at the
+    elements (0,0,0,m,m), with P_{M+1} = 0."""
+    pm = photon_trace_weights(sector.photon_cutoff)
+    m = np.arange(len(pm))
+    return diagonal_functional(sector, (0, 0, 0),
+                               np.append(pm[1:], 0.0) + m * pm)
+
+
 def _photon_hs_norm(p: int, q: int, cutoff: int) -> float:
     """Hilbert-Schmidt norm of (a^+)^p a^q on the truncated photon space."""
     total = 0.0

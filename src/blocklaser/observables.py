@@ -24,9 +24,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import SolverError, SymmetricState, propagate_grid
+from .dynamics import SolverError, SymmetricState, propagate, propagate_grid
 from .liouvillian import (chain_matrix, diagonal_functional, liouvillian_for,
-                          photon_trace_weights, trace_functional)
+                          number_functional, trace_functional)
 from .model import ModelParams
 from .symbasis import SectorBasis, enumerate_sector
 
@@ -49,11 +49,20 @@ class PoorFitError(SolverError):
 
 @dataclass
 class CorrelationTrace:
-    """Samples of a normalized correlation function on a time grid."""
+    """Samples of a normalized correlation function on a time grid.
+
+    ``tail_delay`` and ``tail_eigenvalue`` say how the trace was obtained:
+    past ``tail_delay`` its values are the closed-form one-mode tail
+    value(tail_delay) e^(tail_eigenvalue (t - tail_delay)) of
+    :func:`blocklaser.dynamics.propagate`; both are None when every delay
+    was propagated.
+    """
 
     times: np.ndarray
     values: np.ndarray
     normalization: float   # the equal-time denominator that was divided out
+    tail_delay: Optional[float] = None
+    tail_eigenvalue: Optional[complex] = None
 
 
 @dataclass
@@ -74,15 +83,6 @@ class LinewidthFit:
     rate_stderr: float
     log_residual_rms: float
     window: Tuple[float, float]
-
-
-def number_functional(sector: SectorBasis) -> np.ndarray:
-    """Row vector n with <a^+ a> = n . c: weights P_{m+1} + m P_m at the
-    elements (0,0,0,m,m), with P_{M+1} = 0."""
-    pm = photon_trace_weights(sector.photon_cutoff)
-    m = np.arange(len(pm))
-    return diagonal_functional(sector, (0, 0, 0),
-                               np.append(pm[1:], 0.0) + m * pm)
 
 
 def expect_sigma_z(state: SymmetricState) -> float:
@@ -118,7 +118,8 @@ def g1_trace(params: ModelParams, steady: SymmetricState,
 
     The seed a . rho_ss lives one U(1) charge below the steady state; it is
     evolved with that sector's Liouvillian and paired with a^+ under the
-    trace at every delay.
+    trace at every delay, up to the analytic tail of
+    :func:`blocklaser.dynamics.propagate`, which the trace records.
     """
     nb = expect_photon_number(steady)
     if nb <= 1e-14:
@@ -129,10 +130,11 @@ def g1_trace(params: ModelParams, steady: SymmetricState,
     c0 = seed @ steady.coeffs
     pairing = _adag_trace_pairing(enumerate_sector(N, M, dn - 1))
     L1 = liouvillian_for(params, dn - 1)
-    values = propagate_grid(L1, c0, times, observe=pairing)
+    walk = propagate(L1, c0, times, observe=pairing)
     return CorrelationTrace(times=np.asarray(times, dtype=float),
-                            values=values / nb,
-                            normalization=nb)
+                            values=walk.values / nb,
+                            normalization=nb, tail_delay=walk.tail_delay,
+                            tail_eigenvalue=walk.tail_eigenvalue)
 
 
 def g2_trace(params: ModelParams, steady: SymmetricState,

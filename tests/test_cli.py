@@ -132,6 +132,30 @@ def test_identical_g1_runs_with_geometric_tail_are_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_g1_runs_with_an_analytic_tail_are_bit_identical(tmp_path):
+    # the correlation benchmark's fig2b point at N = 24: its tail turns
+    # into the closed-form one-mode decay, and the header says where
+    args = ["g1", "--preset", "fig2b", "--n", "24", "--g", repr(24 ** -0.5)]
+    out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+    np.random.seed(1)
+    assert main(args + ["--out", str(out1)]) == 0
+    np.random.seed(2)
+    assert main(args + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    meta, _, rows = read_table(out1)
+    delay = float(meta["analytic_tail_delay"])
+    eigenvalue = complex(meta["analytic_tail_eigenvalue"])
+    assert 50.0 < delay < 1500.0 and eigenvalue.real < 0.0
+    assert rows[-1, 0] == 1500.0
+    # a dense-only trace is propagated to its last delay
+    out3 = tmp_path / "r3.csv"
+    assert main(args + ["--t-max", "40.0", "--t-dense", "40.0",
+                        "--n-tail", "0", "--out", str(out3)]) == 0
+    meta, _, _ = read_table(out3)
+    assert meta["analytic_tail_delay"] == "None"
+    assert meta["analytic_tail_eigenvalue"] == "None"
+
+
 def test_invalid_sweep_range_is_config_error(tmp_path):
     rc = main(["sweep", "--n", "8", "--m", "1", "--g", "0.4",
                "--w-min", "2.0", "--w-max", "1.0", "--w-steps", "4",
@@ -181,6 +205,7 @@ def test_g1_g2_and_spectrum_outputs(tmp_path):
     area = np.trapezoid(rows[:, 1], rows[:, 0])
     assert area == pytest.approx(1.0, abs=0.1)
     assert "omega_eff" in meta
+    assert meta["analytic_tail_delay"] == "None"   # a dense-only trace
 
 
 def test_header_echoes_fit_window_only_where_read(tmp_path):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,14 +10,18 @@ from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         correlation_times, liouvillian_for, trace_functional,
                         initial_mixed_state, propagate_grid, steady_state,
                         slow_eigenmode, expect_photon_number, expect_sigma_z,
-                        expect_spin_spin)
+                        expect_spin_spin, g1_trace)
 from blocklaser import dynamics
-from blocklaser.dynamics import (DegenerateSteadyStateError, SolverError,
+from blocklaser.cli import main
+from blocklaser.dynamics import (DegenerateSteadyStateError,
+                                 PrecisionLossError, SolverError,
                                  SymmetricState)
+from blocklaser.liouvillian import chain_matrix, diagonal_functional
+from blocklaser.observables import _adag_trace_pairing
 from blocklaser.symbasis import BasisElement
 from blocklaser.oracle import (build_full_liouvillian, lift_state,
                                oracle_expectations, oracle_steady_state)
-from blocklaser.model import random_params
+from blocklaser.model import coupling_from_kappa_tilde, random_params
 
 
 def test_mixed_state_normalization():
@@ -205,20 +212,22 @@ def test_linear_readout_equals_trajectory_pairing(case):
     assert np.all(np.abs(observed - traj @ ell) <= 1e-13 * scale)
 
 
+def _count_calls(monkeypatch, owner, name):
+    """A list that gains one entry per call of ``owner.name``."""
+    calls, fn = [], getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
 def test_dense_grid_takes_one_run_per_longest_step(monkeypatch):
-    calls, runs, steps = [], [], []
-    onenormest = spla.onenormest
-    run, step = dynamics._TaylorStepper.run, dynamics._TaylorStepper.step
-
-    def count(log, fn):
-        def wrapped(*args, **kwargs):
-            log.append(1)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(spla, "onenormest", count(calls, onenormest))
-    monkeypatch.setattr(dynamics._TaylorStepper, "run", count(runs, run))
-    monkeypatch.setattr(dynamics._TaylorStepper, "step", count(steps, step))
+    calls = _count_calls(monkeypatch, spla, "onenormest")
+    runs = _count_calls(monkeypatch, dynamics._TaylorStepper, "run")
+    steps = _count_calls(monkeypatch, dynamics._TaylorStepper, "step")
     L, mat, d, c0, _ = _propagation_case("sector N=24 charge -1")
     times = correlation_times(0.02, 50.0)
     assert len(times) == 2501
@@ -254,19 +263,19 @@ def test_propagate_grid_rejects_callable_observe():
 
 
 def test_norm_estimates_run_once_per_grid(monkeypatch):
-    calls = []
-    onenormest = spla.onenormest
-
-    def count(*args, **kwargs):
-        calls.append(1)
-        return onenormest(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "onenormest", count)
+    calls = _count_calls(monkeypatch, spla, "onenormest")
     L = liouvillian_for(ModelParams(6, 1, 0.45, 1.0, 0.25), -1)
     c0 = np.ones(len(L.sector), dtype=complex)
+    # 40 tail points put several gaps that need ||A^p||_1 estimates (the
+    # ratio 1.19 makes them longer than _NORM_ONLY_BOUND / ||A||_1 from
+    # t ~ 57 on) before the state is one mode and the tail turns analytic
     times = np.concatenate([np.linspace(0.0, 2.0, 11),
-                            np.geomspace(5.0, 5000.0, 120)])
-    propagate_grid(L, c0, times)
+                            np.geomspace(5.0, 5000.0, 40)])
+    walk = dynamics.propagate(L, c0, times)
+    stepper = dynamics._TaylorStepper(dynamics._scaled(L)[0])
+    estimated = (np.diff(times) * stepper.norm1 > dynamics._NORM_ONLY_BOUND)
+    assert walk.tail_delay is not None
+    assert np.count_nonzero(estimated & (times[1:] <= walk.tail_delay)) >= 3
     assert 0 < len(calls) <= 8
     calls.clear()
     propagate_grid(L, c0, times[:11])   # short gaps: ||h A||_1 suffices
@@ -289,7 +298,7 @@ def test_propagate_grid_rejects_non_finite_times_and_states():
                            [0.0, 0.5, 1.0, 1.5], observe=observe)
 
 
-def test_propagate_grid_is_independent_of_global_rng():
+def test_propagate_grid_is_independent_of_global_rng(monkeypatch):
     L = liouvillian_for(ModelParams(6, 1, 0.45, 1.0, 0.25), 0)
     c0 = initial_mixed_state(L.sector).coeffs
     times = np.concatenate([np.linspace(0.0, 2.0, 11),
@@ -301,8 +310,10 @@ def test_propagate_grid_is_independent_of_global_rng():
     spla.expm_multiply(mat * 500.0, c0 * d)
     assert not np.array_equal(np.random.get_state()[1], before)
 
+    calls = _count_calls(monkeypatch, spla, "onenormest")
     np.random.seed(1)
     first = propagate_grid(L, c0, times)
+    assert calls
     np.random.seed(2)
     state = np.random.get_state()
     second = propagate_grid(L, c0, times)
@@ -463,3 +474,135 @@ def test_slow_eigenmode_matches_dense_spectrum(rng):
         assert again.condition == mode.condition
     with pytest.raises(ValueError):
         slow_eigenmode(liouvillian_for(random_params(rng, 4, 1), 0))
+
+
+def _expm_multiply_chain(mat, c, times):
+    """exp(mat t) c at each t of an increasing grid, one expm_multiply
+    call per delay from the previous one."""
+    out, t_prev = [], 0.0
+    for t in times:
+        c = spla.expm_multiply(mat * (t - t_prev), c)
+        out.append(c)
+        t_prev = t
+    return np.asarray(out)
+
+
+def test_fig2b_point_analytic_tail_matches_expm_multiply():
+    # the correlation benchmark's point: fig2b scaled to N = 24
+    N = 24
+    p = ModelParams(N, 1, N ** -0.5, 1.0, 2.0 / N)
+    ss = steady_state(liouvillian_for(p, 0))
+    times = correlation_times(0.02, 50.0, 1500.0, 120)
+    trace = g1_trace(p, ss, times)
+    assert 50.0 < trace.tail_delay < 1500.0
+    assert trace.tail_eigenvalue.real < 0.0
+    late = times > trace.tail_delay
+    assert late.sum() >= 10 and times[late][-1] == 1500.0
+    # the same g1 by expm_multiply of the scaled charge -1 matrix
+    mat, d = dynamics._scaled(liouvillian_for(p, -1))
+    seed = chain_matrix(((1.0, ("a_left",)),), N, 1, 0, -1)
+    pairing = _adag_trace_pairing(enumerate_sector(N, 1, -1)) / d
+    states = _expm_multiply_chain(mat, (seed @ ss.coeffs) * d,
+                                  np.append(trace.tail_delay, times[late]))
+    exact = states @ pairing / trace.normalization
+    assert abs(exact[0] - trace.values[~late][-1]) <= 1e-12
+    assert np.abs(exact[1:] - trace.values[late]).max() <= 1e-12
+    # each read point is the one-mode value from the last propagated one
+    one_mode = trace.values[~late][-1] * np.exp(
+        trace.tail_eigenvalue * (times[late] - trace.tail_delay))
+    assert np.abs(trace.values[late] - one_mode).max() <= 1e-15
+
+
+def _slow_pair_generator(rotation):
+    """A 6 x 6 generator: a slow pair -0.01 +- i rotation (a damped
+    rotation block, or two real modes -0.01 and -0.1 at rotation 0), a
+    fast non-normal block, and a weak coupling from the fast block."""
+    slow = (np.array([[-0.01, rotation], [-rotation, -0.01]]) if rotation
+            else np.diag([-0.01, -0.1]))
+    fast = np.array([[-1.0, 0.7, 0.0, 0.0], [0.0, -1.3, 0.4, 0.0],
+                     [0.0, 0.0, -2.0, 0.5], [0.0, 0.0, 0.0, -2.6]])
+    mat = np.zeros((6, 6))
+    mat[:2, :2], mat[2:, 2:] = slow, fast
+    mat[:2, 2:] = 0.05
+    return sp.csr_matrix(mat)
+
+
+@pytest.mark.parametrize("rotation", [0.3, 0.0])
+def test_slow_complex_pair_never_projects(rotation):
+    mat = _slow_pair_generator(rotation)
+    rng = np.random.default_rng(3)
+    c0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    times = np.concatenate([np.linspace(0.0, 2.0, 21),
+                            np.geomspace(5.0, 2000.0, 60)])
+    walk = dynamics.propagate(mat, c0, times)
+    ref = _expm_multiply_chain(mat, c0, times)
+    assert np.abs(walk.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    if rotation:
+        # two modes of one decay rate beat forever: no one-mode tail
+        assert walk.tail_delay is None and walk.tail_eigenvalue is None
+    else:
+        # the same generator with a real slow pair does turn analytic
+        assert walk.tail_delay < 2000.0
+        assert walk.tail_eigenvalue == pytest.approx(-0.01, abs=1e-12)
+
+
+def test_growing_generator_raises_where_it_overflows():
+    # Re theta > 0 keeps the walk propagating, so the growing mode
+    # e^(0.5 t) overflows and raises at the first delay past
+    # log(max float) / 0.5 = 1419.6
+    mat = sp.csr_matrix(np.array([[-1.0, 0.3], [0.0, 0.5]]))
+    times = np.concatenate([np.linspace(0.0, 2.0, 5),
+                            np.geomspace(10.0, 5000.0, 25)])
+    first = times[times > np.log(np.finfo(float).max) / 0.5][0]
+    with pytest.raises(SolverError, match=f"t = {first:g}$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        dynamics.propagate(mat, [1.0 + 0j, 1.0 + 0j], times)
+
+
+def _workloads_module():
+    """perfbench/workloads.py, the benchmark's seeded inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_steady_state_out_of_physical_range_raises():
+    # N = 150 past the N ~ 140 onset of precision loss: the bordered solve
+    # passes its residual and gap checks but returns nb = -0.17
+    N = 150
+    p = ModelParams(N, 1, coupling_from_kappa_tilde(N, 1.0, 0.25), 1.0,
+                    4.0 / N)
+    with pytest.raises(PrecisionLossError, match=r"0 <= nb <= 1: nb = -0\.17"):
+        steady_state(liouvillian_for(p, 0))
+
+
+def test_physical_range_gate_passes_preset_and_benchmark_points(tmp_path):
+    # the fig2a-numeric preset (N = 100, 40 pumps) through the CLI
+    out = tmp_path / "sweep.csv"
+    assert main(["--preset", "fig2a-numeric", "--out", str(out)]) == 0
+    table = [line for line in out.read_text().splitlines()
+             if not line.startswith("#")]
+    assert len(table) == 1 + 40
+    # the seed-1 pump-sweep and correlation points of the benchmark
+    workloads = _workloads_module()
+    for name in ("pump-sweep", "correlation"):
+        for one_pass in workloads.make_inputs(name, 1):
+            for op in one_pass:
+                ss = steady_state(liouvillian_for(op["params"], 0))
+                assert 0.0 < expect_photon_number(ss) < 1.0
+
+
+def test_physical_range_gate_names_each_bound():
+    L = liouvillian_for(ModelParams(4, 1, 0.5, 1.0, 0.4), 0)
+    ss = steady_state(L)
+    sz_row = diagonal_functional(L.sector, (0, 0, 1))
+    spsm_row = diagonal_functional(L.sector, (1, 1, 0))
+    for row, scale, message in ((sz_row, 4.0 * 1.5, "-1 <= sz <= 1"),
+                                (spsm_row, -4.0 * 4 * 3, "spsm >= -")):
+        k = np.flatnonzero(row)[0]
+        bad = ss.coeffs.copy()
+        bad[k] += scale / row[k]
+        with pytest.raises(PrecisionLossError, match=message):
+            dynamics._check_physical_range(SymmetricState(L.sector, bad))
