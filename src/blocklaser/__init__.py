@@ -12,8 +12,8 @@ from .liouvillian import (Superoperator, build_liouvillian, liouvillian_for,
                           photon_trace_weights, trace_functional)
 from .dynamics import (DegenerateSteadyStateError, PrecisionLossError,
                        Propagation, SlowMode, SolverError, SymmetricState,
-                       initial_mixed_state, propagate, propagate_grid,
-                       slow_eigenmode, steady_state)
+                       initial_mixed_state, propagate, slow_eigenmode,
+                       steady_state)
 from .observables import (CorrelationTrace, LinewidthFit, PoorFitError,
                           Spectrum, correlation_times, effective_rabi,
                           expect_photon_number, expect_sigma_z,
@@ -30,7 +30,7 @@ __all__ = [
     "BasisElement", "SectorBasis", "enumerate_sector", "sector_dimension",
     "Superoperator", "build_liouvillian", "liouvillian_for",
     "photon_trace_weights", "trace_functional",
-    "SymmetricState", "initial_mixed_state", "propagate", "propagate_grid",
+    "SymmetricState", "initial_mixed_state", "propagate",
     "Propagation", "steady_state", "SlowMode", "slow_eigenmode",
     "SolverError", "DegenerateSteadyStateError", "PrecisionLossError",
     "CorrelationTrace", "Spectrum", "LinewidthFit", "PoorFitError",

@@ -458,7 +458,8 @@ def _cmd_g2(cfg: Dict) -> int:
     times = _trace_grid(cfg)
     trace = g2_trace(params, _symmetric_steady(params), times)
     rows = [[t, float(v)] for t, v in zip(trace.times, trace.values)]
-    _write_table(cfg, ["t", "g2"], rows, {"nb_squared": trace.normalization})
+    meta = {"nb_squared": trace.normalization, **_tail_meta(trace)}
+    _write_table(cfg, ["t", "g2"], rows, meta)
     return 0
 
 

@@ -7,9 +7,10 @@ exponentially ill-scaled in N, and without the similarity both sparse LU
 and the propagator silently lose accuracy beyond a few tens of atoms.
 Inputs and outputs always use the raw coefficient convention.
 
-Time evolution has one propagator, ``propagate`` (``propagate_grid``
-returns its values), the truncated Taylor method of Al-Mohy & Higham
-(2011) with the norms that choose the Taylor degree taken once per grid.
+Time evolution has one propagator, ``propagate``, the truncated Taylor
+method of Al-Mohy & Higham (2011) with the norms that choose the Taylor
+degree taken once per grid. It returns a :class:`Propagation`: the
+values on the grid and where, if anywhere, its analytic tail began.
 Grid points closer together than H_max = theta_55 / ||A||_1 share one
 Taylor run, whose terms are read at each of them (dense output); a
 longer gap is one step of its own. Readouts are linear functionals, so a
@@ -55,7 +56,7 @@ class DegenerateSteadyStateError(SolverError):
 
 
 class PrecisionLossError(SolverError):
-    """A computed state breaks a bound that holds for every density matrix."""
+    """A computed result breaks a bound that every physical answer keeps."""
 
 
 @dataclass
@@ -244,15 +245,6 @@ class Propagation:
     tail_eigenvalue: Optional[complex] = None
 
 
-def propagate_grid(L, c0: np.ndarray, times: Sequence[float],
-                   observe: Optional[np.ndarray] = None) -> np.ndarray:
-    """Apply exp(L t) c0 on an increasing time grid starting from t = 0.
-
-    The values of :func:`propagate`; see there.
-    """
-    return propagate(L, c0, times, observe).values
-
-
 def propagate(L, c0: np.ndarray, times: Sequence[float],
               observe: Optional[np.ndarray] = None) -> Propagation:
     """Apply exp(L t) c0 on an increasing time grid starting from t = 0.
@@ -285,8 +277,11 @@ def propagate(L, c0: np.ndarray, times: Sequence[float],
     Results do not depend on numpy's global RNG, which is left as it
     was. A state or read value that is not finite raises
     :class:`SolverError` naming its delay. ``observe``, if given, is a
-    row vector l in the raw coefficient convention, and l . c(t) is
-    returned for each t; otherwise the trajectory (len(times), dim) is.
+    row vector l in the raw coefficient convention, and the returned
+    :class:`Propagation` holds l . c(t) for each t in ``values``;
+    otherwise ``values`` is the trajectory (len(times), dim). Its
+    ``tail_delay`` and ``tail_eigenvalue`` say where the analytic tail
+    began.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -397,6 +392,9 @@ def slow_eigenmode(L: Superoperator) -> SlowMode:
     serves both the right and the left (adjoint) iteration, and both
     start from a fixed vector, so repeated calls agree bit for bit. The
     charge-0 sector is rejected: its zero eigenvalue is the steady state.
+    A shifted sector of a physical generator decays, so an eigenvalue with
+    Re lambda > 0 has lost its accuracy and raises
+    :class:`PrecisionLossError` with its first-order error bound.
     """
     if L.sector.delta_n == 0:
         raise ValueError("slow modes are sought in shifted sectors; "
@@ -414,9 +412,15 @@ def slow_eigenmode(L: Superoperator) -> SlowMode:
     j = int(np.argmin(np.abs(1.0 / mu_l - np.conj(vals[i]))))
     r, l = vecs[:, i], lvecs[:, j]
     condition = np.linalg.norm(l) * np.linalg.norm(r) / abs(np.vdot(l, r))
-    return SlowMode(eigenvalue=complex(vals[i]), eigenvalues=vals,
+    mode = SlowMode(eigenvalue=complex(vals[i]), eigenvalues=vals,
                     condition=float(condition),
                     norm1=float(spla.norm(mat, 1)))
+    if mode.eigenvalue.real > 0.0:
+        raise PrecisionLossError(
+            f"slow eigenvalue {mode.eigenvalue:.3e} has Re lambda > 0 "
+            f"(error bound {mode.error_bound:.2g}, sector dimension "
+            f"{mat.shape[0]})")
+    return mode
 
 
 def _bordered(mat: sp.spmatrix, t_scaled: np.ndarray, row: int) -> sp.csc_matrix:

@@ -254,11 +254,8 @@ def build_liouvillian(params: ModelParams, sector: SectorBasis) -> Superoperator
     return Superoperator(sector=sector, matrix=total.tocsr())
 
 
-@lru_cache(maxsize=32)
 def liouvillian_for(params: ModelParams, delta_n: int) -> Superoperator:
-    """Cached Liouvillian on the delta_n sector of ``params``.
-
-    The returned object is shared; treat it as immutable.
-    """
+    """Liouvillian on the delta_n sector of ``params``, summed from the
+    cached sector and unit parts."""
     sector = enumerate_sector(params.n_atoms, params.photon_cutoff, delta_n)
     return build_liouvillian(params, sector)

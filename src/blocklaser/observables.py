@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import SolverError, SymmetricState, propagate, propagate_grid
+from .dynamics import SolverError, SymmetricState, propagate
 from .liouvillian import (chain_matrix, diagonal_functional, liouvillian_for,
                           number_functional, trace_functional)
 from .model import ModelParams
@@ -142,7 +142,9 @@ def g2_trace(params: ModelParams, steady: SymmetricState,
     """Intensity correlation g2(t) = <a^+(0) a^+(t) a(t) a(0)> / <a^+ a>^2.
 
     The seed a . rho_ss . a^+ keeps the U(1) charge, so the evolution stays
-    in the steady state's own sector and the readout is the photon number.
+    in the steady state's own sector and the readout is the photon number,
+    up to the analytic tail of :func:`blocklaser.dynamics.propagate`, which
+    the trace records.
     """
     nb = expect_photon_number(steady)
     if nb <= 1e-14:
@@ -152,10 +154,11 @@ def g2_trace(params: ModelParams, steady: SymmetricState,
     seed = chain_matrix(((1.0, ("a_left", "adag_right")),), N, M, dn, dn)
     c0 = seed @ steady.coeffs
     L0 = liouvillian_for(params, dn)
-    values = propagate_grid(L0, c0, times, observe=number_functional(sector))
+    walk = propagate(L0, c0, times, observe=number_functional(sector))
     return CorrelationTrace(times=np.asarray(times, dtype=float),
-                            values=values.real / nb ** 2,
-                            normalization=nb ** 2)
+                            values=walk.values.real / nb ** 2,
+                            normalization=nb ** 2, tail_delay=walk.tail_delay,
+                            tail_eigenvalue=walk.tail_eigenvalue)
 
 
 def effective_rabi(params: ModelParams, spin_spin: float) -> float:

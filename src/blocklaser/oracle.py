@@ -13,7 +13,7 @@ operators and cached. Like ``site_operators``, the cached parts are
 shared and must not be modified; ``build_full_liouvillian`` always
 returns a new matrix. The module imports nothing from
 ``blocklaser.liouvillian`` or ``blocklaser.opkernels`` (it shares only
-the propagator and the error types of ``dynamics``), so it stays an
+the propagator and ``SolverError`` of ``dynamics``), so it stays an
 independent check of the sector generators.
 
 ``lift_element`` expands a symmetric basis element into its explicit
@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dynamics import DegenerateSteadyStateError, SolverError, propagate_grid
+from .dynamics import SolverError, propagate
 from .model import ModelParams, validate
 from .symbasis import BasisElement, is_legal
 
@@ -207,49 +207,34 @@ def lift_state(state) -> np.ndarray:
     return rho
 
 
-def oracle_steady_state(params: ModelParams, method: str = "solve") -> np.ndarray:
+def oracle_steady_state(params: ModelParams) -> np.ndarray:
     """Unique steady density matrix of the full master equation.
 
-    ``method='solve'`` replaces one trace-redundant row of the vectorized
-    generator with the trace row and solves the sparse system; a solution
-    that is not finite, or whose residual ||L v|| exceeds
-    1e-9 ||L||_1 ||v||, raises :class:`SolverError` (there is no fallback).
-    ``method='eig'`` extracts the null vector from a dense
-    eigendecomposition instead, asserting that the zero eigenvalue is
-    isolated from the rest of the spectrum by a documented gap (an
-    explicit cross-check at very small dimensions).
+    One trace-redundant row of the vectorized generator is replaced by the
+    trace row and the sparse system is solved. A solution that is not
+    finite, or whose residual ||L v|| exceeds 1e-9 ||L||_1 ||v||, raises
+    :class:`SolverError`; there is no fallback.
     """
     L = build_full_liouvillian(params)
     dim = int(round(math.sqrt(L.shape[0])))
-    if method == "eig":
-        w, v = np.linalg.eig(L.toarray())
-        order = np.argsort(np.abs(w))
-        scale = max(np.abs(w).max(), 1e-300)
-        if np.abs(w[order[0]]) > 1e-10 * scale:
-            raise SolverError(f"no zero mode: |lambda_min| = {np.abs(w[order[0]]):.3e}")
-        if np.abs(w[order[1]]) < 1e-6 * scale:
-            raise DegenerateSteadyStateError(
-                f"zero mode not isolated: |lambda_2| = {np.abs(w[order[1]]):.3e}")
-        vec = v[:, order[0]]
-    else:
-        trace_idx = np.arange(dim) * dim + np.arange(dim)
-        coo = L.tocoo()
-        keep = coo.row != 0
-        rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
-        cols = np.concatenate([coo.col[keep], trace_idx])
-        vals = np.concatenate([coo.data[keep], np.ones(dim, dtype=complex)])
-        bordered = sp.csc_matrix((vals, (rows, cols)), shape=L.shape)
-        rhs = np.zeros(L.shape[0], dtype=complex)
-        rhs[0] = 1.0
-        vec = spla.spsolve(bordered, rhs)
-        if not np.all(np.isfinite(vec)):  # SuperLU: "exactly singular"
-            raise SolverError("oracle steady-state solve is not finite "
-                              "(singular bordered matrix)")
-        resid = np.linalg.norm(L @ vec)
-        bound = 1e-9 * max(spla.norm(L, 1) * np.linalg.norm(vec), 1e-300)
-        if not resid <= bound:
-            raise SolverError(f"oracle steady-state residual {resid:.3e} "
-                              f"above tolerance {bound:.3e}")
+    trace_idx = np.arange(dim) * dim + np.arange(dim)
+    coo = L.tocoo()
+    keep = coo.row != 0
+    rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
+    cols = np.concatenate([coo.col[keep], trace_idx])
+    vals = np.concatenate([coo.data[keep], np.ones(dim, dtype=complex)])
+    bordered = sp.csc_matrix((vals, (rows, cols)), shape=L.shape)
+    rhs = np.zeros(L.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    vec = spla.spsolve(bordered, rhs)
+    if not np.all(np.isfinite(vec)):  # SuperLU: "exactly singular"
+        raise SolverError("oracle steady-state solve is not finite "
+                          "(singular bordered matrix)")
+    resid = np.linalg.norm(L @ vec)
+    bound = 1e-9 * max(spla.norm(L, 1) * np.linalg.norm(vec), 1e-300)
+    if not resid <= bound:
+        raise SolverError(f"oracle steady-state residual {resid:.3e} "
+                          f"above tolerance {bound:.3e}")
     rho = vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
@@ -296,7 +281,7 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
     seed = B @ rho_ss @ B.conj().T if sandwich else B @ rho_ss
     L = build_full_liouvillian(params)
     pairing = A.T.reshape(-1)  # Tr[A X] = vec(A^T) . vec(X), row-major
-    return propagate_grid(L, seed.reshape(-1), times, observe=pairing)
+    return propagate(L, seed.reshape(-1), times, observe=pairing).values
 
 
 def oracle_g1(params: ModelParams, times: Sequence[float],

@@ -191,9 +191,11 @@ def test_g1_g2_and_spectrum_outputs(tmp_path):
 
     g2_out = tmp_path / "g2.csv"
     assert main(["g2"] + common + ["--out", str(g2_out)]) == 0
-    _, columns, rows = read_table(g2_out)
+    meta, columns, rows = read_table(g2_out)
     assert columns == ["t", "g2"]
     assert abs(rows[0, 1]) < 1e-12
+    assert meta["analytic_tail_delay"] == "None"   # a dense-only trace
+    assert meta["analytic_tail_eigenvalue"] == "None"
 
     sp_out = tmp_path / "s.csv"
     assert main(["spectrum"] + common + ["--t-dense", "120.0",

@@ -1,6 +1,6 @@
 """Import rules of the package: only scipy's public API (so ``scipy>=1.10``
-holds), only the Liouvillian reads the kernel table, and a lean
-``import blocklaser``."""
+holds), only the Liouvillian reads the kernel table, a lean
+``import blocklaser``, and an ``__all__`` that matches its imports."""
 
 import ast
 import os
@@ -87,3 +87,15 @@ def test_import_loads_no_integrator_or_optimizer():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a deleted function cannot linger as an export: __all__ is the names
+    # __init__.py imports plus __version__, and each one resolves
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(blocklaser.__all__) == len(set(blocklaser.__all__))
+    assert set(blocklaser.__all__) == imported | {"__version__"}
+    for name in blocklaser.__all__:
+        assert hasattr(blocklaser, name), name

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
-                        liouvillian_for, photon_trace_weights, propagate_grid,
+                        liouvillian_for, photon_trace_weights, propagate,
                         trace_functional)
 from blocklaser import liouvillian
 from blocklaser.liouvillian import (DROP_TOL, _part_terms, _unit_parts,
@@ -143,7 +143,7 @@ def test_hermiticity_conjugation_commutes_with_evolution(rng):
     swap = [sector.index_of(type(e)(e.n_minus, e.n_plus, e.n_z, e.n_a, e.n_adag))
             for e in sector.elements]
     c = c + np.conj(c[swap])
-    out = propagate_grid(L, c, [1.3])[0]
+    out = propagate(L, c, [1.3]).values[0]
     sym_defect = np.abs(out - np.conj(out[swap])).max()
     assert sym_defect < 1e-10 * np.abs(out).max()
 
@@ -152,12 +152,6 @@ def test_sector_must_match_params():
     p = ModelParams(3, 1, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         build_liouvillian(p, enumerate_sector(2, 1, 0))
-
-
-def test_liouvillian_cache_returns_shared_object():
-    p = ModelParams(3, 1, 1.0, 1.0, 0.5)
-    assert liouvillian_for(p, 0) is liouvillian_for(p, 0)
-    assert liouvillian_for(p, -1) is not liouvillian_for(p, 0)
 
 
 def test_one_sector_is_assembled_once(rng):

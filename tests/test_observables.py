@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocklaser import (ModelParams, enumerate_sector, liouvillian_for,
-                        trace_functional, initial_mixed_state, propagate_grid,
+                        trace_functional, initial_mixed_state, propagate,
                         steady_state, correlation_times, effective_rabi,
                         expect_photon_number, expect_sigma_z, expect_spin_spin,
                         fit_linewidth, g1_trace, g2_trace, power_spectrum)
@@ -27,7 +27,8 @@ def test_expectations_match_oracle_on_evolved_states(rng):
         p = random_params(rng, 3, cutoff)
         L = liouvillian_for(p, 0)
         c0 = initial_mixed_state(L.sector).coeffs
-        s = SymmetricState(L.sector, propagate_grid(L, c0, [2.0 / p.cavity_decay])[0])
+        s = SymmetricState(
+            L.sector, propagate(L, c0, [2.0 / p.cavity_decay]).values[0])
         rho = lift_state(s)
         ops = site_operators(3, cutoff)
         assert expect_sigma_z(s) == pytest.approx(

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from blocklaser import ModelParams, enumerate_sector, oracle, propagate_grid
-from blocklaser.dynamics import DegenerateSteadyStateError, SolverError
+from blocklaser import ModelParams, enumerate_sector, oracle, propagate
+from blocklaser.dynamics import SolverError
 from blocklaser.oracle import (DEFAULT_HILBERT_CAP, atom_swap,
                                build_full_liouvillian, full_hamiltonian,
                                hilbert_dim, lift_element, lift_state,
@@ -111,7 +111,7 @@ def test_detector_sees_sector_route_imports():
         "from .liouvillian import build_liouvillian\n"
         "from . import opkernels\n"
         "import blocklaser.opkernels as ok\n"
-        "from .dynamics import propagate_grid\n") == [
+        "from .dynamics import propagate\n") == [
         "blocklaser.liouvillian", "blocklaser.liouvillian.build_liouvillian",
         "blocklaser.opkernels", "blocklaser.opkernels"]
 
@@ -186,7 +186,7 @@ def test_density_matrix_stays_physical_along_evolution(rng):
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[1, 1] = 1.0
     L = build_full_liouvillian(p)
-    traj = propagate_grid(L, rho0.reshape(-1), np.linspace(0, 4.0, 9))
+    traj = propagate(L, rho0.reshape(-1), np.linspace(0, 4.0, 9)).values
     for vec in traj:
         rho = vec.reshape(dim, dim)
         assert np.abs(rho - rho.conj().T).max() < 1e-10
@@ -204,17 +204,26 @@ def test_two_time_equal_time_limits(rng):
     assert abs(oracle_g2(p, [0.0], rho_ss=rho)[0]) < 1e-12  # M = 1
 
 
+def _dense_null_state(params):
+    """Steady density matrix from a dense eigendecomposition of the full
+    generator: the eigenvector of its smallest |eigenvalue|, after checking
+    that this eigenvalue is zero and isolated from the rest."""
+    w, v = np.linalg.eig(build_full_liouvillian(params).toarray())
+    order = np.argsort(np.abs(w))
+    scale = np.abs(w).max()
+    assert np.abs(w[order[0]]) <= 1e-10 * scale
+    assert np.abs(w[order[1]]) >= 1e-6 * scale
+    dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
+    rho = v[:, order[0]].reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
 def test_eig_and_solve_steady_state_paths_agree(rng):
     p = random_params(rng, 2, 1)
-    r1 = oracle_steady_state(p, method="solve")
-    r2 = oracle_steady_state(p, method="eig")
+    r1 = oracle_steady_state(p)
+    r2 = _dense_null_state(p)
     assert np.abs(r1 - r2).max() < 1e-9
-
-
-def test_eig_path_reports_degeneracy():
-    p = ModelParams(2, 1, 0.0, 1.0, 0.0)  # frozen atoms
-    with pytest.raises(DegenerateSteadyStateError):
-        oracle_steady_state(p, method="eig")
 
 
 def test_singular_solve_raises_solver_error():
