@@ -472,14 +472,17 @@ def _cmd_spectrum(cfg: Dict) -> int:
     n_freqs = int(cfg["omega_points"])
     if n_freqs < 1:
         raise ConfigError(f"omega_points must be at least 1, got {n_freqs}")
+    if cfg["omega_max"] is None:   # a quarter of the grid's Nyquist frequency
+        omega_max = np.pi / (4.0 * np.min(np.diff(times)))
+    else:
+        omega_max = float(cfg["omega_max"])
+        if not (math.isfinite(omega_max) and omega_max > 0):
+            raise ConfigError(
+                f"omega_max must be positive and finite, got {omega_max!r}")
+    freqs = np.linspace(-omega_max, omega_max, n_freqs)
     ss = _symmetric_steady(params)
     trace = g1_trace(params, ss, times)
     fit = None if window is None else fit_linewidth(trace, window)
-    if cfg["omega_max"] is None:   # a quarter of the grid's Nyquist frequency
-        omega_max = np.pi / (4.0 * np.min(np.diff(trace.times)))
-    else:
-        omega_max = float(cfg["omega_max"])
-    freqs = np.linspace(-omega_max, omega_max, n_freqs)
     spec = power_spectrum(trace, freqs=freqs, tail_fit=fit)
     meta = dict(spec.metadata, nb=trace.normalization, **_tail_meta(trace))
     if params.n_atoms >= 2:

@@ -393,8 +393,9 @@ def slow_eigenmode(L: Superoperator) -> SlowMode:
     start from a fixed vector, so repeated calls agree bit for bit. The
     charge-0 sector is rejected: its zero eigenvalue is the steady state.
     A shifted sector of a physical generator decays, so an eigenvalue with
-    Re lambda > 0 has lost its accuracy and raises
-    :class:`PrecisionLossError` with its first-order error bound.
+    Re lambda > 0 has lost its accuracy, and one whose first-order error
+    bound reaches |Re lambda| has no certified sign or rate; both raise
+    :class:`PrecisionLossError` with the bound and the sector dimension.
     """
     if L.sector.delta_n == 0:
         raise ValueError("slow modes are sought in shifted sectors; "
@@ -420,6 +421,11 @@ def slow_eigenmode(L: Superoperator) -> SlowMode:
             f"slow eigenvalue {mode.eigenvalue:.3e} has Re lambda > 0 "
             f"(error bound {mode.error_bound:.2g}, sector dimension "
             f"{mat.shape[0]})")
+    if mode.error_bound >= -mode.eigenvalue.real:
+        raise PrecisionLossError(
+            f"slow eigenvalue {mode.eigenvalue:.3e} is within its error "
+            f"bound {mode.error_bound:.2g} of Re lambda = 0 (sector "
+            f"dimension {mat.shape[0]})")
     return mode
 
 

@@ -19,6 +19,7 @@ sector with a . rho_ss . a^+ and reads out the photon number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -30,10 +31,9 @@ from .liouvillian import (chain_matrix, diagonal_functional, liouvillian_for,
 from .model import ModelParams
 from .symbasis import SectorBasis, enumerate_sector
 
-#: frequency rows per block of power_spectrum's cos(w t) and sin(w t)
-#: matrices; at fig2b (2621 delays) a block's pair is 2.7 MB, the whole
-#: 4001-row pair 168 MB
-SPECTRUM_BLOCK = 64
+#: delays per chunk of power_spectrum's phase tables; at 4001 frequencies
+#: a chunk's two tables (64 + 63 rows) hold 0.5 MB
+SPECTRUM_BLOCK = 256
 
 #: largest log-residual rms that fit_linewidth accepts
 FIT_RESIDUAL_TOL = 1e-2
@@ -226,13 +226,28 @@ def power_spectrum(trace: CorrelationTrace, freqs: np.ndarray,
     into its Lorentzian of half-width rate/2 and only the residual is
     integrated numerically; the narrow coherent peak and the broad
     structure then never share one quadrature grid. Without a fit the
-    trace must itself have decayed below :data:`DECAY_FLOOR`. The
-    trapezoid rule is a weighted sum over the delays, taken as cos and sin
-    matrix-vector products ``SPECTRUM_BLOCK`` frequencies at a time.
+    trace must itself have decayed below :data:`DECAY_FLOOR`.
+
+    The trapezoid rule is a weighted sum over the delays t_k. ``freqs``
+    must be an evenly spaced band w_j = w_0 + j dw (a ``np.linspace``),
+    else :class:`ValueError`. Writing j = a B + b with B = ceil(sqrt(J))
+    factors the phase, e^{i w_j t} = e^{i w_b t} e^{i (w_(aB) - w_0) t},
+    so the sum is one product P diag(q r) Q^T of a B-row and an A-row
+    table of exponentials (A = ceil(J / B)), accumulated
+    :data:`SPECTRUM_BLOCK` delays at a time.
     """
     t = trace.times
     g = trace.values
     freqs = np.asarray(freqs, dtype=float)
+    n_freqs = len(freqs)
+    if not (n_freqs and np.all(np.isfinite(freqs))):
+        raise ValueError("freqs must be a non-empty band of finite frequencies")
+    rows = math.isqrt(n_freqs - 1) + 1                 # B = ceil(sqrt(J))
+    heads = freqs[::rows] - freqs[0]                   # w_(aB) - w_0
+    composed = (heads[:, None] + freqs[None, :rows]).ravel()[:n_freqs]
+    if (np.abs(composed - freqs).max()
+            > 8.0 * np.finfo(float).eps * np.abs(freqs).max()):
+        raise ValueError("freqs must be evenly spaced (np.linspace)")
 
     meta = {"window_length": float(t[-1])}
     if tail_fit is not None:
@@ -247,17 +262,18 @@ def power_spectrum(trace: CorrelationTrace, freqs: np.ndarray,
                 "supply a tail fit or extend the grid")
         residual = g
         lorentz = 0.0
-    # with trapezoid weights q: Re int r e^{iwt} dt
-    #   = cos(w t) @ (q Re r) - sin(w t) @ (q Im r)
+    # trapezoid weights q: Re int r e^{iwt} dt = Re sum_k e^{i w t_k} q_k r_k
     dt = np.diff(t)
     q = np.zeros(len(t))
     q[:-1] += 0.5 * dt
     q[1:] += 0.5 * dt
-    re, im = q * residual.real, q * residual.imag
-    numeric = np.empty(len(freqs))
-    for lo in range(0, len(freqs), SPECTRUM_BLOCK):
-        phase = np.outer(freqs[lo:lo + SPECTRUM_BLOCK], t)
-        numeric[lo:lo + SPECTRUM_BLOCK] = (np.cos(phase) @ re
-                                           - np.sin(phase) @ im)
+    weighted = q * residual
+    total = np.zeros((len(heads), rows), dtype=complex)
+    for lo in range(0, len(t), SPECTRUM_BLOCK):
+        chunk = t[lo:lo + SPECTRUM_BLOCK]
+        head = np.exp(1j * np.outer(heads, chunk))
+        head *= weighted[lo:lo + SPECTRUM_BLOCK]
+        total += head @ np.exp(1j * np.outer(chunk, freqs[:rows]))
+    numeric = total.real.ravel()[:n_freqs]
     values = lorentz + numeric / np.pi
     return Spectrum(freqs=freqs, values=values, metadata=meta)

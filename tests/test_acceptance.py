@@ -166,6 +166,23 @@ def test_criterion_3_mollow_triplet(fig2b):
     assert ok_pos and ok_width and ok_sym
 
 
+def test_fig2b_spectrum_matches_direct_phase_sum(fig2b):
+    # the factored phase against one cos and one sin per (frequency, delay),
+    # on every 8th frequency of the band (both ends and w = 0 among them)
+    trace, fit, spec = fig2b["trace"], fig2b["fit"], fig2b["spec"]
+    t, freqs = trace.times, spec.freqs[::8]
+    half = 0.5 * fit.rate
+    residual = trace.values - fit.amplitude * np.exp(-half * t)
+    q = np.zeros(len(t))   # trapezoid weights
+    q[:-1] += 0.5 * np.diff(t)
+    q[1:] += 0.5 * np.diff(t)
+    phase = np.outer(freqs, t)
+    direct = ((fit.amplitude / np.pi) * half / (half ** 2 + freqs ** 2)
+              + (np.cos(phase) @ (q * residual.real)
+                 - np.sin(phase) @ (q * residual.imag)) / np.pi)
+    assert np.abs(spec.values[::8] - direct).max() <= 1e-14 * direct.max()
+
+
 def test_criterion_4_central_peak_amplitude(fig2c):
     nb = expect_photon_number(fig2c["steady"])
     blockade_factor = 1.0 - 2.0 * nb

@@ -300,6 +300,10 @@ def test_half_given_option_pair_is_config_error(command, given, message,
     (["validate", "--draws", "0"], "draws must be at least 1"),
     (["spectrum", "--omega-points", "0"], "omega_points must be at least 1"),
     (["spectrum", "--t-dense", "0"], "spectrum needs at least two delays"),
+    (["spectrum", "--omega-max", "nan"], "omega_max must be positive"),
+    (["spectrum", "--omega-max", "0"], "omega_max must be positive"),
+    (["spectrum", "--omega-max", "-2"], "omega_max must be positive"),
+    (["spectrum", "--omega-max", "inf"], "omega_max must be positive"),
 ])
 def test_invalid_grid_or_draw_count_is_config_error(argv, message, capsys):
     # raised before any solve instead of a traceback from the numerics

@@ -490,6 +490,20 @@ def test_slow_eigenmode_raises_on_growing_mode():
         slow_eigenmode(grown)
 
 
+def test_slow_eigenmode_raises_within_its_error_bound_of_zero():
+    # shifting the slowest eigenvalue (-0.093) to half its first-order
+    # error bound below zero leaves no certified sign or rate
+    L = liouvillian_for(ModelParams(6, 1, 0.45, 1.0, 0.25), -1)
+    mode = slow_eigenmode(L)
+    assert mode.error_bound < 1e-12
+    shift = -mode.eigenvalue.real - 0.5 * mode.error_bound
+    near = Superoperator(L.sector, (L.matrix + shift * sp.identity(
+        len(L.sector), format="csr")).tocsr())
+    with pytest.raises(PrecisionLossError,
+                       match=r"within its error bound .*sector dimension 49"):
+        slow_eigenmode(near)
+
+
 def _expm_multiply_chain(mat, c, times):
     """exp(mat t) c at each t of an increasing grid, one expm_multiply
     call per delay from the previous one."""

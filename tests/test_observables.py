@@ -196,10 +196,54 @@ def test_spectrum_blocks_match_the_whole_phase_matrix(rng):
     whole = (np.cos(phase) @ (q * residual.real)
              - np.sin(phase) @ (q * residual.imag))
     spec = power_spectrum(trace, freqs=freqs, tail_fit=fit)
-    assert np.array_equal(spec.values, lorentz + whole / np.pi)
+    assert (np.abs(spec.values - (lorentz + whole / np.pi)).max()
+            <= 1e-14 * np.abs(whole).max())
     # the weighted sum is the trapezoid rule of exp(i w t) r(t)
     quad = trapezoid(np.exp(1j * phase) * residual[None, :], t, axis=1).real
     assert np.abs(whole - quad).max() <= 1e-14 * np.abs(quad).max()
+
+
+def _direct_spectrum(t, values, freqs):
+    """(1/pi) Re of the trapezoid sum of exp(i w t) g(t), one cos and one
+    sin per (frequency, delay)."""
+    q = np.zeros(len(t))
+    q[:-1] += 0.5 * np.diff(t)
+    q[1:] += 0.5 * np.diff(t)
+    phase = np.outer(freqs, t)
+    return (np.cos(phase) @ (q * values.real)
+            - np.sin(phase) @ (q * values.imag)) / np.pi
+
+
+@pytest.mark.parametrize("n_freqs", [1, 2, 3, 7, 209, 4001])
+def test_factored_phase_matches_direct_sum(n_freqs, rng):
+    # J = 3, 7, 209 and 4001 leave the last row of the A x B layout
+    # partial; the delays fill three chunks and part of a fourth
+    from blocklaser.observables import SPECTRUM_BLOCK
+    t = np.concatenate([np.linspace(0.0, 40.0, 3 * SPECTRUM_BLOCK + 32),
+                        np.geomspace(41.0, 300.0, 9)])
+    assert len(t) % SPECTRUM_BLOCK != 0
+    values = (np.exp((-0.3 + 0.9j) * t) + 0.05 * rng.random(len(t))
+              * np.exp(-0.2 * t))
+    trace = CorrelationTrace(times=t, values=values, normalization=1.0)
+    freqs = np.linspace(-4.0, 3.0, n_freqs)
+    spec = power_spectrum(trace, freqs=freqs)
+    direct = _direct_spectrum(t, values, freqs)
+    assert np.abs(spec.values - direct).max() <= 1e-14 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("freqs", [
+    np.array([-1.0, 0.0, 0.5, 1.0]),
+    np.concatenate([np.linspace(-2.0, 0.0, 50), np.linspace(0.1, 2.0, 50)]),
+    np.geomspace(0.1, 10.0, 40),
+    np.array([0.0, np.nan, 1.0]),
+    np.array([-np.inf, 0.0, np.inf]),
+    np.array([]),
+])
+def test_spectrum_rejects_uneven_or_non_finite_freqs(freqs):
+    t = np.linspace(0.0, 30.0, 301)
+    trace = CorrelationTrace(times=t, values=np.exp(-t), normalization=1.0)
+    with pytest.raises(ValueError, match="freqs must be"):
+        power_spectrum(trace, freqs=freqs)
 
 
 def test_spectrum_requires_decayed_trace_or_fit():
