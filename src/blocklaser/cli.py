@@ -11,10 +11,14 @@ validate   cross-check the symmetric solver against the brute-force
            reference at small N and exit nonzero on disagreement
 
 Option resolution order: built-in defaults, then ``--preset``, then the
-``--config`` YAML file, then explicit flags. The effective value of every
-key the command reads (see ``READS``) is echoed into its output header,
-so outputs are reproducible and bit-identical across runs of the same
-build.
+``--config`` YAML file, then explicit flags. ``OPTIONS`` declares each
+key once (type or choices, default, domain, help); the flags and
+``DEFAULTS`` are derived from it, and the merged configuration is checked
+against it before any command runs, so a preset or file value of the
+wrong type, choice or domain is a configuration error like a bad flag.
+The typed value of every key the command reads (see ``READS``) is echoed
+into its output header, so outputs are reproducible and bit-identical
+across runs of the same build.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 validation failure.
@@ -36,7 +40,7 @@ from . import __version__
 from .cumulant import (closed_form_linewidth, closed_form_photon,
                        cumulant_steady)
 from .dynamics import SolverError, steady_state
-from .liouvillian import build_liouvillian, trace_functional
+from .liouvillian import liouvillian_for
 from .model import (ModelParams, coupling_from_kappa_tilde, random_params,
                     validate)
 from .observables import (PoorFitError, correlation_times, effective_rabi,
@@ -45,7 +49,6 @@ from .observables import (PoorFitError, correlation_times, effective_rabi,
                           power_spectrum)
 from .oracle import (DEFAULT_HILBERT_CAP, hilbert_dim, oracle_expectations,
                      oracle_g1, oracle_g2, oracle_steady_state)
-from .symbasis import enumerate_sector
 
 
 class ConfigError(ValueError):
@@ -58,37 +61,55 @@ class ValidationFailure(RuntimeError):
 
 COMMANDS = ("steady", "sweep", "g1", "g2", "spectrum", "cumulant", "validate")
 
-DEFAULTS: Dict = {
-    "n": 10,
-    "m": 1,
-    "g": None,
-    "kappa": 1.0,
-    "kappa_tilde": None,
-    "w": 0.5,
-    "w_unit": "rate",
-    "gamma": 0.0,
-    "gamma_d": 0.0,
-    "engine": "symmetric",
-    "w_min": None,
-    "w_max": None,
-    "w_steps": 20,
-    "w_scale": "linear",
-    "dt": 0.05,
-    "t_dense": 30.0,
-    "t_max": None,
-    "n_tail": 0,
-    "fit_t_min": None,
-    "fit_t_max": None,
-    "omega_max": None,
-    "omega_points": 2001,
-    "out": None,
-    "format": "csv",
-    "seed": 1,
-    "draws": 5,
-    "trace_points": 100,
-    "tol_obs": 1e-8,
-    "tol_trace": 1e-6,
+# domains: the phrase a rejection names and the test a value must pass
+_POSITIVE = ("positive and finite", lambda v: math.isfinite(v) and v > 0)
+_NON_NEGATIVE = ("non-negative and finite",
+                 lambda v: math.isfinite(v) and v >= 0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_NATURAL = ("non-negative", lambda v: v >= 0)
+
+#: every config key: type (or tuple of choices), default, domain, help;
+#: a default of None makes the key optional (null allowed)
+OPTIONS: Dict[str, tuple] = {
+    "n": (int, 10, _AT_LEAST_1, "number of atoms N"),
+    "m": (int, 1, _AT_LEAST_1, "photon cutoff M (1 = blockaded)"),
+    "g": (float, None, None, "atom-cavity coupling g"),
+    "kappa": (float, 1.0, None, "cavity decay rate kappa"),
+    "kappa_tilde": (float, None, None,
+                    "set g through kappa/(N g); conflicts with --g"),
+    "w": (float, 0.5, None, "pump rate (see --w-unit)"),
+    "w_unit": (("rate", "kappa-over-n", "cgamma", "ncgamma"), "rate", None,
+               "unit of --w/--w-min/--w-max: absolute rate, kappa/N, "
+               "g^2/kappa or N g^2/kappa"),
+    "gamma": (float, 0.0, None, "spontaneous emission rate"),
+    "gamma_d": (float, 0.0, None, "dephasing rate"),
+    "engine": (("symmetric", "cumulant", "cumulant-normal"), "symmetric", None,
+               "steady-state backend for steady/sweep/cumulant"),
+    "w_min": (float, None, None, "sweep: first pump value"),
+    "w_max": (float, None, None, "sweep: last pump value"),
+    "w_steps": (int, 20, _AT_LEAST_1, "sweep: number of pump values"),
+    "w_scale": (("linear", "log"), "linear", None, "sweep: pump spacing"),
+    "dt": (float, 0.05, _POSITIVE, "dense time-grid spacing"),
+    "t_dense": (float, 30.0, _NON_NEGATIVE, "end of the dense time grid"),
+    "t_max": (float, None, None, "end of the (geometric) tail grid"),
+    "n_tail": (int, 0, None, "tail grid points"),
+    "fit_t_min": (float, None, None, "start of the tail-fit window"),
+    "fit_t_max": (float, None, None, "end of the tail-fit window"),
+    "omega_max": (float, None, _POSITIVE,
+                  "spectrum half-band (default pi/(4 dt))"),
+    "omega_points": (int, 2001, _AT_LEAST_1, "spectrum frequency count"),
+    "out": (str, None, None, "output file (default stdout)"),
+    "format": (("csv", "structured"), "csv", None,
+               "csv with '#' metadata header, or a JSON document"),
+    "seed": (int, 1, _NATURAL, "seed for randomized validation"),
+    "draws": (int, 5, _AT_LEAST_1, "validate: random parameter draws"),
+    "trace_points": (int, 100, _AT_LEAST_1,
+                     "validate: points per correlation trace"),
+    "tol_obs": (float, 1e-8, _NON_NEGATIVE, "validate: observable tolerance"),
+    "tol_trace": (float, 1e-6, _NON_NEGATIVE, "validate: trace tolerance"),
 }
+
+DEFAULTS: Dict = {key: option[1] for key, option in OPTIONS.items()}
 
 # parameter sets of the bundled reference figures; kappa is the rate unit
 PRESETS: Dict[str, Dict] = {
@@ -142,48 +163,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH", help="YAML key/value config file")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named figure parameter set")
-    p.add_argument("--n", type=int, help="number of atoms N")
-    p.add_argument("--m", type=int, help="photon cutoff M (1 = blockaded)")
-    p.add_argument("--g", type=float, help="atom-cavity coupling g")
-    p.add_argument("--kappa", type=float, help="cavity decay rate kappa")
-    p.add_argument("--kappa-tilde", type=float, dest="kappa_tilde",
-                   help="set g through kappa/(N g); conflicts with --g")
-    p.add_argument("--w", type=float, help="pump rate (see --w-unit)")
-    p.add_argument("--w-unit", dest="w_unit",
-                   choices=("rate", "kappa-over-n", "cgamma", "ncgamma"),
-                   help="unit of --w/--w-min/--w-max: absolute rate, "
-                        "kappa/N, g^2/kappa or N g^2/kappa")
-    p.add_argument("--gamma", type=float, help="spontaneous emission rate")
-    p.add_argument("--gamma-d", type=float, dest="gamma_d", help="dephasing rate")
-    p.add_argument("--engine", choices=("symmetric", "cumulant", "cumulant-normal"),
-                   help="steady-state backend for steady/sweep/cumulant")
-    p.add_argument("--w-min", type=float, dest="w_min")
-    p.add_argument("--w-max", type=float, dest="w_max")
-    p.add_argument("--w-steps", type=int, dest="w_steps")
-    p.add_argument("--w-scale", choices=("linear", "log"), dest="w_scale")
-    p.add_argument("--dt", type=float, help="dense time-grid spacing")
-    p.add_argument("--t-dense", type=float, dest="t_dense",
-                   help="end of the dense time grid")
-    p.add_argument("--t-max", type=float, dest="t_max",
-                   help="end of the (geometric) tail grid")
-    p.add_argument("--n-tail", type=int, dest="n_tail", help="tail grid points")
-    p.add_argument("--fit-t-min", type=float, dest="fit_t_min")
-    p.add_argument("--fit-t-max", type=float, dest="fit_t_max")
-    p.add_argument("--omega-max", type=float, dest="omega_max")
-    p.add_argument("--omega-points", type=int, dest="omega_points")
-    p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "structured"),
-                   help="csv with '#' metadata header, or a JSON document")
-    p.add_argument("--seed", type=int, help="seed for randomized validation")
-    p.add_argument("--draws", type=int, help="validate: random parameter draws")
-    p.add_argument("--trace-points", type=int, dest="trace_points",
-                   help="validate: points per correlation trace")
-    p.add_argument("--tol-obs", type=float, dest="tol_obs",
-                   help="validate: observable tolerance")
-    p.add_argument("--tol-trace", type=float, dest="tol_trace",
-                   help="validate: trace tolerance")
+    for key, (kind, _, _, text) in OPTIONS.items():
+        typing = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=text,
+                       **typing)
     p.add_argument("--version", action="version", version=f"blocklaser {__version__}")
     return p
+
+
+_NOUNS = {int: "an integer", float: "a number", str: "a string"}
+# what each type accepts: a string wherever the flag's parser would take it
+# (YAML reads 1e-3 as one), never a bool, never a float for an int
+_ACCEPTS = {int: (str, int), float: (str, int, float), str: (str,)}
+
+
+def _checked(key: str, value):
+    """``value`` of config key ``key`` as its table type, or ConfigError
+    naming the key and the value if the type, choices or domain reject it."""
+    kind, default, domain, _ = OPTIONS[key]
+    if value is None and default is None:
+        return None
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}, "
+                              f"got {value!r}")
+        return value
+    typed = None
+    if isinstance(value, _ACCEPTS[kind]) and not isinstance(value, bool):
+        try:
+            typed = kind(value)
+        except (ValueError, OverflowError):
+            pass
+    if typed is None:
+        raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
+    if domain is not None and not domain[1](typed):
+        raise ConfigError(f"{key} must be {domain[0]}, got {typed!r}")
+    return typed
 
 
 def _load_config_file(path: str) -> Dict:
@@ -207,7 +222,8 @@ def _load_config_file(path: str) -> Dict:
 
 
 def resolve_config(argv: Sequence[str]) -> Dict:
-    """Merge defaults, preset, config file and explicit flags."""
+    """Merge defaults, preset, config file and explicit flags, and check
+    every key's type, choices and domain against ``OPTIONS``."""
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
     cfg = dict(DEFAULTS)
@@ -234,27 +250,28 @@ def resolve_config(argv: Sequence[str]) -> Dict:
     cfg["preset"] = preset_name
     if cfg.get("command") not in COMMANDS:
         raise ConfigError("no command given (positional argument, preset or config)")
+    for key in OPTIONS:
+        cfg[key] = _checked(key, cfg[key])
     return cfg
 
 
 def _params_from_config(cfg: Dict, w_override: Optional[float] = None) -> ModelParams:
-    n, m = int(cfg["n"]), int(cfg["m"])
-    kappa = float(cfg["kappa"])
-    g = cfg.get("g")
+    n, kappa, g = cfg["n"], cfg["kappa"], cfg.get("g")
     if cfg.get("kappa_tilde") is not None:
         if g is not None:
             raise ConfigError("give either g or kappa_tilde, not both")
-        g = coupling_from_kappa_tilde(n, kappa, float(cfg["kappa_tilde"]))
+        try:
+            g = coupling_from_kappa_tilde(n, kappa, cfg["kappa_tilde"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if g is None:
         raise ConfigError("coupling g is required (or kappa_tilde)")
-    g = float(g)
-    w_raw = float(cfg["w"]) if w_override is None else float(w_override)
+    w_raw = cfg["w"] if w_override is None else float(w_override)
     w = _convert_pump(w_raw, cfg["w_unit"], n, g, kappa)
     try:
         return validate(ModelParams(
-            n_atoms=n, photon_cutoff=m, coupling=g, cavity_decay=kappa,
-            pump=w, spont_emission=float(cfg["gamma"]),
-            dephasing=float(cfg["gamma_d"])))
+            n_atoms=n, photon_cutoff=cfg["m"], coupling=g, cavity_decay=kappa,
+            pump=w, spont_emission=cfg["gamma"], dephasing=cfg["gamma_d"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -266,9 +283,7 @@ def _convert_pump(value: float, unit: str, n: int, g: float, kappa: float) -> fl
         return value * kappa / n
     if unit == "cgamma":
         return value * g * g / kappa
-    if unit == "ncgamma":
-        return value * n * g * g / kappa
-    raise ConfigError(f"unknown pump unit {unit!r}")
+    return value * n * g * g / kappa   # ncgamma
 
 
 def _coerce(value):
@@ -351,9 +366,7 @@ def _write_table(cfg: Dict, columns: List[str], rows: List[List],
 
 
 def _symmetric_steady(params: ModelParams):
-    sector = enumerate_sector(params.n_atoms, params.photon_cutoff, 0)
-    return steady_state(build_liouvillian(params, sector),
-                        trace_functional(sector))
+    return steady_state(liouvillian_for(params, 0))
 
 
 STEADY_COLUMNS = ["w", "w_tilde", "nb", "spsm", "sz"]
@@ -381,9 +394,9 @@ def _cmd_steady(cfg: Dict) -> int:
 def _sweep_values(cfg: Dict) -> np.ndarray:
     if cfg["w_min"] is None or cfg["w_max"] is None:
         raise ConfigError("sweep needs w_min and w_max")
-    lo, hi, steps = float(cfg["w_min"]), float(cfg["w_max"]), int(cfg["w_steps"])
-    if steps < 1 or hi <= lo:
-        raise ConfigError("sweep range must be non-empty and increasing")
+    lo, hi, steps = cfg["w_min"], cfg["w_max"], cfg["w_steps"]
+    if hi <= lo:
+        raise ConfigError("sweep range must be increasing (w_max > w_min)")
     if cfg["w_scale"] == "log":
         if lo <= 0:
             raise ConfigError("log sweep needs positive w_min")
@@ -399,14 +412,7 @@ def _cmd_sweep(cfg: Dict) -> int:
 
 
 def _trace_grid(cfg: Dict) -> np.ndarray:
-    dt, t_dense = float(cfg["dt"]), float(cfg["t_dense"])
-    n_tail = int(cfg["n_tail"])
-    t_max = None if cfg["t_max"] is None else float(cfg["t_max"])
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigError(f"dt must be positive and finite, got {dt!r}")
-    if not (math.isfinite(t_dense) and t_dense >= 0):
-        raise ConfigError(
-            f"t_dense must be non-negative and finite, got {t_dense!r}")
+    dt, t_dense, t_max, n_tail = (cfg[k] for k in _GRID_KEYS)
     if n_tail > 0 and (t_max is None or t_max <= t_dense):
         raise ConfigError("n_tail needs t_max beyond t_dense")
     if n_tail <= 0 and t_max is not None and t_max > t_dense:
@@ -422,7 +428,7 @@ def _fit_window(cfg: Dict):
         raise ConfigError("fit_t_min needs fit_t_max")
     if lo is None and hi is not None:
         raise ConfigError("fit_t_max needs fit_t_min")
-    return None if lo is None else (float(lo), float(hi))
+    return None if lo is None else (lo, hi)
 
 
 def _tail_meta(trace) -> Dict:
@@ -469,17 +475,10 @@ def _cmd_spectrum(cfg: Dict) -> int:
     if len(times) < 2:
         raise ConfigError("spectrum needs at least two delays; "
                           "raise t_dense or lower dt")
-    n_freqs = int(cfg["omega_points"])
-    if n_freqs < 1:
-        raise ConfigError(f"omega_points must be at least 1, got {n_freqs}")
-    if cfg["omega_max"] is None:   # a quarter of the grid's Nyquist frequency
+    omega_max = cfg["omega_max"]
+    if omega_max is None:   # a quarter of the grid's Nyquist frequency
         omega_max = np.pi / (4.0 * np.min(np.diff(times)))
-    else:
-        omega_max = float(cfg["omega_max"])
-        if not (math.isfinite(omega_max) and omega_max > 0):
-            raise ConfigError(
-                f"omega_max must be positive and finite, got {omega_max!r}")
-    freqs = np.linspace(-omega_max, omega_max, n_freqs)
+    freqs = np.linspace(-omega_max, omega_max, cfg["omega_points"])
     ss = _symmetric_steady(params)
     trace = g1_trace(params, ss, times)
     fit = None if window is None else fit_linewidth(trace, window)
@@ -547,15 +546,15 @@ def validation_report(n: int, m: int, seed: int, draws: int,
 
 
 def _cmd_validate(cfg: Dict) -> int:
-    rows = validation_report(int(cfg["n"]), int(cfg["m"]), int(cfg["seed"]),
-                             int(cfg["draws"]), int(cfg["trace_points"]))
+    rows = validation_report(cfg["n"], cfg["m"], cfg["seed"], cfg["draws"],
+                             cfg["trace_points"])
     table = [[r["draw"], r["d_obs"], r["d_g1"], r["d_g2"]] for r in rows]
     worst_obs = max(r["d_obs"] for r in rows)
     worst_trace = max(max(r["d_g1"], r["d_g2"]) for r in rows)
     meta = {"max_observable_deviation": worst_obs,
             "max_trace_deviation": worst_trace}
     _write_table(cfg, ["draw", "d_obs", "d_g1", "d_g2"], table, meta)
-    if worst_obs > float(cfg["tol_obs"]) or worst_trace > float(cfg["tol_trace"]):
+    if worst_obs > cfg["tol_obs"] or worst_trace > cfg["tol_trace"]:
         raise ValidationFailure(
             f"max observable deviation {worst_obs:.3e} (tol {cfg['tol_obs']}), "
             f"max trace deviation {worst_trace:.3e} (tol {cfg['tol_trace']})")

@@ -365,12 +365,10 @@ class SlowMode:
 
     ``condition`` is ||l|| ||r|| / |l^H r| from the left and right
     eigenvectors and ``norm1`` the 1-norm of the matrix, both in the
-    norm-scaled basis where the numerics run; ``eigenvalues`` holds every
-    eigenvalue the shift-invert iteration returned.
+    norm-scaled basis where the numerics run.
     """
 
     eigenvalue: complex
-    eigenvalues: np.ndarray
     condition: float
     norm1: float
 
@@ -413,8 +411,7 @@ def slow_eigenmode(L: Superoperator) -> SlowMode:
     j = int(np.argmin(np.abs(1.0 / mu_l - np.conj(vals[i]))))
     r, l = vecs[:, i], lvecs[:, j]
     condition = np.linalg.norm(l) * np.linalg.norm(r) / abs(np.vdot(l, r))
-    mode = SlowMode(eigenvalue=complex(vals[i]), eigenvalues=vals,
-                    condition=float(condition),
+    mode = SlowMode(eigenvalue=complex(vals[i]), condition=float(condition),
                     norm1=float(spla.norm(mat, 1)))
     if mode.eigenvalue.real > 0.0:
         raise PrecisionLossError(

@@ -56,6 +56,61 @@ def test_unknown_config_key_rejected(tmp_path):
             resolve_config(["--config", str(cfg_file)])
 
 
+@pytest.mark.parametrize("key,value", [
+    ("engine", "symetric"), ("format", "jsn"), ("w_scale", "logg"),
+    ("w_unit", "kelvin"), ("dt", "abc"), ("omega_max", "abc"), ("n", "3.7"),
+    ("n", "true"), ("n", "null"), ("draws", "2.5"),
+])
+def test_config_file_value_outside_its_type_is_config_error(key, value,
+                                                            tmp_path, capsys):
+    # checked like a flag before any command runs, instead of being echoed
+    # and run as something else, truncated or ending in a traceback
+    cfg = {"command": "steady", "n": "3", "g": "0.5", key: value}
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text("".join(f"{k}: {v}\n" for k, v in cfg.items()))
+    assert main(["--config", str(cfg_file),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("n", "0"), ("m", "0"), ("seed", "-1"),
+                                       ("tol_obs", "nan")])
+def test_validate_flag_outside_its_domain_exits_before_solving(key, value,
+                                                               monkeypatch,
+                                                               capsys):
+    def solve(cfg):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", solve)
+    flag = "--" + key.replace("_", "-")
+    assert main(["validate", "--draws", "1", flag, value]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
+def test_config_file_values_are_typed_like_flags(tmp_path):
+    # YAML reads 1e-3 as a string and 1 as an int; both take the flag's type
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text("command: validate\ntol_obs: 1e-3\n")
+    cfg = resolve_config(["--config", str(cfg_file)])
+    assert cfg["tol_obs"] == 0.001 and type(cfg["tol_obs"]) is float
+    out = tmp_path / "steady.csv"
+    cfg_file.write_text("command: steady\nn: 3\ng: 0.5\nkappa: 1\n")
+    assert main(["--config", str(cfg_file), "--out", str(out)]) == 0
+    meta, _, _ = read_table(out)
+    assert meta["kappa"] == "1.0"
+
+
+def test_presets_and_table_agree():
+    for preset in cli.PRESETS.values():
+        for key, value in preset.items():
+            if key == "command":
+                assert value in cli.COMMANDS
+            else:
+                assert cli._checked(key, value) == value
+    read = set().union(*cli.READS.values()) | {"out", "format"}
+    assert set(cli.OPTIONS) <= read
+
+
 def test_nested_config_mapping_is_config_error(tmp_path, capsys):
     cfg_file = tmp_path / "run.yaml"
     cfg_file.write_text("command: sweep\nw:\n  min: 0.1\n  max: 1.0\n")
@@ -165,6 +220,13 @@ def test_invalid_sweep_range_is_config_error(tmp_path):
 
 def test_missing_coupling_is_config_error():
     assert main(["steady", "--n", "4", "--m", "1", "--w", "0.2"]) == 2
+
+
+@pytest.mark.parametrize("given", [["--kappa-tilde", "-1"],
+                                   ["--kappa-tilde", "0.3", "--kappa", "0"]])
+def test_kappa_tilde_outside_its_range_is_config_error(given, capsys):
+    assert main(["steady", "--n", "4", "--w", "0.2"] + given) == 2
+    assert "kappa, kappa_tilde must be positive" in capsys.readouterr().err
 
 
 def test_conflicting_coupling_flags():
