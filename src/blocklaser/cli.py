@@ -65,6 +65,7 @@ COMMANDS = ("steady", "sweep", "g1", "g2", "spectrum", "cumulant", "validate")
 _POSITIVE = ("positive and finite", lambda v: math.isfinite(v) and v > 0)
 _NON_NEGATIVE = ("non-negative and finite",
                  lambda v: math.isfinite(v) and v >= 0)
+_FINITE = ("finite", math.isfinite)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 _NATURAL = ("non-negative", lambda v: v >= 0)
 
@@ -85,8 +86,8 @@ OPTIONS: Dict[str, tuple] = {
     "gamma_d": (float, 0.0, None, "dephasing rate"),
     "engine": (("symmetric", "cumulant", "cumulant-normal"), "symmetric", None,
                "steady-state backend for steady/sweep/cumulant"),
-    "w_min": (float, None, None, "sweep: first pump value"),
-    "w_max": (float, None, None, "sweep: last pump value"),
+    "w_min": (float, None, _FINITE, "sweep: first pump value"),
+    "w_max": (float, None, _FINITE, "sweep: last pump value"),
     "w_steps": (int, 20, _AT_LEAST_1, "sweep: number of pump values"),
     "w_scale": (("linear", "log"), "linear", None, "sweep: pump spacing"),
     "dt": (float, 0.05, _POSITIVE, "dense time-grid spacing"),

@@ -16,6 +16,17 @@ returns a new matrix. The module imports nothing from
 the propagator and ``SolverError`` of ``dynamics``), so it stays an
 independent check of the sector generators.
 
+The numerics run in the photon gauge: with D = i^(n_ph) on the Hilbert
+space, rho -> D rho D^+ is the similarity kron(D, conj D) on flattened
+density matrices. It takes a to -i a and a^+ to i a^+, so i[rho, H] and
+every dissipator become real, and the cached unit parts are kept in that
+real form. ``oracle_steady_state`` factors a real bordered matrix, and
+``oracle_two_time`` walks the real generator with a seed and a readout
+that are real up to a power of i, so the propagator runs in float64.
+Multiplying by a power of i is exact, so the gauge changes no value by
+more than the rounding of the real arithmetic; ``build_full_liouvillian``
+still returns the physical complex generator.
+
 ``lift_element`` expands a symmetric basis element into its explicit
 matrix, which lets tests compare kernel and Liouvillian actions entry by
 entry against literal operator products.
@@ -104,24 +115,53 @@ def _dissipator(c: sp.spmatrix, dim: int) -> sp.csr_matrix:
             - 0.5 * sp.kron(eye, cdc.T, format="csr"))
 
 
+#: i^k for k = 0, 1, 2, 3
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+@lru_cache(maxsize=16)
+def _photon_gauge(n_atoms: int, cutoff: int) -> np.ndarray:
+    """Diagonal of kron(D, conj D), D = i^(n_ph) on the Hilbert space.
+
+    Entry r dim + c of a flattened density matrix takes the phase
+    i^(n_r - n_c), n the photon number of Hilbert index r or c. Cached;
+    callers must not modify it.
+    """
+    n = np.tile(np.arange(cutoff + 1), 2 ** n_atoms)
+    return _I_POWERS[(n[:, None] - n[None, :]) % 4].reshape(-1)
+
+
+def _conjugated(mat: sp.csr_matrix, phase: np.ndarray) -> sp.csr_matrix:
+    """diag(phase) mat diag(phase)^-1 for phases that are powers of i:
+    every entry is multiplied by a power of i, which is exact."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    data = mat.data * (phase[rows] * phase.conj()[mat.indices])
+    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+
+
 @lru_cache(maxsize=16)
 def _full_unit_parts(n_atoms: int, cutoff: int) -> Dict[str, sp.csr_matrix]:
-    """Unit-rate superoperators of the five master-equation parts.
+    """Unit-rate superoperators of the five master-equation parts, in the
+    photon gauge, where each is real.
 
     Each is built from the explicit per-atom operators: the commutator
     i[rho, H_1], D[a], sum_j D[s_j^+], sum_j D[s_j^-] and
-    (1/4) sum_j D[s_j^z]. Cached per (n_atoms, cutoff); callers must not
-    modify them.
+    (1/4) sum_j D[s_j^z], and then conjugated by kron(D, conj D) (see
+    ``_photon_gauge``). D a D^+ = -i a makes i[rho, H_1] real, and D[a]
+    keeps a rho a^+; a part with an imaginary entry left raises
+    AssertionError. Cached per (n_atoms, cutoff); callers must not modify
+    them.
     """
     ops = site_operators(n_atoms, cutoff)
     dim = hilbert_dim(n_atoms, cutoff)
     eye = sp.identity(dim, format="csr")
     H = _unit_hamiltonian(n_atoms, cutoff)
+    phase = _photon_gauge(n_atoms, cutoff)
 
     def summed(label):
         return sum(_dissipator(c, dim) for c in ops[label])
 
-    return {
+    parts = {
         # i[rho, H] = i rho H - i H rho
         "hamiltonian": 1j * (sp.kron(eye, H.T, format="csr")
                              - sp.kron(H, eye, format="csr")),
@@ -130,11 +170,21 @@ def _full_unit_parts(n_atoms: int, cutoff: int) -> Dict[str, sp.csr_matrix]:
         "spont": summed("sm"),
         "deph": 0.25 * summed("sz"),
     }
+    real = {}
+    for name, part in parts.items():
+        gauged = _conjugated(part, phase)
+        if gauged.data.imag.any():
+            raise AssertionError(f"gauged {name} part is not real")
+        real[name] = sp.csr_matrix(
+            (gauged.data.real.copy(), gauged.indices, gauged.indptr),
+            shape=gauged.shape)
+    return real
 
 
-def build_full_liouvillian(params: ModelParams) -> sp.csr_matrix:
-    """Vectorized master-equation generator on the full space, the
-    rate-weighted sum of the cached unit parts (zero rates skipped)."""
+def _gauged_liouvillian(params: ModelParams) -> sp.csr_matrix:
+    """Real generator kron(D, conj D) L kron(D, conj D)^-1 on the full
+    space, the rate-weighted sum of the cached gauged unit parts (zero
+    rates skipped)."""
     validate(params)
     dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
     if dim > DEFAULT_HILBERT_CAP:
@@ -148,11 +198,19 @@ def build_full_liouvillian(params: ModelParams) -> sp.csr_matrix:
         "spont": params.spont_emission,
         "deph": params.dephasing,
     }
-    L = sp.csr_matrix((dim * dim,) * 2, dtype=complex)
+    L = sp.csr_matrix((dim * dim,) * 2)
     for name, rate in rates.items():
         if rate != 0.0:
             L = L + rate * unit[name]
     return L.tocsr()
+
+
+def build_full_liouvillian(params: ModelParams) -> sp.csr_matrix:
+    """Vectorized master-equation generator on the full space: the gauged
+    sum of ``_gauged_liouvillian`` conjugated back to the physical,
+    complex generator."""
+    phase = _photon_gauge(params.n_atoms, params.photon_cutoff)
+    return _conjugated(_gauged_liouvillian(params), phase.conj())
 
 
 def lift_element(e: BasisElement, n_atoms: int, cutoff: int) -> np.ndarray:
@@ -210,21 +268,23 @@ def lift_state(state) -> np.ndarray:
 def oracle_steady_state(params: ModelParams) -> np.ndarray:
     """Unique steady density matrix of the full master equation.
 
-    One trace-redundant row of the vectorized generator is replaced by the
-    trace row and the sparse system is solved. A solution that is not
+    One trace-redundant row of the real gauged generator (see
+    ``_gauged_liouvillian``) is replaced by the trace row and the real
+    sparse system is solved; the solution is taken out of the gauge
+    afterwards. A solution that is not
     finite, or whose residual ||L v|| exceeds 1e-9 ||L||_1 ||v||, raises
     :class:`SolverError`; there is no fallback.
     """
-    L = build_full_liouvillian(params)
+    L = _gauged_liouvillian(params)
     dim = int(round(math.sqrt(L.shape[0])))
     trace_idx = np.arange(dim) * dim + np.arange(dim)
     coo = L.tocoo()
     keep = coo.row != 0
     rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
     cols = np.concatenate([coo.col[keep], trace_idx])
-    vals = np.concatenate([coo.data[keep], np.ones(dim, dtype=complex)])
+    vals = np.concatenate([coo.data[keep], np.ones(dim)])
     bordered = sp.csc_matrix((vals, (rows, cols)), shape=L.shape)
-    rhs = np.zeros(L.shape[0], dtype=complex)
+    rhs = np.zeros(L.shape[0])
     rhs[0] = 1.0
     vec = spla.spsolve(bordered, rhs)
     if not np.all(np.isfinite(vec)):  # SuperLU: "exactly singular"
@@ -235,7 +295,9 @@ def oracle_steady_state(params: ModelParams) -> np.ndarray:
     if not resid <= bound:
         raise SolverError(f"oracle steady-state residual {resid:.3e} "
                           f"above tolerance {bound:.3e}")
-    rho = vec.reshape(dim, dim)
+    # out of the gauge, which keeps the trace row and the residual norm
+    phase = _photon_gauge(params.n_atoms, params.photon_cutoff)
+    rho = (vec * phase.conj()).reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     _check_density_matrix(rho)
@@ -279,9 +341,11 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
     if rho_ss is None:
         rho_ss = oracle_steady_state(params)
     seed = B @ rho_ss @ B.conj().T if sandwich else B @ rho_ss
-    L = build_full_liouvillian(params)
     pairing = A.T.reshape(-1)  # Tr[A X] = vec(A^T) . vec(X), row-major
-    return propagate(L, seed.reshape(-1), times, observe=pairing).values
+    # in the photon gauge, where seed and pairing are real up to a power of i
+    phase = _photon_gauge(params.n_atoms, params.photon_cutoff)
+    return propagate(_gauged_liouvillian(params), seed.reshape(-1) * phase,
+                     times, observe=pairing * phase.conj()).values
 
 
 def oracle_g1(params: ModelParams, times: Sequence[float],

@@ -218,6 +218,24 @@ def test_invalid_sweep_range_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key,value", [("w_min", "nan"), ("w_max", "nan"),
+                                       ("w_max", "inf"), ("w_min", "-inf")])
+def test_non_finite_sweep_bound_is_config_error(key, value, tmp_path, capsys):
+    # a NaN bound passed the w_max > w_min check (comparisons with NaN are
+    # false) and stopped later in model.validate, naming the pump field
+    bounds = {"w_min": "0.1", "w_max": "1.0", key: value}
+    flags = ["--" + k.replace("_", "-") + "=" + v for k, v in bounds.items()]
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep", "--n", "3", "--g", "0.5", "--w-steps", "2",
+                 "--out", out] + flags) == 2
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text("command: sweep\nn: 3\ng: 0.5\nw_steps: 2\n"
+                        + "".join(f"{k}: {v}\n" for k, v in bounds.items()))
+    assert main(["--config", str(cfg_file), "--out", out]) == 2
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+
+
 def test_missing_coupling_is_config_error():
     assert main(["steady", "--n", "4", "--m", "1", "--w", "0.2"]) == 2
 

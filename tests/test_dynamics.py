@@ -10,18 +10,19 @@ from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         correlation_times, liouvillian_for, trace_functional,
                         initial_mixed_state, propagate, steady_state,
                         slow_eigenmode, expect_photon_number, expect_sigma_z,
-                        expect_spin_spin, g1_trace)
+                        expect_spin_spin, g1_trace, g2_trace)
 from blocklaser import dynamics
 from blocklaser.cli import main
 from blocklaser.dynamics import (DegenerateSteadyStateError,
                                  PrecisionLossError, SolverError,
                                  SymmetricState)
 from blocklaser.liouvillian import (Superoperator, chain_matrix,
-                                    diagonal_functional)
+                                    diagonal_functional, number_functional)
 from blocklaser.observables import _adag_trace_pairing
 from blocklaser.symbasis import BasisElement
 from blocklaser.oracle import (build_full_liouvillian, lift_state,
-                               oracle_expectations, oracle_steady_state)
+                               oracle_expectations, oracle_g1, oracle_g2,
+                               oracle_steady_state, site_operators)
 from blocklaser.model import coupling_from_kappa_tilde, random_params
 
 
@@ -537,6 +538,120 @@ def test_fig2b_point_analytic_tail_matches_expm_multiply():
     one_mode = trace.values[~late][-1] * np.exp(
         trace.tail_eigenvalue * (times[late] - trace.tail_delay))
     assert np.abs(trace.values[late] - one_mode).max() <= 1e-15
+
+
+_RATES = ("coupling", "cavity_decay", "pump", "spont_emission", "dephasing")
+
+
+def test_sector_generators_are_real_in_the_photon_gauge():
+    # g = i^((n_adag + n_a) mod 4) conjugates every norm-scaled sector
+    # matrix to one whose imaginary part is exactly zero: all five rates
+    # on, and each part alone with the other four rates zero
+    rng = np.random.default_rng(19)
+    powers = np.array([1.0, 1.0j, -1.0, -1.0j])
+    for n in range(1, 7):
+        for m in range(1, 4):
+            full = ModelParams(n, m, *rng.uniform(0.2, 1.5, 3),
+                               spont_emission=rng.uniform(0.1, 0.5),
+                               dephasing=rng.uniform(0.1, 0.5))
+            off = dict.fromkeys(_RATES, 0.0)
+            cases = [full] + [ModelParams(n, m, **dict(
+                off, **{rate: getattr(full, rate)})) for rate in _RATES]
+            for dn in range(-2, 3):
+                for p in cases:
+                    L = liouvillian_for(p, dn)
+                    mat, d = dynamics._scaled(L)
+                    c = L.sector.contents
+                    g = powers[(c[:, 3] + c[:, 4]) % 4]
+                    gauged = sp.diags(g) @ mat @ sp.diags(g.conj())
+                    assert not gauged.imag.toarray().any(), (p, dn)
+                    real, d_real, _ = dynamics._gauged(L)
+                    assert real.dtype == np.float64
+                    assert np.array_equal(real.toarray(),
+                                          gauged.real.toarray()), (p, dn)
+                    assert np.array_equal(d_real, d)
+
+
+def _record_walk_dtypes(monkeypatch):
+    """The dtypes of the matrix and of every state a ``_TaylorStepper``
+    is given, collected in a set."""
+    seen, base = set(), dynamics._TaylorStepper
+
+    class Recording(base):
+        def __init__(self, mat):
+            seen.add(mat.dtype)
+            super().__init__(mat)
+
+        def step(self, v, h):
+            seen.add(v.dtype)
+            return super().step(v, h)
+
+        def run(self, v, h):
+            seen.add(v.dtype)
+            return super().run(v, h)
+
+    monkeypatch.setattr(dynamics, "_TaylorStepper", Recording)
+    return seen
+
+
+def test_g1_and_g2_walk_float64_and_match_the_complex_generator(monkeypatch):
+    # the correlation benchmark's point: fig2b scaled to N = 24
+    N = 24
+    p = ModelParams(N, 1, N ** -0.5, 1.0, 2.0 / N)
+    ss = steady_state(liouvillian_for(p, 0))
+    times = correlation_times(0.02, 50.0, 1500.0, 120)
+    seen = _record_walk_dtypes(monkeypatch)
+    g1 = g1_trace(p, ss, times)
+    g2 = g2_trace(p, ss, times)
+    assert seen == {np.dtype(np.float64)}
+    # dense points, geometric tail and analytic tail, each reached by
+    # expm_multiply of the ungauged complex matrix from the previous one;
+    # the largest deviations are 2.6e-15 (g1) and 4.3e-13 (g2, in its
+    # analytic tail, whose allowance is 1e-12)
+    late = np.flatnonzero(times > g1.tail_delay)
+    assert len(late) >= 10
+    picks = np.array([1, 37, 1200, 2500, 2540, late[0], late[len(late) // 2],
+                      len(times) - 1])
+    for trace, dn, seed_kinds, readout in (
+            (g1, -1, ("a_left",),
+             _adag_trace_pairing(enumerate_sector(N, 1, -1))),
+            (g2, 0, ("a_left", "adag_right"),
+             number_functional(ss.sector))):
+        mat, d = dynamics._scaled(liouvillian_for(p, dn))
+        assert mat.dtype == complex
+        seed = chain_matrix(((1.0, seed_kinds),), N, 1, 0, dn)
+        states = _expm_multiply_chain(mat, (seed @ ss.coeffs) * d,
+                                      times[picks])
+        exact = states @ (readout / d) / trace.normalization
+        scale = np.abs(trace.values).max()
+        assert np.abs(trace.values[picks] - exact).max() <= 1e-12 * scale
+
+
+def test_oracle_traces_walk_float64_and_match_the_complex_generator(
+        monkeypatch):
+    p = ModelParams(4, 2, 0.7, 1.1, 0.6, spont_emission=0.2, dephasing=0.1)
+    times = np.concatenate([np.linspace(0.0, 5.0, 51),
+                            np.geomspace(6.0, 400.0, 12)])
+    rho = oracle_steady_state(p)
+    nb = oracle_expectations(p, rho)["nb"]
+    seen = _record_walk_dtypes(monkeypatch)
+    g1 = oracle_g1(p, times, rho_ss=rho)
+    g2 = oracle_g2(p, times, rho_ss=rho)
+    assert seen == {np.dtype(np.float64)}
+    L = build_full_liouvillian(p)
+    assert L.dtype == complex
+    ops = site_operators(4, 2)
+    a, n = ops["a"].toarray(), (ops["adag"] @ ops["a"]).toarray()
+    for values, seed, readout, norm in (
+            (g1, a @ rho, ops["adag"].toarray(), nb),
+            (g2, a @ rho @ a.conj().T, n, nb ** 2)):
+        # largest deviations 4.4e-16 (g1) and 1.7e-13 (g2)
+        states = _expm_multiply_chain(L, seed.reshape(-1), times[1:])
+        exact = states @ readout.T.reshape(-1) / norm
+        if values is g2:
+            exact = exact.real
+        scale = np.abs(values).max()
+        assert np.abs(values[1:] - exact).max() <= 1e-12 * scale
 
 
 def _slow_pair_generator(rotation):

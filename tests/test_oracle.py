@@ -66,6 +66,31 @@ def test_unit_parts_reproduce_the_per_term_generator():
             assert ((new != 0) != (ref != 0)).nnz == 0, (case,)
 
 
+def test_full_generator_is_real_in_the_photon_gauge():
+    # kron(D, conj D), D = i^(n_ph), conjugates the generator, built term
+    # by term or from the cached parts, to one with exactly zero imaginary
+    # part, and the oracle's own gauged generator is that real matrix
+    rng = np.random.default_rng(13)
+    powers = np.array([1.0, 1.0j, -1.0, -1.0j])
+    systems = [(n, m) for n in range(1, 7)
+               for m in range(1, DEFAULT_HILBERT_CAP)
+               if hilbert_dim(n, m) <= DEFAULT_HILBERT_CAP]
+    for n, m in systems:
+        photons = np.tile(np.arange(m + 1), 2 ** n)
+        D = powers[photons % 4]
+        gauge = sp.diags(np.kron(D, D.conj()))
+        p = random_params(rng, n, m)
+        for case in (p, dataclasses.replace(p, coupling=0.0),
+                     dataclasses.replace(p, pump=0.0, cavity_decay=0.0)):
+            real = oracle._gauged_liouvillian(case)
+            assert real.dtype == np.float64
+            for L in (_per_term_liouvillian(case), build_full_liouvillian(case)):
+                gauged = gauge @ L @ gauge.conj()
+                assert not gauged.imag.toarray().any(), (case,)
+                assert np.abs(gauged.real - real).max() <= (
+                    1e-14 * np.abs(real).max()), (case,)
+
+
 def test_cached_parts_do_not_leak_into_later_builds():
     # the second system is exactly one unit part: cavity decay at rate 1
     for p in (ModelParams(3, 1, 0.8, 1.2, 0.4, spont_emission=0.1,
