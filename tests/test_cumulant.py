@@ -237,14 +237,49 @@ def test_near_threshold_root_is_polished():
     assert np.abs(step).max() <= 1e-12 * np.abs(y).max()
 
 
-@pytest.mark.parametrize("name, blockaded, indices, rtol", [
+_RELAXATION_POINTS = (
     ("fig2a-blockaded", True, range(5, 80, 10), 1e-12),
     ("fig2a-normal", False, (0, 10, 20, 30, 40, 50, 63, 75), 1e-8),
-])
+)
+
+# relaxed_root at the _RELAXATION_POINTS, keyed by (preset, grid index):
+# [sz, spsm, nb, Re bdsm, Im bdsm]. Recorded once, since each takes a
+# Radau run of seconds; regenerate with
+#   PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests');
+#     import test_cumulant; test_cumulant.print_relaxed_roots()"
+_RELAXED_ROOTS = {
+    ("fig2a-blockaded", 5): [0.026474891172527725, 0.012886985654965268, 0.14602876632412082, 0.0, 0.036507191581030204],
+    ("fig2a-blockaded", 15): [0.15449786530927315, 0.06531413746207543, 0.33820085387629073, 0.0, 0.08455021346907268],
+    ("fig2a-blockaded", 25): [0.39071621343696195, 0.11902852699722215, 0.3960344612659747, 0.0, 0.09900861531649367],
+    ("fig2a-blockaded", 35): [0.5566993619825179, 0.1233925911753877, 0.39897057421573384, 0.0, 0.09974264355393346],
+    ("fig2a-blockaded", 45): [0.6599129709923367, 0.11221392085420204, 0.3911000833588127, 0.0, 0.09777502083970317],
+    ("fig2a-blockaded", 55): [0.7286213417792325, 0.09886614104153169, 0.3799301215090745, 0.0, 0.09498253037726863],
+    ("fig2a-blockaded", 65): [0.7773556755289338, 0.0865369146259444, 0.3673631353772591, 0.0, 0.09184078384431478],
+    ("fig2a-blockaded", 75): [0.8136417409705841, 0.07581442916047057, 0.3540806921558905, 0.0, 0.08852017303897262],
+    ("fig2a-normal", 0): [0.031239667507242008, 0.01513187534063949, 0.24219008312318951, 0.0, 0.06054752078079738],
+    ("fig2a-normal", 10): [0.054032002428802586, 0.025556272571168225, 0.4089805940015156, 0.0, 0.1022451485003789],
+    ("fig2a-normal", 20): [0.09344817185657492, 0.04235780551661948, 0.67780558566407, 0.0, 0.1694513964160175],
+    ("fig2a-normal", 30): [0.16161284630905146, 0.06774706710846917, 1.0840351611096932, 0.0, 0.2710087902774233],
+    ("fig2a-normal", 40): [0.27949353454001885, 0.10068844934517307, 1.611101434996622, 0.0, 0.4027753587491555],
+    ("fig2a-normal", 50): [0.48334787287006503, 0.12486135333102427, 1.9978803356776411, 0.0, 0.4994700839194103],
+    ("fig2a-normal", 63): [0.9839911068939217, 0.007876304223798277, 0.12617830184345713, 0.0, 0.03154457546086428],
+    ("fig2a-normal", 75): [0.9999778118221834, 1.1093842750749225e-05, 0.00033744928256621514, 0.0, 8.436232064155378e-05],
+}
+
+
+def print_relaxed_roots():
+    """Print ``_RELAXED_ROOTS`` afresh from ``relaxed_root``."""
+    for name, blockaded, indices, _ in _RELAXATION_POINTS:
+        for k, p in zip(indices, preset_params(name, indices)):
+            y = relaxed_root(p, blockaded)
+            print(f'    ("{name}", {k}): [{", ".join(map(repr, map(float, y)))}],')
+
+
+@pytest.mark.parametrize("name, blockaded, indices, rtol", _RELAXATION_POINTS)
 def test_cubic_route_matches_relaxation_route(name, blockaded, indices, rtol):
-    for p in preset_params(name, indices):
+    for k, p in zip(indices, preset_params(name, indices)):
         y = cumulant_steady(p, blockaded).as_vector()
-        relaxed = relaxed_root(p, blockaded)
+        relaxed = np.array(_RELAXED_ROOTS[name, k])
         assert np.abs(y - relaxed).max() <= rtol * np.abs(relaxed).max()
 
 

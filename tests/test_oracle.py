@@ -91,6 +91,74 @@ def test_full_generator_is_real_in_the_photon_gauge():
                     1e-14 * np.abs(real).max()), (case,)
 
 
+def _flat_charges(n, m):
+    """e_r - e_c of each flattened index, e = excited atoms + photons read
+    off the diagonals of sum_j (s_j^z + 1)/2 and a^+ a."""
+    ops = site_operators(n, m)
+    e = sum(0.5 * (z.diagonal() + 1.0) for z in ops["sz"])
+    e = e + (ops["adag"] @ ops["a"]).diagonal()   # sqrt(n)^2: not exact
+    counts = np.rint(e).astype(int)
+    assert np.abs(e - counts).max() < 1e-12
+    return np.subtract.outer(counts, counts).reshape(-1)
+
+
+def test_every_part_keeps_the_excitation_charge():
+    rng = np.random.default_rng(17)
+    systems = [(n, m) for n in range(1, 7)
+               for m in range(1, DEFAULT_HILBERT_CAP)
+               if hilbert_dim(n, m) <= DEFAULT_HILBERT_CAP]
+    assert len(systems) == 57
+    for n, m in systems:
+        charge = _flat_charges(n, m)
+        assert np.array_equal(oracle._excitation_charge(n, m), charge)
+        mats = list(oracle._full_unit_parts(n, m).values())
+        mats.append(_per_term_liouvillian(random_params(rng, n, m)))
+        for mat in mats:
+            coo = mat.tocoo()
+            assert coo.nnz and np.array_equal(charge[coo.row],
+                                              charge[coo.col]), (n, m)
+
+
+def _full_space_steady(params):
+    """Steady density matrix from the whole gauged generator: its row 0
+    replaced by the trace row and one sparse solve over every index."""
+    L = oracle._gauged_liouvillian(params)
+    dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
+    coo = L.tocoo()
+    keep = coo.row != 0
+    bordered = sp.csc_matrix(
+        (np.concatenate([coo.data[keep], np.ones(dim)]),
+         (np.concatenate([coo.row[keep], np.zeros(dim, dtype=int)]),
+          np.concatenate([coo.col[keep], np.arange(dim) * (dim + 1)]))),
+        shape=L.shape)
+    rhs = np.zeros(L.shape[0])
+    rhs[0] = 1.0
+    photons = np.tile(np.arange(params.photon_cutoff + 1), 2 ** params.n_atoms)
+    phase = np.array([1.0, 1.0j, -1.0, -1.0j])[photons % 4]
+    rho = (sp.linalg.spsolve(bordered, rhs).reshape(dim, dim)
+           * np.outer(phase.conj(), phase))
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def test_charge_block_solve_matches_the_full_space_solve():
+    rng = np.random.default_rng(19)
+    systems = [(n, m) for n in range(1, 5) for m in (1, 2)]
+    cases = [random_params(rng, *systems[k % len(systems)]) for k in range(20)]
+    cases += [random_params(rng, 1, 31), random_params(rng, 5, 1)]
+    for p in cases:
+        rho, ref = oracle_steady_state(p), _full_space_steady(p)
+        assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max(), (p,)
+
+
+@pytest.mark.parametrize("labels", [("b", "a"), ("adag", "sz"), ("A", "n")])
+def test_two_time_rejects_unknown_labels(labels):
+    p = ModelParams(2, 1, 0.9, 1.0, 0.5)
+    bad = next(label for label in labels if label not in ("a", "adag", "n"))
+    with pytest.raises(ValueError, match=rf"'{bad}'.*'a', 'adag', 'n'"):
+        oracle_two_time(p, *labels, [0.0, 1.0])
+
+
 def test_cached_parts_do_not_leak_into_later_builds():
     # the second system is exactly one unit part: cavity decay at rate 1
     for p in (ModelParams(3, 1, 0.8, 1.2, 0.4, spont_emission=0.1,
