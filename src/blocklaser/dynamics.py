@@ -96,12 +96,23 @@ def initial_mixed_state(sector: SectorBasis) -> SymmetricState:
 
 
 def _scaled(L) -> tuple:
-    """(matrix in the norm-scaled basis, scaling vector or None)."""
+    """(matrix in the norm-scaled basis, scaling vector or None).
+
+    The scaled matrix is diag(d) L diag(1/d), d from ``basis_scaling``:
+    the data of L.matrix, a CSR matrix without duplicate entries or
+    stored zeros (as every builder returns it), is multiplied by d[rows]
+    and then by (1/d)[cols], in that order. Those are the products that
+    the sparse products diags(d) @ L @ diags(1/d) formed, entry by entry,
+    so the numbers are the same. The result owns its index arrays.
+    """
     if isinstance(L, Superoperator):
         sec = L.sector
         d = basis_scaling(sec.n_atoms, sec.photon_cutoff, sec.delta_n)
-        dinv = sp.diags(1.0 / d)
-        return (sp.diags(d) @ L.matrix @ dinv).tocsr(), d
+        mat = L.matrix
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        data = mat.data * d[rows] * (1.0 / d)[mat.indices]
+        return sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
+                             shape=mat.shape), d
     return sp.csr_matrix(L), None
 
 

@@ -30,11 +30,14 @@ still returns the physical complex generator.
 Every part also keeps the excitation charge e_r - e_c of a flattened
 |r><c|, e the number of excited atoms plus photons (see
 ``_excitation_charge``); ``_full_unit_parts`` asserts it entry by entry,
-so the generator is block-diagonal in it. ``oracle_steady_state`` factors
-only the charge-0 block, which holds the trace row and the steady state
-(490 of 2304 rows at N = 4, M = 2), and ``oracle_two_time`` walks only
-the block of its seed: blocks other than the one used are never factored
-or walked.
+so the generator is block-diagonal in it. Each unit part's slice to one
+charge block is cached too, per (N, M, charge), and the entry points sum
+only the block they use from those slices, with the same rate-sum helper
+as the whole generator (``_block_liouvillian``): ``oracle_steady_state``
+the charge-0 block, which holds the trace row and the steady state (490
+of 2304 rows at N = 4, M = 2), and ``oracle_two_time`` the block of its
+seed. Other blocks are never summed, factored or walked; only
+``build_full_liouvillian`` sums the whole space.
 
 ``lift_element`` expands a symmetric basis element into its explicit
 matrix, which lets tests compare kernel and Liouvillian actions entry by
@@ -109,11 +112,6 @@ def _unit_hamiltonian(n_atoms: int, cutoff: int) -> sp.csr_matrix:
     for j in range(n_atoms):
         H = H + 0.5 * (ops["sp"][j] @ ops["a"] + ops["sm"][j] @ ops["adag"])
     return H.tocsr()
-
-
-def full_hamiltonian(params: ModelParams) -> sp.csr_matrix:
-    return params.coupling * _unit_hamiltonian(params.n_atoms,
-                                               params.photon_cutoff)
 
 
 def _dissipator(c: sp.spmatrix, dim: int) -> sp.csr_matrix:
@@ -213,16 +211,25 @@ def _full_unit_parts(n_atoms: int, cutoff: int) -> Dict[str, sp.csr_matrix]:
     return real
 
 
-def _gauged_liouvillian(params: ModelParams) -> sp.csr_matrix:
-    """Real generator kron(D, conj D) L kron(D, conj D)^-1 on the full
-    space, the rate-weighted sum of the cached gauged unit parts (zero
-    rates skipped)."""
+def _check(params: ModelParams) -> None:
+    """Validate ``params`` and check the Hilbert dimension cap, before
+    any unit part is built."""
     validate(params)
     dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
     if dim > DEFAULT_HILBERT_CAP:
         raise ValueError(f"Hilbert dimension {dim} exceeds cap "
                          f"{DEFAULT_HILBERT_CAP}")
-    unit = _full_unit_parts(params.n_atoms, params.photon_cutoff)
+
+
+def _rate_sum(params: ModelParams,
+              parts: Dict[str, sp.csr_matrix]) -> sp.csr_matrix:
+    """Rate-weighted sum of unit parts, zero rates skipped.
+
+    The parts are the whole gauged unit parts or their slices to one
+    excitation-charge block. Each entry of a block is summed from the
+    same entries in the same order as in the whole space, so the block
+    sum equals the block of the whole sum exactly.
+    """
     rates = {
         "hamiltonian": params.coupling,
         "cavity_decay": params.cavity_decay,
@@ -230,11 +237,51 @@ def _gauged_liouvillian(params: ModelParams) -> sp.csr_matrix:
         "spont": params.spont_emission,
         "deph": params.dephasing,
     }
-    L = sp.csr_matrix((dim * dim,) * 2)
+    L = sp.csr_matrix(parts["hamiltonian"].shape)
     for name, rate in rates.items():
         if rate != 0.0:
-            L = L + rate * unit[name]
+            L = L + rate * parts[name]
     return L.tocsr()
+
+
+def _gauged_liouvillian(params: ModelParams) -> sp.csr_matrix:
+    """Real generator kron(D, conj D) L kron(D, conj D)^-1 on the full
+    space, the rate-weighted sum of the cached gauged unit parts."""
+    _check(params)
+    return _rate_sum(params, _full_unit_parts(params.n_atoms,
+                                              params.photon_cutoff))
+
+
+def _charge_block(L: sp.csr_matrix, index: np.ndarray) -> sp.csr_matrix:
+    """L on the sorted flattened indices ``index`` of one excitation-charge
+    block, which no entry of L leaves (see ``_excitation_charge``)."""
+    rows = L[index]
+    local = np.full(L.shape[0], -1, dtype=rows.indices.dtype)
+    local[index] = np.arange(len(index))
+    return sp.csr_matrix((rows.data, local[rows.indices], rows.indptr),
+                         shape=(len(index),) * 2)
+
+
+@lru_cache(maxsize=64)
+def _block_parts(n_atoms: int, cutoff: int, charge: int) -> tuple:
+    """(index, parts): the sorted flattened indices of one excitation
+    charge (see ``_excitation_charge``) and each cached gauged unit part
+    of ``_full_unit_parts`` on that block (see ``_charge_block``).
+    Cached per (n_atoms, cutoff, charge); callers must not modify them.
+    """
+    index = np.flatnonzero(_excitation_charge(n_atoms, cutoff) == charge)
+    parts = {name: _charge_block(part, index)
+             for name, part in _full_unit_parts(n_atoms, cutoff).items()}
+    return index, parts
+
+
+def _block_liouvillian(params: ModelParams, charge: int) -> tuple:
+    """(index, generator): the real gauged generator on one excitation-
+    charge block, summed from the cached block parts alone. It equals
+    ``_charge_block(_gauged_liouvillian(params), index)`` exactly."""
+    _check(params)
+    index, parts = _block_parts(params.n_atoms, params.photon_cutoff, charge)
+    return index, _rate_sum(params, parts)
 
 
 def build_full_liouvillian(params: ModelParams) -> sp.csr_matrix:
@@ -297,36 +344,27 @@ def lift_state(state) -> np.ndarray:
     return rho
 
 
-def _charge_block(L: sp.csr_matrix, index: np.ndarray) -> sp.csr_matrix:
-    """L on the sorted flattened indices ``index`` of one excitation-charge
-    block, which no entry of L leaves (see ``_excitation_charge``)."""
-    rows = L[index]
-    local = np.full(L.shape[0], -1, dtype=rows.indices.dtype)
-    local[index] = np.arange(len(index))
-    return sp.csr_matrix((rows.data, local[rows.indices], rows.indptr),
-                         shape=(len(index),) * 2)
-
-
 def oracle_steady_state(params: ModelParams) -> np.ndarray:
     """Unique steady density matrix of the full master equation.
 
-    The real gauged generator (see ``_gauged_liouvillian``) keeps the
-    excitation charge (see ``_excitation_charge``), and the trace row and
-    every diagonal index have charge 0, so the solve runs on the charge-0
-    block alone: its first row, that of index 0 and trace-redundant, is
-    replaced by the trace row, the real sparse system is solved, and the
-    solution is scattered into the full vector, zero outside the block.
-    Blocks other than charge 0 are never factored. The solution is taken
-    out of the gauge afterwards. A solution that is not finite, or whose
-    residual ||L v|| with the full generator exceeds 1e-9 ||L||_1 ||v||,
-    raises :class:`SolverError`; there is no fallback.
+    The real gauged generator keeps the excitation charge (see
+    ``_excitation_charge``), and the trace row and every diagonal index
+    have charge 0, so the solve runs on the charge-0 block alone, summed
+    from the cached block parts (see ``_block_liouvillian``): its first
+    row, that of index 0 and trace-redundant, is replaced by the trace
+    row, the real sparse system is solved, and the solution is scattered
+    into the full vector, zero outside the block. No other block is
+    built or factored. The solution is taken out of the gauge afterwards.
+    A solution x that is not finite, or whose residual ||L_0 x|| exceeds
+    1e-9 ||L_0||_1 ||x||, L_0 the charge-0 block, raises
+    :class:`SolverError`; there is no fallback. Outside the block the
+    residual is zero, and ||L_0||_1 is at most the 1-norm of the whole
+    generator.
     """
-    L = _gauged_liouvillian(params)
-    dim = int(round(math.sqrt(L.shape[0])))
-    block = np.flatnonzero(
-        _excitation_charge(params.n_atoms, params.photon_cutoff) == 0)
+    block, L = _block_liouvillian(params, 0)
+    dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
     trace_idx = np.searchsorted(block, np.arange(dim) * (dim + 1))
-    coo = _charge_block(L, block).tocoo()
+    coo = L.tocoo()
     keep = coo.row != 0
     rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
     cols = np.concatenate([coo.col[keep], trace_idx])
@@ -334,16 +372,17 @@ def oracle_steady_state(params: ModelParams) -> np.ndarray:
     bordered = sp.csc_matrix((vals, (rows, cols)), shape=coo.shape)
     rhs = np.zeros(len(block))
     rhs[0] = 1.0
-    vec = np.zeros(L.shape[0])
-    vec[block] = spla.spsolve(bordered, rhs)
-    if not np.all(np.isfinite(vec)):  # SuperLU: "exactly singular"
+    x = spla.spsolve(bordered, rhs)
+    if not np.all(np.isfinite(x)):  # SuperLU: "exactly singular"
         raise SolverError("oracle steady-state solve is not finite "
                           "(singular bordered matrix)")
-    resid = np.linalg.norm(L @ vec)
-    bound = 1e-9 * max(spla.norm(L, 1) * np.linalg.norm(vec), 1e-300)
+    resid = np.linalg.norm(L @ x)
+    bound = 1e-9 * max(spla.norm(L, 1) * np.linalg.norm(x), 1e-300)
     if not resid <= bound:
         raise SolverError(f"oracle steady-state residual {resid:.3e} "
                           f"above tolerance {bound:.3e}")
+    vec = np.zeros(dim * dim)
+    vec[block] = x
     # out of the gauge, which keeps the trace row and the residual norm
     phase = _photon_gauge(params.n_atoms, params.photon_cutoff)
     rho = (vec * phase.conj()).reshape(dim, dim)
@@ -385,8 +424,9 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
     any other label raises ValueError. The seed B rho_ss (B rho_ss B^+)
     lies in one excitation-charge block of the generator (see
     ``_excitation_charge``), which is asserted; ``propagate`` walks that
-    block alone, with the readout restricted to it, so no other block is
-    ever multiplied.
+    block alone, summed from the cached block parts (see
+    ``_block_liouvillian``), with the readout restricted to it, so no
+    other block is ever built or multiplied.
     """
     ops = site_operators(params.n_atoms, params.photon_cutoff)
     table = {"a": ops["a"], "adag": ops["adag"], "n": ops["adag"] @ ops["a"]}
@@ -404,12 +444,11 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
     phase = _photon_gauge(params.n_atoms, params.photon_cutoff)
     seed = seed.reshape(-1) * phase
     charge = _excitation_charge(params.n_atoms, params.photon_cutoff)
-    inside = charge == charge[np.argmax(np.abs(seed))]
-    if seed[~inside].any():
+    q = int(charge[np.argmax(np.abs(seed))])
+    if seed[charge != q].any():
         raise AssertionError("two-time seed spans several excitation charges")
-    block = np.flatnonzero(inside)
-    return propagate(_charge_block(_gauged_liouvillian(params), block),
-                     seed[block], times,
+    block, L = _block_liouvillian(params, q)
+    return propagate(L, seed[block], times,
                      observe=(pairing * phase.conj())[block]).values
 
 
@@ -433,16 +472,3 @@ def oracle_g2(params: ModelParams, times: Sequence[float],
                           rho_ss=rho_ss)
     return raw.real / nb ** 2
 
-
-def atom_swap(n_atoms: int, cutoff: int, i: int, j: int) -> sp.csr_matrix:
-    """Unitary permutation exchanging atoms i and j (photon untouched)."""
-    dim_at = 2 ** n_atoms
-    perm = np.arange(dim_at)
-    bi, bj = n_atoms - 1 - i, n_atoms - 1 - j
-    for idx in range(dim_at):
-        vi, vj = (idx >> bi) & 1, (idx >> bj) & 1
-        out = idx & ~(1 << bi) & ~(1 << bj) | (vj << bi) | (vi << bj)
-        perm[idx] = out
-    P = sp.csr_matrix((np.ones(dim_at), (perm, np.arange(dim_at))),
-                      shape=(dim_at, dim_at))
-    return sp.kron(P, sp.identity(cutoff + 1), format="csr")

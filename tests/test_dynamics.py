@@ -543,6 +543,24 @@ def test_fig2b_point_analytic_tail_matches_expm_multiply():
 _RATES = ("coupling", "cavity_decay", "pump", "spont_emission", "dephasing")
 
 
+@pytest.mark.parametrize("n,m,dn", [(1, 1, 0), (3, 2, 0), (4, 2, -1),
+                                    (10, 3, 2), (24, 1, -1), (100, 1, 0)])
+def test_scaling_is_the_diagonal_product_bit_for_bit(n, m, dn):
+    # the array scaling of ``_scaled`` against its sparse reference
+    # diags(d) @ L @ diags(1/d): all rates on, and one part alone
+    rng = np.random.default_rng(29)
+    p = random_params(rng, n, m)
+    for case in (p, ModelParams(n, m, p.coupling, 0.0, 0.0)):
+        L = liouvillian_for(case, dn)
+        mat, d = dynamics._scaled(L)
+        ref = (sp.diags(d) @ L.matrix @ sp.diags(1.0 / d)).tocsr()
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mat, name), getattr(ref, name)), (
+                name, case)
+        mat.indices[:] = 0   # the scaled matrix owns its index arrays
+        assert not np.array_equal(L.matrix.indices, mat.indices)
+
+
 def test_sector_generators_are_real_in_the_photon_gauge():
     # g = i^((n_adag + n_a) mod 4) conjugates every norm-scaled sector
     # matrix to one whose imaginary part is exactly zero: all five rates

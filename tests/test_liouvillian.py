@@ -8,8 +8,8 @@ from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         liouvillian_for, photon_trace_weights, propagate,
                         trace_functional)
 from blocklaser import liouvillian
-from blocklaser.liouvillian import (DROP_TOL, _part_terms, _unit_parts,
-                                    basis_scaling, chain_matrix)
+from blocklaser.liouvillian import (DROP_TOL, _part_terms, _rates, _sum_plan,
+                                    _unit_parts, basis_scaling, chain_matrix)
 from blocklaser.dynamics import SymmetricState
 from blocklaser.oracle import build_full_liouvillian, lift_element, lift_state
 from blocklaser.model import random_params
@@ -155,12 +155,55 @@ def test_sector_must_match_params():
 
 
 def test_one_sector_is_assembled_once(rng):
+    # the plan holds the sector's parts, so both caches start empty
     chain_matrix.cache_clear()
+    _sum_plan.cache_clear()
     sector = enumerate_sector(5, 1, 0)
     build_liouvillian(random_params(rng, 5, 1), sector)
     build_liouvillian(random_params(rng, 5, 1), sector)
     liouvillian_for(random_params(rng, 5, 1), 0)
-    assert chain_matrix.cache_info().misses == len(_part_terms(5))
+    assert _sum_plan.cache_info().misses == 1
+    assert chain_matrix.cache_info().misses == len(_part_terms(5)) == 5
+
+
+def sparse_sum(params, sector):
+    """The Liouvillian as the rate-weighted sum of the unit parts in sparse
+    arithmetic, zero rates and empty parts skipped: the reference for the
+    array sum of ``build_liouvillian``."""
+    unit = _unit_parts(sector.n_atoms, sector.photon_cutoff, sector.delta_n)
+    dim = len(sector)
+    total = sp.csr_matrix((dim, dim), dtype=complex)
+    for name, rate in _rates(params).items():
+        if rate != 0.0 and unit[name].nnz:
+            total = total + rate * unit[name]
+    return total.tocsr()
+
+
+@pytest.mark.parametrize("n_atoms,cutoff,delta_n", [
+    (1, 1, 0), (3, 2, 0), (4, 2, -1), (10, 3, 2), (24, 1, -1), (100, 1, 0),
+    (2, 1, 4)])
+def test_array_sum_is_the_sparse_sum_bit_for_bit(n_atoms, cutoff, delta_n,
+                                                 rng):
+    sector = enumerate_sector(n_atoms, cutoff, delta_n)
+    p = random_params(rng, n_atoms, cutoff)
+    cases = [p, replace(p, coupling=0.0, dephasing=0.0),
+             replace(p, cavity_decay=0.0, spont_emission=0.0),
+             # the s^z terms of pump and emission cancel exactly
+             replace(p, pump=p.spont_emission),
+             # a build after the cancelling one must not see its pattern
+             p, random_params(rng, n_atoms, cutoff)]
+    for case in cases:
+        got, ref = build_liouvillian(case, sector).matrix, sparse_sum(case, sector)
+        assert got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (
+                name, case)
+            # a built matrix owns its arrays: writing to them in place
+            # leaves the cached plan, and so every later build, intact
+            getattr(got, name)[:] = 0
+    if len(sector):   # the cancelling case drops entries of the pattern
+        cancelled = build_liouvillian(cases[3], sector).matrix
+        assert cancelled.nnz < len(_sum_plan(n_atoms, cutoff, delta_n).indices)
 
 
 def entrywise_unit_parts(expand, n_atoms, cutoff, delta_n):

@@ -8,14 +8,32 @@ import scipy.sparse as sp
 
 from blocklaser import ModelParams, enumerate_sector, oracle, propagate
 from blocklaser.dynamics import SolverError
-from blocklaser.oracle import (DEFAULT_HILBERT_CAP, atom_swap,
-                               build_full_liouvillian, full_hamiltonian,
+from blocklaser.oracle import (DEFAULT_HILBERT_CAP, build_full_liouvillian,
                                hilbert_dim, lift_element, lift_state,
                                oracle_expectations, oracle_g1, oracle_g2,
                                oracle_steady_state, oracle_two_time,
                                site_operators)
 from blocklaser.symbasis import BasisElement
 from blocklaser.model import random_params
+
+
+def full_hamiltonian(params):
+    return params.coupling * oracle._unit_hamiltonian(params.n_atoms,
+                                                      params.photon_cutoff)
+
+
+def atom_swap(n_atoms, cutoff, i, j):
+    """Unitary permutation exchanging atoms i and j (photon untouched)."""
+    dim_at = 2 ** n_atoms
+    perm = np.arange(dim_at)
+    bi, bj = n_atoms - 1 - i, n_atoms - 1 - j
+    for idx in range(dim_at):
+        vi, vj = (idx >> bi) & 1, (idx >> bj) & 1
+        out = idx & ~(1 << bi) & ~(1 << bj) | (vj << bi) | (vi << bj)
+        perm[idx] = out
+    P = sp.csr_matrix((np.ones(dim_at), (perm, np.arange(dim_at))),
+                      shape=(dim_at, dim_at))
+    return sp.kron(P, sp.identity(cutoff + 1), format="csr")
 
 
 def _per_term_liouvillian(params):
@@ -151,6 +169,55 @@ def test_charge_block_solve_matches_the_full_space_solve():
         assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max(), (p,)
 
 
+def _sliced_block(params, charge):
+    """The full-space path: the whole gauged generator summed, then cut to
+    one excitation-charge block."""
+    index = np.flatnonzero(oracle._excitation_charge(
+        params.n_atoms, params.photon_cutoff) == charge)
+    return index, oracle._charge_block(oracle._gauged_liouvillian(params),
+                                       index)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 2)])
+def test_block_generator_is_the_block_of_the_full_generator(n, m):
+    rng = np.random.default_rng(23)
+    p = random_params(rng, n, m)
+    charges = np.unique(oracle._excitation_charge(n, m))
+    for case in (p, dataclasses.replace(p, pump=p.spont_emission),
+                 dataclasses.replace(p, coupling=0.0), p):
+        for q in charges:
+            index, got = oracle._block_liouvillian(case, int(q))
+            ref_index, ref = _sliced_block(case, int(q))
+            assert np.array_equal(index, ref_index)
+            assert got.shape == ref.shape
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(ref, name)), (q, name, case)
+
+
+def test_block_path_is_bit_identical_to_the_full_space_path(monkeypatch):
+    # the first 10 of criterion 1's 50 draws per system
+    # (tests/test_acceptance.py), steady state and g1/g2 traces on its
+    # grid, with the block generator from the cached block parts and from
+    # the full-space sum
+    draws = []
+    for n in (1, 2, 3, 4):
+        for m in (1, 2):
+            rng = np.random.default_rng(1000 + 10 * n + m)
+            draws += [random_params(rng, n, m) for _ in range(10)]
+    block_path = oracle._block_liouvillian
+    for p in draws:
+        times = np.linspace(0.0, 5.0 / p.cavity_decay, 100)
+        results = []
+        for path in (block_path, _sliced_block):
+            monkeypatch.setattr(oracle, "_block_liouvillian", path)
+            rho = oracle_steady_state(p)
+            results.append((rho, oracle_g1(p, times, rho_ss=rho),
+                            oracle_g2(p, times, rho_ss=rho)))
+        for got, ref in zip(*results):
+            assert np.array_equal(got, ref), p
+
+
 @pytest.mark.parametrize("labels", [("b", "a"), ("adag", "sz"), ("A", "n")])
 def test_two_time_rejects_unknown_labels(labels):
     p = ModelParams(2, 1, 0.9, 1.0, 0.5)
@@ -160,17 +227,22 @@ def test_two_time_rejects_unknown_labels(labels):
 
 
 def test_cached_parts_do_not_leak_into_later_builds():
-    # the second system is exactly one unit part: cavity decay at rate 1
+    # the second system is exactly one unit part: cavity decay at rate 1;
+    # the whole generator and a block generator, each built twice
+    def block(p):
+        return oracle._block_liouvillian(p, -1)[1]
+
     for p in (ModelParams(3, 1, 0.8, 1.2, 0.4, spont_emission=0.1,
                           dephasing=0.3),
               ModelParams(3, 1, 0.0, 1.0, 0.0)):
-        first = build_full_liouvillian(p)
-        expected = first.copy()
-        first.data[:] = 7.0
-        first.resize((4, 4))
-        again = build_full_liouvillian(p)
-        assert again.shape == expected.shape
-        assert abs(again - expected).max() == 0.0
+        for build in (build_full_liouvillian, block):
+            first = build(p)
+            expected = first.copy()
+            first.data[:] = 7.0
+            first.resize((4, 4))
+            again = build(p)
+            assert again.shape == expected.shape
+            assert abs(again - expected).max() == 0.0
     p = ModelParams(3, 1, 1.0, 1.0, 0.0)
     H = full_hamiltonian(p)
     H_expected = H.copy()
