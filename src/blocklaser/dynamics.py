@@ -109,8 +109,8 @@ def _scaled(L) -> tuple:
         sec = L.sector
         d = basis_scaling(sec.n_atoms, sec.photon_cutoff, sec.delta_n)
         mat = L.matrix
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        data = mat.data * d[rows] * (1.0 / d)[mat.indices]
+        data = (mat.data * np.repeat(d, np.diff(mat.indptr))
+                * np.take(1.0 / d, mat.indices))
         return sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
                              shape=mat.shape), d
     return sp.csr_matrix(L), None
@@ -118,6 +118,9 @@ def _scaled(L) -> tuple:
 
 #: i^k for k = 0, 1, 2, 3
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+#: sign of the real part of i^k z for k = 0, 1, 2, 3, which is Re z, -Im z,
+#: -Re z and Im z
+_GAUGE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _gauged(L: Superoperator) -> tuple:
@@ -128,19 +131,22 @@ def _gauged(L: Superoperator) -> tuple:
     An entry of a sector Liouvillian is real where its two elements'
     n_adag + n_a differ by an even number and imaginary where they differ
     by an odd one (i[rho, H] moves one photon power, the dissipators none
-    or two). Entry (r, c) takes the factor g_r conj(g_c), a power of i,
-    so the product is exact and its imaginary part is exactly zero;
+    or two). Entry (r, c) takes the factor g_r conj(g_c) = i^k, k the
+    difference of the two elements' n_adag + n_a mod 4, so its real value
+    is Re z, -Im z, -Re z or Im z for k = 0..3: a part picked and a sign
+    applied, which is exact. The other part must be exactly zero;
     anything else raises AssertionError.
     """
     mat, d = _scaled(L)
-    contents = L.sector.contents
-    g = _I_POWERS[(contents[:, 3] + contents[:, 4]) % 4]
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    data = mat.data * (g[rows] * g.conj()[mat.indices])
-    if data.imag.any():
+    e = L.sector.contents[:, 3] + L.sector.contents[:, 4]
+    k = (np.repeat(e, np.diff(mat.indptr)) - np.take(e, mat.indices)) & 3
+    odd = (k & 1).astype(bool)
+    if np.where(odd, mat.data.real, mat.data.imag).any():
         raise AssertionError(f"gauged generator of {L.sector} is not real")
-    return sp.csr_matrix((data.real.copy(), mat.indices, mat.indptr),
-                         shape=mat.shape), d, g
+    data = (np.where(odd, mat.data.imag, mat.data.real)
+            * np.take(_GAUGE_SIGNS, k))
+    return (sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape),
+            d, _I_POWERS[e & 3])
 
 
 def _split_phase(v: np.ndarray, real: bool) -> tuple:

@@ -127,21 +127,27 @@ def basis_scaling(n_atoms: int, cutoff: int, delta_n: int) -> np.ndarray:
     physical coefficients to a common scale; solvers apply it internally
     and convert back, so the stored convention never changes. Computed in
     log space to avoid overflow.
+
+    The logarithms come from two small tables indexed by the contents:
+    ``math.lgamma(k + 1)`` for k = 0..N and ``math.log`` of
+    :func:`_photon_hs_norm` for every (n_adag, n_a). Each element's terms
+    are summed in one fixed left-to-right order,
+    0.5 (lg n_plus + lg n_minus + lg n_z + lg n_i - lg N)
+    + 0.5 (n_z + n_i - N) log 2 + log |photon| - log |photon_0|,
+    with n_i = N - n_plus - n_minus - n_z, so every float operation is
+    the one a per-element loop with ``math`` functions performs.
     """
-    sector = enumerate_sector(n_atoms, cutoff, delta_n)
+    c = enumerate_sector(n_atoms, cutoff, delta_n).contents
     N = n_atoms
-    ref = math.log(_photon_hs_norm(0, 0, cutoff))
-    logs = np.empty(len(sector))
-    for k, e in enumerate(sector.elements):
-        n_i = N - e.n_plus - e.n_minus - e.n_z
-        log_atomic = 0.5 * (
-            math.lgamma(e.n_plus + 1) + math.lgamma(e.n_minus + 1)
-            + math.lgamma(e.n_z + 1) + math.lgamma(n_i + 1)
-            - math.lgamma(N + 1)
-        ) + 0.5 * (e.n_z + n_i - N) * math.log(2.0)
-        logs[k] = log_atomic + math.log(
-            _photon_hs_norm(e.n_adag, e.n_a, cutoff)) - ref
-    return np.exp(logs)
+    lg = np.array([math.lgamma(k + 1) for k in range(N + 1)])
+    log_photon = np.array([[math.log(_photon_hs_norm(p, q, cutoff))
+                            for q in range(cutoff + 1)]
+                           for p in range(cutoff + 1)])
+    n_i = N - c[:, 0] - c[:, 1] - c[:, 2]
+    log_atomic = 0.5 * (lg[c[:, 0]] + lg[c[:, 1]] + lg[c[:, 2]] + lg[n_i]
+                        - lg[N]) + 0.5 * (c[:, 2] + n_i - N) * math.log(2.0)
+    return np.exp(log_atomic + log_photon[c[:, 3], c[:, 4]]
+                  - log_photon[0, 0])
 
 
 def _part_terms(n_atoms: int):

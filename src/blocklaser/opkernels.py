@@ -171,26 +171,28 @@ def _kernel_arrays(kind: str, contents: np.ndarray, n_atoms: int,
     dropped.
     """
     kernel = KERNELS[kind]
-    c = Counts(*contents.T, n_atoms, cutoff)
+    counts = contents.T
+    c = Counts(*counts, n_atoms, cutoff)
     n, n_rules = len(contents), len(kernel.rules)
-    span = range(0, 3) if kernel.atomic else range(3, 5)
-    factors = [[np.broadcast_to(v, n) for v in rule.target(c)]
-               for rule in kernel.rules]
-    weights = np.empty((n, n_rules))
-    live = np.empty((n, n_rules), dtype=bool)
-    for r, (rule, t) in enumerate(zip(kernel.rules, factors)):
-        weights[:, r] = rule.weight(c)
-        if kernel.atomic:
-            legal = ((t[0] >= 0) & (t[1] >= 0) & (t[2] >= 0)
-                     & (t[0] + t[1] + t[2] <= n_atoms))
-        else:
-            legal = (t[0] >= 0) & (t[1] >= 0) & (t[0] <= cutoff) & (t[1] <= cutoff)
-        live[:, r] = legal & (weights[:, r] != 0.0)
-    src, rule = np.nonzero(live)
-    targets = contents[src]
-    for k, column in zip(span, zip(*factors)):
-        targets[:, k] = np.stack(column, axis=1)[src, rule]
-    return src, targets, weights[src, rule]
+    span = slice(0, 3) if kernel.atomic else slice(3, 5)
+    # factors[k, r] is rule r's new value of the k-th count in ``span``
+    factors = np.empty((span.stop - span.start, n_rules, n),
+                       dtype=contents.dtype)
+    weights = np.empty((n_rules, n))
+    for r, rule in enumerate(kernel.rules):
+        for k, v in enumerate(rule.target(c)):
+            factors[k, r] = v
+        weights[r] = rule.weight(c)
+    if kernel.atomic:
+        legal = (factors >= 0).all(axis=0) & (factors.sum(axis=0) <= n_atoms)
+    else:
+        legal = ((factors >= 0) & (factors <= cutoff)).all(axis=0)
+    # nonzero of the (n, n_rules) view orders the outputs source by source
+    src, rule = np.nonzero((legal & (weights != 0.0)).T)
+    flat = rule * n + src
+    targets = np.take(counts, src, axis=1)
+    targets[span] = np.take(factors.reshape(len(factors), -1), flat, axis=1)
+    return src, targets.T, np.take(weights, flat)
 
 
 def apply_chain(kinds: Sequence[str], cols: np.ndarray, contents: np.ndarray,

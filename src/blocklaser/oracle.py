@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Sequence
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -221,14 +221,45 @@ def _check(params: ModelParams) -> None:
                          f"{DEFAULT_HILBERT_CAP}")
 
 
-def _rate_sum(params: ModelParams,
-              parts: Dict[str, sp.csr_matrix]) -> sp.csr_matrix:
+class _SumPlan(NamedTuple):
+    """Union CSR pattern of unit parts: each part's data with the slots of
+    its entries, in CSR order, in the union's ``indices``. Holds the
+    parts' own data arrays; treat all of it as immutable."""
+
+    parts: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: Tuple[int, int]
+
+
+def _sum_plan(parts: Dict[str, sp.csr_matrix]) -> _SumPlan:
+    """The :class:`_SumPlan` of canonical CSR parts of one shape."""
+    n_rows, n_cols = next(iter(parts.values())).shape
+    keys = {name: np.repeat(np.arange(n_rows, dtype=np.int64) * n_cols,
+                            np.diff(part.indptr)) + part.indices
+            for name, part in parts.items()}
+    union = np.unique(np.concatenate(list(keys.values())))
+    return _SumPlan(
+        parts={name: (part.data, np.searchsorted(union, keys[name]))
+               for name, part in parts.items()},
+        indices=(union % n_cols).astype(np.int32),
+        indptr=np.searchsorted(union, np.arange(n_rows + 1) * n_cols
+                               ).astype(np.int32),
+        shape=(n_rows, n_cols))
+
+
+def _rate_sum(params: ModelParams, plan: _SumPlan) -> sp.csr_matrix:
     """Rate-weighted sum of unit parts, zero rates skipped.
 
     The parts are the whole gauged unit parts or their slices to one
     excitation-charge block. Each entry of a block is summed from the
     same entries in the same order as in the whole space, so the block
-    sum equals the block of the whole sum exactly.
+    sum equals the block of the whole sum exactly. Each part adds
+    rate * its data into one array on the union pattern, part by part in
+    a fixed order, and the exact zeros of the sum are dropped: the
+    numbers, pattern and order of the sum of sparse matrices, whose
+    additions drop exact zeros too, without their merges. The matrix
+    owns its arrays.
     """
     rates = {
         "hamiltonian": params.coupling,
@@ -237,19 +268,29 @@ def _rate_sum(params: ModelParams,
         "spont": params.spont_emission,
         "deph": params.dephasing,
     }
-    L = sp.csr_matrix(parts["hamiltonian"].shape)
+    data = np.zeros(len(plan.indices))
     for name, rate in rates.items():
+        part_data, slots = plan.parts[name]
         if rate != 0.0:
-            L = L + rate * parts[name]
-    return L.tocsr()
+            data[slots] += part_data * rate
+    kept = data != 0
+    counts = np.zeros(len(kept) + 1, dtype=np.int32)
+    np.cumsum(kept, out=counts[1:])
+    return sp.csr_matrix((data[kept], plan.indices[kept], counts[plan.indptr]),
+                         shape=plan.shape)
+
+
+@lru_cache(maxsize=16)
+def _full_plan(n_atoms: int, cutoff: int) -> _SumPlan:
+    """The :class:`_SumPlan` of ``_full_unit_parts``, cached per (N, M)."""
+    return _sum_plan(_full_unit_parts(n_atoms, cutoff))
 
 
 def _gauged_liouvillian(params: ModelParams) -> sp.csr_matrix:
     """Real generator kron(D, conj D) L kron(D, conj D)^-1 on the full
     space, the rate-weighted sum of the cached gauged unit parts."""
     _check(params)
-    return _rate_sum(params, _full_unit_parts(params.n_atoms,
-                                              params.photon_cutoff))
+    return _rate_sum(params, _full_plan(params.n_atoms, params.photon_cutoff))
 
 
 def _charge_block(L: sp.csr_matrix, index: np.ndarray) -> sp.csr_matrix:
@@ -264,15 +305,16 @@ def _charge_block(L: sp.csr_matrix, index: np.ndarray) -> sp.csr_matrix:
 
 @lru_cache(maxsize=64)
 def _block_parts(n_atoms: int, cutoff: int, charge: int) -> tuple:
-    """(index, parts): the sorted flattened indices of one excitation
-    charge (see ``_excitation_charge``) and each cached gauged unit part
-    of ``_full_unit_parts`` on that block (see ``_charge_block``).
-    Cached per (n_atoms, cutoff, charge); callers must not modify them.
+    """(index, plan): the sorted flattened indices of one excitation
+    charge (see ``_excitation_charge``) and the :class:`_SumPlan` of each
+    cached gauged unit part of ``_full_unit_parts`` on that block (see
+    ``_charge_block``). Cached per (n_atoms, cutoff, charge); callers
+    must not modify them.
     """
     index = np.flatnonzero(_excitation_charge(n_atoms, cutoff) == charge)
     parts = {name: _charge_block(part, index)
              for name, part in _full_unit_parts(n_atoms, cutoff).items()}
-    return index, parts
+    return index, _sum_plan(parts)
 
 
 def _block_liouvillian(params: ModelParams, charge: int) -> tuple:
@@ -280,8 +322,8 @@ def _block_liouvillian(params: ModelParams, charge: int) -> tuple:
     charge block, summed from the cached block parts alone. It equals
     ``_charge_block(_gauged_liouvillian(params), index)`` exactly."""
     _check(params)
-    index, parts = _block_parts(params.n_atoms, params.photon_cutoff, charge)
-    return index, _rate_sum(params, parts)
+    index, plan = _block_parts(params.n_atoms, params.photon_cutoff, charge)
+    return index, _rate_sum(params, plan)
 
 
 def build_full_liouvillian(params: ModelParams) -> sp.csr_matrix:

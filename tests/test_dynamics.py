@@ -590,6 +590,22 @@ def test_sector_generators_are_real_in_the_photon_gauge():
                     assert np.array_equal(d_real, d)
 
 
+def test_gauge_rejects_a_part_left_over_by_the_phase():
+    # an odd entry (one photon power apart) must be imaginary and an even
+    # one real: a stray part of either kind raises
+    L = liouvillian_for(ModelParams(3, 2, 0.7, 1.0, 0.4, 0.2, 0.1), 0)
+    c = L.sector.contents
+    e = c[:, 3] + c[:, 4]
+    rows = np.repeat(np.arange(len(e)), np.diff(L.matrix.indptr))
+    odd = (e[rows] - e[L.matrix.indices]) % 2 == 1
+    for k, stray in ((np.flatnonzero(odd)[0], 1e-3),
+                     (np.flatnonzero(~odd)[0], 1e-3j)):
+        bad = L.matrix.copy()
+        bad.data[k] += stray
+        with pytest.raises(AssertionError, match="is not real"):
+            dynamics._gauged(Superoperator(L.sector, bad))
+
+
 def _record_walk_dtypes(monkeypatch):
     """The dtypes of the matrix and of every state a ``_TaylorStepper``
     is given, collected in a set."""

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,9 @@ from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         liouvillian_for, photon_trace_weights, propagate,
                         trace_functional)
 from blocklaser import liouvillian
-from blocklaser.liouvillian import (DROP_TOL, _part_terms, _rates, _sum_plan,
-                                    _unit_parts, basis_scaling, chain_matrix)
+from blocklaser.liouvillian import (DROP_TOL, _part_terms, _photon_hs_norm,
+                                    _rates, _sum_plan, _unit_parts,
+                                    basis_scaling, chain_matrix)
 from blocklaser.dynamics import SymmetricState
 from blocklaser.oracle import build_full_liouvillian, lift_element, lift_state
 from blocklaser.model import random_params
@@ -270,3 +272,38 @@ def test_basis_scaling_matches_lifted_norms():
         for k, e in enumerate(sector.elements):
             norm = np.linalg.norm(lift_element(e, n_atoms, cutoff))
             assert d[k] == pytest.approx(norm / ref, rel=1e-11)
+
+
+def per_element_scaling(n_atoms, cutoff, delta_n):
+    """The per-element loop that ``basis_scaling`` replaced, over the
+    content rows. Each atomic and each photon logarithm is computed once
+    and reused by the rows that share it: the same floats, since the loop
+    computed each from the counts alone."""
+    contents = enumerate_sector(n_atoms, cutoff, delta_n).contents
+    N = n_atoms
+    log_photon = {(p, q): math.log(_photon_hs_norm(p, q, cutoff))
+                  for p in range(cutoff + 1) for q in range(cutoff + 1)}
+    ref = math.log(_photon_hs_norm(0, 0, cutoff))
+    logs = []
+    atomic = None
+    for row in contents.tolist():
+        if row[:3] != atomic:   # rows come grouped by atomic content
+            atomic = row[:3]
+            n_plus, n_minus, n_z = atomic
+            n_i = N - n_plus - n_minus - n_z
+            log_atomic = 0.5 * (
+                math.lgamma(n_plus + 1) + math.lgamma(n_minus + 1)
+                + math.lgamma(n_z + 1) + math.lgamma(n_i + 1)
+                - math.lgamma(N + 1)
+            ) + 0.5 * (n_z + n_i - N) * math.log(2.0)
+        logs.append(log_atomic + log_photon[row[3], row[4]] - ref)
+    return np.exp(np.array(logs, dtype=float))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 4, 24, 100, 150])
+@pytest.mark.parametrize("cutoff", [1, 2, 7])
+def test_basis_scaling_equals_the_per_element_loop(n_atoms, cutoff):
+    for delta in range(-2, 3):
+        d = basis_scaling(n_atoms, cutoff, delta)
+        ref = per_element_scaling(n_atoms, cutoff, delta)
+        assert d.dtype == ref.dtype and np.array_equal(d, ref), delta

@@ -218,6 +218,45 @@ def test_block_path_is_bit_identical_to_the_full_space_path(monkeypatch):
             assert np.array_equal(got, ref), p
 
 
+def _sparse_rate_sum(params, parts):
+    """The rate-weighted sum of ``parts`` in sparse arithmetic, zero rates
+    skipped: the reference for the array sum of ``oracle._rate_sum``."""
+    rates = {"hamiltonian": params.coupling,
+             "cavity_decay": params.cavity_decay, "pump": params.pump,
+             "spont": params.spont_emission, "deph": params.dephasing}
+    total = sp.csr_matrix(parts["hamiltonian"].shape)
+    for name, rate in rates.items():
+        if rate != 0.0:
+            total = total + rate * parts[name]
+    return total.tocsr()
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (4, 2), (1, 31)])
+def test_array_rate_sum_is_the_sparse_sum_bit_for_bit(n, m):
+    rng = np.random.default_rng(29)
+    p = random_params(rng, n, m)
+    full = oracle._full_unit_parts(n, m)
+    charge = oracle._excitation_charge(n, m)
+    for case in (p, dataclasses.replace(p, pump=p.spont_emission),
+                 dataclasses.replace(p, coupling=0.0, dephasing=0.0), p):
+        pairs = [(oracle._gauged_liouvillian(case),
+                  _sparse_rate_sum(case, full))]
+        for q in np.unique(charge):
+            index = np.flatnonzero(charge == q)
+            block = {name: oracle._charge_block(part, index)
+                     for name, part in full.items()}
+            pairs.append((oracle._block_liouvillian(case, int(q))[1],
+                          _sparse_rate_sum(case, block)))
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype, (name, case)
+                assert np.array_equal(a, b), (name, case)
+                # the sum owns its arrays: the cached plan stays intact
+                a[:] = 0
+
+
 @pytest.mark.parametrize("labels", [("b", "a"), ("adag", "sz"), ("A", "n")])
 def test_two_time_rejects_unknown_labels(labels):
     p = ModelParams(2, 1, 0.9, 1.0, 0.5)

@@ -4,7 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from blocklaser import BasisElement, enumerate_sector, sector_dimension
+from blocklaser import (BasisElement, ModelParams, enumerate_sector,
+                        liouvillian_for, sector_dimension, steady_state)
 from blocklaser.symbasis import is_legal
 
 
@@ -104,3 +105,68 @@ def test_positions_mark_contents_of_other_sectors():
     sector = enumerate_sector(3, 2, 0)
     other = enumerate_sector(3, 2, 1)
     assert np.all(sector.positions(other.contents) == -1)
+
+
+def nested_loop_contents(n_atoms, cutoff, delta_n):
+    """The per-element enumeration loop that ``enumerate_sector`` replaced,
+    as a (dim, 5) int32 array in its order. The pair-level ``continue``
+    skips only pairs for which no n_adag gives a legal n_a."""
+    N, M = n_atoms, cutoff
+    rows = []
+    for n_plus in range(N + 1):
+        for n_minus in range(N - n_plus + 1):
+            if abs(delta_n - (n_plus - n_minus)) > M:
+                continue
+            for n_z in range(N - n_plus - n_minus + 1):
+                for n_adag in range(M + 1):
+                    n_a = n_plus + n_adag - n_minus - delta_n
+                    if 0 <= n_a <= M:
+                        rows.append((n_plus, n_minus, n_z, n_adag, n_a))
+    return np.array(rows, dtype=np.int32).reshape(-1, 5)
+
+
+def charges_to_check(n_atoms, cutoff):
+    """Every charge with |delta_n| <= N + M + 1, empty sectors included.
+    At N = 100 the loop over all of them takes about 10 s, so M > 1 keeps
+    the edges: 0, +-1, +-M, +-(M + 1), +-N, +-(N + M), +-(N + M + 1)."""
+    top = n_atoms + cutoff + 1
+    if n_atoms < 100 or cutoff == 1:
+        return range(-top, top + 1)
+    edges = {0, 1, cutoff, cutoff + 1, n_atoms, top - 1, top}
+    return sorted(edges | {-x for x in edges})
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24, 100])
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_contents_equal_the_nested_loop(n, m):
+    for delta in charges_to_check(n, m):
+        sector = enumerate_sector(n, m, delta)
+        ref = nested_loop_contents(n, m, delta)
+        assert sector.contents.dtype == np.int32
+        assert np.array_equal(sector.contents, ref), (n, m, delta)
+        assert len(sector) == sector_dimension(n, m, delta)
+
+
+def test_index_of_rejects_illegal_contents_whose_key_is_legal():
+    # packed digits overflow into the next one: each of these illegal
+    # contents packs to the key of an element of the sector
+    sector = enumerate_sector(3, 1, 0)
+    aliases = [((0, 0, 0, 2, 0), (0, 0, 1, 0, 0)),      # n_adag = M + 1
+               ((0, 0, 0, 2, -1), (0, 0, 0, 1, 1)),
+               ((0, 0, 0, 4, 4), (0, 0, 3, 0, 0)),      # same charge
+               ((0, 1, -1, 0, 0), (0, 0, 3, 0, 0))]     # n_z = -1
+    for illegal, legal in aliases:
+        k = sector.index_of(BasisElement(*legal))
+        assert k is not None
+        assert sector.positions(np.array([illegal]))[0] == k
+        assert sector.index_of(BasisElement(*illegal)) is None
+
+
+def test_steady_state_leaves_the_element_tuple_unbuilt():
+    # the sector route reads contents and keys alone; a fresh sector
+    # (the cache is shared with every other test) must stay that way
+    enumerate_sector.cache_clear()
+    L = liouvillian_for(ModelParams(100, 1, 0.1, 1.0, 0.02), 0)
+    steady_state(L)
+    assert set(vars(L.sector)) == {"n_atoms", "photon_cutoff", "delta_n",
+                                   "contents", "keys"}
