@@ -433,9 +433,11 @@ def _fit_window(cfg: Dict):
 
 
 def _tail_meta(trace) -> Dict:
-    """Where the trace's tail became the closed-form one-mode decay, and
-    its eigenvalue; None for a trace propagated to its last delay."""
-    return {"analytic_tail_delay": trace.tail_delay,
+    """The walk's number of products with the generator, where the
+    trace's tail became the closed-form one-mode decay, and its
+    eigenvalue; None for a trace propagated to its last delay."""
+    return {"propagation_matvecs": trace.matvecs,
+            "analytic_tail_delay": trace.tail_delay,
             "analytic_tail_eigenvalue": trace.tail_eigenvalue}
 
 

@@ -24,11 +24,15 @@ to 4.9e-6 relative, more than the 1e-7 at which
 Time evolution has one propagator, ``propagate``, the truncated Taylor
 method of Al-Mohy & Higham (2011) with the norms that choose the Taylor
 degree taken once per grid. It returns a :class:`Propagation`: the
-values on the grid and where, if anywhere, its analytic tail began.
-Grid points closer together than H_max = theta_55 / ||A||_1 share one
-Taylor run, whose terms are read at each of them (dense output); a
-longer gap is one step of its own. Readouts are linear functionals, so a
-run is read through its terms without forming the state at every point.
+values on the grid, where, if anywhere, its analytic tail began, and its
+number of products with the generator. Grid points closer together than
+H_max = theta_55 / ||A||_1 share one Taylor run, whose terms are read at
+each of them (dense output); a longer gap is one step of its own. If any
+gap of the grid needs the estimates of ||A^p||_1, they are taken once,
+before the first long step, and every long step chooses its degree and
+sub-step count from them; a run chooses from ||A||_1 alone. Readouts are
+linear functionals, so a run is read through its terms without forming
+the state at every point.
 Late in a decay the state is one slow eigenmode. After each long step
 from t_k to t_k+1 = t_k + h, the walk compares the propagated state
 c(t_k+1) with e^(theta h) c(t_k), theta the Rayleigh quotient of c(t_k).
@@ -55,6 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import idamax
 
 from .liouvillian import (Superoperator, basis_scaling, diagonal_functional,
                           number_functional, trace_functional)
@@ -149,6 +154,18 @@ def _gauged(L: Superoperator) -> tuple:
             d, _I_POWERS[e & 3])
 
 
+def _max_abs(v: np.ndarray):
+    """max|v|, for a float64 vector as |v_k| with k from BLAS ``idamax``.
+
+    That is np.abs(v).max() bit for bit on every vector without NaN, at a
+    quarter of the cost. With a NaN term the two may differ, but the
+    partial sum then holds the NaN, its exit test (against np.abs(f).max())
+    never passes, and the walk ends non-finite as before. A complex vector
+    takes np.abs: ``izamax`` ranks by |Re| + |Im|, not by modulus.
+    """
+    return abs(v[idamax(v)]) if v.dtype.char == "d" else np.abs(v).max()
+
+
 def _split_phase(v: np.ndarray, real: bool) -> tuple:
     """(f, r) with v = f r: r a float64 vector and f = 1 or 1j if ``real``
     and v is a real or an imaginary vector, else (1, v)."""
@@ -184,6 +201,14 @@ _FMAX_SLACK = 1.0 + 2.0 ** -40
 _NORM_ONLY_BOUND = 2 * 2 * _P_MAX * (_P_MAX + 3) * _THETA[_M_MAX] / _M_MAX
 #: relative error allowed over the whole analytic tail of ``propagate``
 _TAIL_TOL = 1e-12
+#: the degrees m of _THETA and their theta_m, in its order
+_DEGREES = np.array(list(_THETA), dtype=float)
+_THETAS = np.array(list(_THETA.values()))
+#: the choices (p, index of m in _THETA) that the estimates allow, p
+#: outer: every m >= p (p - 1) - 1, for p = 2..p_max
+_CHOICE_P, _CHOICE_K = np.array([(p, k) for p in range(2, _P_MAX + 1)
+                                 for k, m in enumerate(_THETA)
+                                 if m >= p * (p - 1) - 1]).T
 
 
 class _TaylorStepper:
@@ -194,8 +219,13 @@ class _TaylorStepper:
     A = mat - mu I and d_p = ||A^p||_1^(1/p), and d_p(h A) = h d_p(A). So
     a grid of gaps h shares one ||A||_1, one set of d_p (p = 2..9,
     estimated only if some gap fails condition (3.13)) and one (m*, s)
-    per distinct gap. A real mat and a real vector keep every term in
-    float64.
+    per distinct gap. Once the d_p exist, every long step (h ||A||_1 >
+    theta_55) chooses (m*, s) from them: d_p <= ||A||_1, so the backward
+    error stays below 2^-53 at a cost m* s no larger than ||A||_1 alone
+    gives. A run (h ||A||_1 <= theta_55) chooses from ||A||_1 alone and
+    takes s = 1. A real mat and a real vector keep every term in float64.
+    ``matvecs`` counts products with A: one per Taylor term, plus those
+    its caller adds (the Rayleigh quotients of ``propagate``).
     """
 
     def __init__(self, mat: sp.csr_matrix):
@@ -205,9 +235,11 @@ class _TaylorStepper:
         self.norm1 = float(abs(self.A).sum(axis=0).max())
         self._d = None
         self._degrees = {}
+        self.matvecs = 0
 
-    def _norm_powers(self) -> dict:
-        """d_p for p = 2..p_max+1 by ``onenormest``.
+    def _norm_powers(self) -> np.ndarray:
+        """d_p at index p = 2..p_max+1 (entries 0 and 1 unused) by
+        ``onenormest``.
 
         Its random sign vectors come from numpy's global RNG; they run
         under a fixed seed here, and the caller's RNG state is restored.
@@ -217,10 +249,12 @@ class _TaylorStepper:
             state = np.random.get_state()
             np.random.seed(0)
             try:
-                self._d = {p: spla.onenormest(op ** p) ** (1.0 / p)
-                           for p in range(2, _P_MAX + 2)}
+                self._d = np.array([np.nan, np.nan] + [
+                    spla.onenormest(op ** p) ** (1.0 / p)
+                    for p in range(2, _P_MAX + 2)])
             finally:
                 np.random.set_state(state)
+            self._degrees.clear()   # long steps now choose from the d_p
         return self._d
 
     def _degree(self, h: float) -> tuple:
@@ -233,16 +267,17 @@ class _TaylorStepper:
         norm = h * self.norm1
         if norm == 0.0:
             return 0, 1
-        if norm <= _NORM_ONLY_BOUND:
-            choices = [(m, int(np.ceil(norm / theta)))
-                       for m, theta in _THETA.items()]
+        if norm <= _THETA[_M_MAX] or (norm <= _NORM_ONLY_BOUND
+                                      and self._d is None):
+            m, s = _DEGREES, np.ceil(norm / _THETAS)
         else:
             d = self._norm_powers()
-            choices = [(m, max(int(np.ceil(h * max(d[p], d[p + 1]) / theta)), 1))
-                       for p in range(2, _P_MAX + 1)
-                       for m, theta in _THETA.items() if m >= p * (p - 1) - 1]
+            alpha = np.maximum(d[_CHOICE_P], d[_CHOICE_P + 1])
+            m = _DEGREES[_CHOICE_K]
+            s = np.maximum(np.ceil(h * alpha / _THETAS[_CHOICE_K]), 1.0)
         # the first of the cheapest, counted in mat-vecs m s
-        return min(choices, key=lambda ms: ms[0] * ms[1])
+        k = int(np.argmin(m * s))
+        return int(m[k]), int(s[k])
 
     def _partial_sum(self, v: np.ndarray, h: float, s: int, m: int,
                      rows: Optional[list] = None) -> np.ndarray:
@@ -254,23 +289,26 @@ class _TaylorStepper:
         update, bounds the computed max|f| from above, so while the test
         fails against fmax it fails against max|f| too, and every exit
         falls where the exact test alone would put it. With ``rows``, each
-        term j >= 1 is appended to it.
+        term j >= 1 is appended to it. Each term adds one to ``matvecs``.
         """
-        c1 = np.abs(v).max()
+        A = self.A
+        c1 = _max_abs(v)
         fmax = c1  # v is f here
         f = v.copy()
-        for j in range(m):
-            v = self.A @ v
-            v *= h / (s * (j + 1))
+        k = 0
+        for k in range(1, m + 1):
+            v = A @ v
+            v *= h / (s * k)
             if rows is not None:
                 rows.append(v)
-            c2 = np.abs(v).max()
+            c2 = _max_abs(v)
             f += v
             fmax = (fmax + c2) * _FMAX_SLACK
             if (c1 + c2 <= _TAYLOR_TOL * fmax
                     and c1 + c2 <= _TAYLOR_TOL * np.abs(f).max()):
                 break
             c1 = c2
+        self.matvecs += k
         return f
 
     def step(self, v: np.ndarray, h: float) -> np.ndarray:
@@ -307,11 +345,15 @@ class Propagation:
     ``tail_delay`` is the grid delay after which every later point was read
     in closed form from the state there, as v e^(tail_eigenvalue (t -
     tail_delay)); both are None when the walk propagated to the last point.
+    ``matvecs`` is the number of products with the generator: the Taylor
+    terms and the Rayleigh quotients, not the norm estimates. It depends
+    on the grid and the generator only, so identical runs agree on it.
     """
 
     values: np.ndarray
     tail_delay: Optional[float] = None
     tail_eigenvalue: Optional[complex] = None
+    matvecs: int = 0
 
 
 def propagate(L, c0: np.ndarray, times: Sequence[float],
@@ -328,10 +370,13 @@ def propagate(L, c0: np.ndarray, times: Sequence[float],
       them; every point t of the run is read from its term rows as
       e^(mu tau) sum_j (tau / H)^j row_j with tau = t - t0, and the end
       state starts the next run (dense output, Al-Mohy & Higham, section
-      5). A run takes s = 1 and no norm estimate, and each read point has
-      ||tau A||_1 <= theta_m for the degree m the run used;
+      5). A run takes s = 1 and chooses its degree from ||A||_1, and each
+      read point has ||tau A||_1 <= theta_m for the degree m the run used;
     - a gap longer than H_max is one step of s sub-steps, from t_k to
-      t_k+1 = t_k + h. Before it, theta = c^H mat c / c^H c, the Rayleigh
+      t_k+1 = t_k + h. If any gap of the grid fails condition (3.13), the
+      ||A^p||_1 estimates are taken once, before the first long step, and
+      every long step takes its (m, s) from them; otherwise from
+      ||A||_1. Before the step, theta = c^H mat c / c^H c, the Rayleigh
       quotient of the state c(t_k), costs one mat-vec. If Re theta < 0 and
       the propagated state is the one-mode prediction to within
 
@@ -354,7 +399,8 @@ def propagate(L, c0: np.ndarray, times: Sequence[float],
     :class:`Propagation` holds l . c(t) for each t in ``values``;
     otherwise ``values`` is the trajectory (len(times), dim). Its
     ``tail_delay`` and ``tail_eigenvalue`` say where the analytic tail
-    began.
+    began, and ``matvecs`` how many products with the generator the walk
+    took.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -378,6 +424,10 @@ def propagate(L, c0: np.ndarray, times: Sequence[float],
                          f"on dimension {dim}; wrong sector?")
     stepper = _TaylorStepper(mat)
     real = stepper.A.dtype.kind != "c"
+    # one set of ||A^p||_1 estimates per walk, taken before its first long
+    # step if any gap needs it; every long step then chooses from them
+    if np.any(np.diff(times, prepend=0.0) * stepper.norm1 > _NORM_ONLY_BOUND):
+        stepper._norm_powers()
     # the walk runs on c, the scaled-basis state divided by phase
     phase, c = _split_phase(c * d * g, real)
     if observe is None:
@@ -409,6 +459,7 @@ def propagate(L, c0: np.ndarray, times: Sequence[float],
             end, h = i, times[i] - t_prev
             if end + 1 < len(times) and c.any():
                 theta = stepper.mu + np.vdot(c, stepper.A @ c) / np.vdot(c, c)
+                stepper.matvecs += 1
                 before = c
             c = stepper.step(c, h)
         else:
@@ -436,8 +487,9 @@ def propagate(L, c0: np.ndarray, times: Sequence[float],
                 <= _TAIL_TOL * np.linalg.norm(c) * h / (times[-1] - t_prev)):
             out[i:] = np.multiply.outer(np.exp(theta * (times[i:] - t_prev)),
                                         out[end])
-            return Propagation(out, float(t_prev), complex(theta))
-    return Propagation(out)
+            return Propagation(out, float(t_prev), complex(theta),
+                               stepper.matvecs)
+    return Propagation(out, matvecs=stepper.matvecs)
 
 
 @dataclass

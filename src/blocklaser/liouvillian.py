@@ -220,7 +220,7 @@ def chain_matrix(chains: Tuple[Tuple[complex, Tuple[str, ...]], ...],
                        np.concatenate([coef * p[2] for (coef, _), p
                                        in zip(chains, pieces)])))
     rows, cols, vals = (np.concatenate(x) for x in zip(*blocks))
-    mat = sp.csr_matrix((vals.astype(complex), (rows, cols)),
+    mat = sp.csr_matrix((vals.astype(complex, copy=False), (rows, cols)),
                         shape=(len(target), len(source)))
     mat.data[np.abs(mat.data) < DROP_TOL] = 0
     mat.eliminate_zeros()

@@ -55,7 +55,8 @@ class CorrelationTrace:
     past ``tail_delay`` its values are the closed-form one-mode tail
     value(tail_delay) e^(tail_eigenvalue (t - tail_delay)) of
     :func:`blocklaser.dynamics.propagate`; both are None when every delay
-    was propagated.
+    was propagated. ``matvecs`` is the walk's number of products with the
+    generator (:attr:`blocklaser.dynamics.Propagation.matvecs`).
     """
 
     times: np.ndarray
@@ -63,6 +64,7 @@ class CorrelationTrace:
     normalization: float   # the equal-time denominator that was divided out
     tail_delay: Optional[float] = None
     tail_eigenvalue: Optional[complex] = None
+    matvecs: int = 0
 
 
 @dataclass
@@ -134,7 +136,8 @@ def g1_trace(params: ModelParams, steady: SymmetricState,
     return CorrelationTrace(times=np.asarray(times, dtype=float),
                             values=walk.values / nb,
                             normalization=nb, tail_delay=walk.tail_delay,
-                            tail_eigenvalue=walk.tail_eigenvalue)
+                            tail_eigenvalue=walk.tail_eigenvalue,
+                            matvecs=walk.matvecs)
 
 
 def g2_trace(params: ModelParams, steady: SymmetricState,
@@ -158,7 +161,8 @@ def g2_trace(params: ModelParams, steady: SymmetricState,
     return CorrelationTrace(times=np.asarray(times, dtype=float),
                             values=walk.values.real / nb ** 2,
                             normalization=nb ** 2, tail_delay=walk.tail_delay,
-                            tail_eigenvalue=walk.tail_eigenvalue)
+                            tail_eigenvalue=walk.tail_eigenvalue,
+                            matvecs=walk.matvecs)
 
 
 def effective_rabi(params: ModelParams, spin_spin: float) -> float:

@@ -201,6 +201,11 @@ def test_g1_runs_with_an_analytic_tail_are_bit_identical(tmp_path):
     delay = float(meta["analytic_tail_delay"])
     eigenvalue = complex(meta["analytic_tail_eigenvalue"])
     assert 50.0 < delay < 1500.0 and eigenvalue.real < 0.0
+    # the walk's product count sits next to the tail delay
+    keys = list(meta)
+    assert keys.index("propagation_matvecs") + 1 == keys.index(
+        "analytic_tail_delay")
+    assert 0 < int(meta["propagation_matvecs"]) <= 5600
     assert rows[-1, 0] == 1500.0
     # a dense-only trace is propagated to its last delay
     out3 = tmp_path / "r3.csv"
@@ -276,6 +281,7 @@ def test_g1_g2_and_spectrum_outputs(tmp_path):
     assert abs(rows[0, 1]) < 1e-12
     assert meta["analytic_tail_delay"] == "None"   # a dense-only trace
     assert meta["analytic_tail_eigenvalue"] == "None"
+    assert int(meta["propagation_matvecs"]) > 0
 
     sp_out = tmp_path / "s.csv"
     assert main(["spectrum"] + common + ["--t-dense", "120.0",
@@ -288,6 +294,7 @@ def test_g1_g2_and_spectrum_outputs(tmp_path):
     assert area == pytest.approx(1.0, abs=0.1)
     assert "omega_eff" in meta
     assert meta["analytic_tail_delay"] == "None"   # a dense-only trace
+    assert int(meta["propagation_matvecs"]) > 0
 
 
 def test_header_echoes_fit_window_only_where_read(tmp_path):

@@ -285,6 +285,96 @@ def test_norm_estimates_run_once_per_grid(monkeypatch):
     assert calls == []
 
 
+def test_long_steps_choose_from_the_estimates_once_they_exist(monkeypatch):
+    L, mat, d, c0, _ = _propagation_case("sector N=24 charge -1")
+    stepper = dynamics._TaylorStepper(mat)
+    h_run = _longest_run(stepper)
+    theta = dynamics._THETA[dynamics._M_MAX]
+    # long steps that condition (3.13) alone lets choose from ||A||_1
+    hs = np.linspace(1.05 * theta, 0.95 * dynamics._NORM_ONLY_BOUND,
+                     9) / stepper.norm1
+    norm_only = [stepper._degree(h) for h in hs]
+    assert stepper._degree(h_run) == (dynamics._M_MAX, 1)
+    dp = stepper._norm_powers()
+    alpha = min(max(dp[p], dp[p + 1]) for p in range(2, dynamics._P_MAX + 1))
+    assert alpha < 0.55 * stepper.norm1   # 3.74 against 7.34
+    for h, (m0, s0) in zip(hs, norm_only):
+        m, s = stepper._degree(h)
+        assert (m, s) == stepper._fragment_3_1(h)
+        assert m * s < m0 * s0
+        # the backward-error bound of some admissible p holds
+        assert any(m >= p * (p - 1) - 1 and s >= np.ceil(
+            h * max(dp[p], dp[p + 1]) / dynamics._THETA[m])
+            for p in range(2, dynamics._P_MAX + 1))
+    # a run still spans theta_55 / ||A||_1, in one sub-step of degree 55
+    assert _longest_run(stepper) == h_run
+    assert stepper._degree(h_run) == (dynamics._M_MAX, 1)
+    rows, _ = stepper.run(c0 * d, h_run)
+    assert len(rows) <= dynamics._M_MAX + 1
+    # a walk whose grid has a gap that needs the estimates takes them
+    # before its first long step, and its dense runs keep their length
+    runs = _count_calls(monkeypatch, dynamics._TaylorStepper, "run")
+    calls = _count_calls(monkeypatch, spla, "onenormest")
+    times = np.append(correlation_times(0.02, 50.0), 70.0)
+    walk = propagate(L, c0, times, observe=np.ones(len(d)))
+    assert len(runs) == int(np.ceil(50.0 / h_run))
+    assert len(calls) == dynamics._P_MAX
+    assert walk.matvecs > 0
+
+
+def test_correlation_point_takes_fewer_matvecs():
+    # the correlation benchmark's point: fig2b scaled to N = 24. Every
+    # long step of its geometric tail chooses from the ||A^p||_1 estimates
+    # (min_p max(d_p, d_p+1) = 3.74 against ||A||_1 = 7.34); the trace
+    # took 6961 products when the gaps below 63.4 / ||A||_1 (t < 300)
+    # chose from ||A||_1 alone
+    N = 24
+    p = ModelParams(N, 1, N ** -0.5, 1.0, 2.0 / N)
+    ss = steady_state(liouvillian_for(p, 0))
+    times = correlation_times(0.02, 50.0, 1500.0, 120)
+    trace = g1_trace(p, ss, times)
+    assert 0 < trace.matvecs <= 5600
+    assert g1_trace(p, ss, times).matvecs == trace.matvecs
+
+
+@pytest.mark.parametrize("v", [
+    [3.0, -3.0, 3.0, 1.0], [-2.0, 2.0], [-0.0, 0.0, -0.0], [-0.0], [0.0],
+    [1.0, -np.inf, 2.0], [np.inf, -np.inf], [-np.inf], [-5e-324, 5e-324],
+    [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
+    list(np.random.default_rng(2).standard_normal(625)),
+    list(np.repeat([-1.5, 1.5, 0.25], 300))])
+def test_blas_term_maximum_is_the_numpy_maximum_bit_for_bit(v):
+    v = np.asarray(v, dtype=np.float64)
+    expected = np.abs(v).max()
+    got = dynamics._max_abs(v)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    # complex terms keep the modulus: izamax would rank 3 + 3i above 5
+    z = np.array([5.0, 3.0 + 3.0j, -1.0j])
+    assert dynamics._max_abs(z) == np.abs(z).max() == 5.0
+
+
+def test_walk_with_nan_terms_raises_naming_the_delay(monkeypatch):
+    # a real rotation at rate 800 on a growth e^(800 t): the state
+    # overflows between t = 0.75 and t = 1 (800 t passes log(max float) =
+    # 709.8), the rotation mixes inf of both signs into NaN, and the later
+    # sub-steps of that long step walk NaN terms
+    mat = sp.csr_matrix([[800.0, -800.0], [800.0, 800.0]])
+    seen, idamax = [], dynamics.idamax
+
+    def recording(v):
+        seen.append(bool(np.isnan(v).any()))
+        return idamax(v)
+
+    monkeypatch.setattr(dynamics, "idamax", recording)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
+    for observe in (None, np.ones(2)):
+        seen.clear()
+        with pytest.raises(SolverError, match="not finite at delay t = 1$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            propagate(mat, [1.0 + 0j, 1.0 + 0j], times, observe=observe)
+        assert any(seen)
+
+
 def test_propagate_grid_rejects_non_finite_times_and_states():
     one = sp.csr_matrix([[1.0]])
     for times in ([0.0, 1.0, np.nan], [0.0, np.nan], [0.0, np.inf]):
