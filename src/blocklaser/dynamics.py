@@ -86,6 +86,26 @@ class SymmetricState:
     coeffs: np.ndarray
 
 
+def expect_sigma_z(state: SymmetricState) -> float:
+    """Per-atom inversion <s_1^z>."""
+    row = diagonal_functional(state.sector, (0, 0, 1))
+    return (row @ state.coeffs / state.sector.n_atoms).real
+
+
+def expect_spin_spin(state: SymmetricState) -> float:
+    """Cross-atom coherence <s_1^+ s_2^->; undefined for a single atom."""
+    N = state.sector.n_atoms
+    if N < 2:
+        raise ValueError("spin-spin coherence needs at least two atoms")
+    row = diagonal_functional(state.sector, (1, 1, 0))
+    return (row @ state.coeffs / (4.0 * N * (N - 1))).real
+
+
+def expect_photon_number(state: SymmetricState) -> float:
+    """Cavity occupation <a^+ a>."""
+    return (number_functional(state.sector) @ state.coeffs).real
+
+
 def initial_mixed_state(sector: SectorBasis) -> SymmetricState:
     """Completely mixed state: identity / (2^N (M+1)).
 
@@ -100,8 +120,8 @@ def initial_mixed_state(sector: SectorBasis) -> SymmetricState:
     return SymmetricState(sector=sector, coeffs=coeffs)
 
 
-def _scaled(L) -> tuple:
-    """(matrix in the norm-scaled basis, scaling vector or None).
+def _scaled(L: Superoperator) -> tuple:
+    """(matrix in the norm-scaled basis, scaling vector).
 
     The scaled matrix is diag(d) L diag(1/d), d from ``basis_scaling``:
     the data of L.matrix, a CSR matrix without duplicate entries or
@@ -110,15 +130,13 @@ def _scaled(L) -> tuple:
     the sparse products diags(d) @ L @ diags(1/d) formed, entry by entry,
     so the numbers are the same. The result owns its index arrays.
     """
-    if isinstance(L, Superoperator):
-        sec = L.sector
-        d = basis_scaling(sec.n_atoms, sec.photon_cutoff, sec.delta_n)
-        mat = L.matrix
-        data = (mat.data * np.repeat(d, np.diff(mat.indptr))
-                * np.take(1.0 / d, mat.indices))
-        return sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
-                             shape=mat.shape), d
-    return sp.csr_matrix(L), None
+    sec = L.sector
+    d = basis_scaling(sec.n_atoms, sec.photon_cutoff, sec.delta_n)
+    mat = L.matrix
+    data = (mat.data * np.repeat(d, np.diff(mat.indptr))
+            * np.take(1.0 / d, mat.indices))
+    return sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
+                         shape=mat.shape), d
 
 
 #: i^k for k = 0, 1, 2, 3
@@ -673,17 +691,14 @@ def _check_physical_range(state: SymmetricState) -> None:
 
     The bounds hold for every density matrix (the last is <S^+ S^-> =
     N (1 + sz) / 2 + N (N - 1) spsm >= 0), so a steady state that breaks
-    one has lost its accuracy in the solve; the readouts are those of
-    ``observables.expect_*``.
+    one has lost its accuracy in the solve.
     """
-    sector, c = state.sector, state.coeffs
-    N, M = sector.n_atoms, sector.photon_cutoff
-    nb = (number_functional(sector) @ c).real
-    sz = (diagonal_functional(sector, (0, 0, 1)) @ c / N).real
-    bounds = [("nb", nb, 0.0, float(M)), ("sz", sz, -1.0, 1.0)]
+    N, M = state.sector.n_atoms, state.sector.photon_cutoff
+    sz = expect_sigma_z(state)
+    bounds = [("nb", expect_photon_number(state), 0.0, float(M)),
+              ("sz", sz, -1.0, 1.0)]
     if N >= 2:
-        spsm = (diagonal_functional(sector, (1, 1, 0)) @ c
-                / (4.0 * N * (N - 1))).real
+        spsm = expect_spin_spin(state)
         bounds.append(("spsm", spsm, -(1.0 + sz) / (2.0 * (N - 1)), np.inf))
     for name, value, lo, hi in bounds:
         if not lo - _RANGE_SLACK <= value <= hi + _RANGE_SLACK:

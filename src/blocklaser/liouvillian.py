@@ -23,10 +23,10 @@ sum_j s_j^- s_j^+ = (N - S^z)/2 and sum_j s_j^+ s_j^- = (N + S^z)/2; the
 sandwich parts use the dedicated recycling kernels.
 
 Each Lindblad term is linear in its rate, so unit-rate part matrices are
-cached per (N, M, delta_n) and rescaled per parameter set. The union of
-their sparsity patterns is cached with them (see :func:`_sum_plan`), so a
-parameter point costs one array of rate-weighted sums and no sparse
-addition.
+cached per (N, M, delta_n) and rescaled per parameter set; the rate
+table and sum of :mod:`blocklaser.model`, shared with the oracle, add
+them on their union pattern, cached with them (see :func:`_sum_plan`),
+so a parameter point costs one array of sums and no sparse addition.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .model import ModelParams, validate
+from .model import ModelParams, SumPlan, rate_sum, sum_plan, validate
 from .opkernels import apply_chain
 from .symbasis import BasisElement, SectorBasis, enumerate_sector
 
@@ -234,82 +234,26 @@ def _unit_parts(n_atoms: int, cutoff: int, delta_n: int) -> Dict[str, sp.csr_mat
             for name, chains in _part_terms(n_atoms).items()}
 
 
-@dataclass(frozen=True)
-class _SumPlan:
-    """Union CSR pattern of one sector's five unit parts.
-
-    ``parts`` maps each part name to the cached part and the int32 slots
-    of its entries, in CSR order, in the union's ``indices``. The plan
-    holds the parts themselves, not copies of their data; treat all of it
-    as immutable.
-    """
-
-    parts: Dict[str, Tuple[sp.csr_matrix, np.ndarray]]
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
 @lru_cache(maxsize=64)
-def _sum_plan(n_atoms: int, cutoff: int, delta_n: int) -> _SumPlan:
-    """The :class:`_SumPlan` of the sector's unit parts, cached."""
-    unit = _unit_parts(n_atoms, cutoff, delta_n)
-    dim = len(enumerate_sector(n_atoms, cutoff, delta_n))
-    keys = {name: np.repeat(np.arange(dim, dtype=np.int64) * dim,
-                            np.diff(part.indptr)) + part.indices
-            for name, part in unit.items()}
-    # each part's keys are sorted, so a stable sort merges five sorted
-    # runs: with a mask of repeats, 1.2 ms against np.unique's 26 ms at
-    # N = 100, charge 0
-    merged = np.sort(np.concatenate(list(keys.values())), kind="stable")
-    union = merged[np.diff(merged, prepend=-1) != 0]   # keys are >= 0
-    return _SumPlan(
-        parts={name: (part, np.searchsorted(union, keys[name]).astype(np.int32))
-               for name, part in unit.items()},
-        indices=(union % dim).astype(np.int32),
-        indptr=np.searchsorted(union, np.arange(dim + 1) * dim).astype(np.int32))
-
-
-def _rates(params: ModelParams) -> Dict[str, float]:
-    return {
-        "hamiltonian": params.coupling,
-        "cavity_decay": params.cavity_decay,
-        "pump": params.pump,
-        "spont": params.spont_emission,
-        "deph": params.dephasing,
-    }
+def _sum_plan(n_atoms: int, cutoff: int, delta_n: int) -> SumPlan:
+    """``model.sum_plan`` of the sector's unit parts, cached."""
+    return sum_plan(_unit_parts(n_atoms, cutoff, delta_n))
 
 
 def build_liouvillian(params: ModelParams, sector: SectorBasis) -> Superoperator:
     """Assemble the full sector Liouvillian from cached unit parts.
 
-    Each part with a nonzero rate adds rate * its data into one array on
-    the cached union pattern (:func:`_sum_plan`), part by part in a fixed
-    order, and the exact zeros of the sum are dropped: the same numbers,
-    pattern and order as the sum of sparse matrices, whose additions
-    drop exact zeros too. The matrix owns its index arrays. A single part
-    (say i[rho, H]) is the Liouvillian of ``params`` with the other four
-    rates set to zero.
+    The parts are added by :func:`~blocklaser.model.rate_sum` on their
+    cached union pattern (:func:`_sum_plan`): the same numbers, pattern
+    and order as the sum of sparse matrices, in a matrix that owns its
+    arrays. A single part (say i[rho, H]) is the Liouvillian of
+    ``params`` with the other four rates set to zero.
     """
     validate(params)
     if (sector.n_atoms, sector.photon_cutoff) != (params.n_atoms, params.photon_cutoff):
         raise ValueError("sector was enumerated for different (N, M)")
     plan = _sum_plan(sector.n_atoms, sector.photon_cutoff, sector.delta_n)
-    data = np.zeros(len(plan.indices), dtype=complex)
-    for name, rate in _rates(params).items():
-        part, slots = plan.parts[name]
-        if rate != 0.0 and part.nnz:
-            data[slots] += part.data * rate
-    kept = data != 0
-    if kept.all():
-        indices, indptr = plan.indices.copy(), plan.indptr.copy()
-    else:
-        data, indices = data[kept], plan.indices[kept]
-        counts = np.zeros(len(kept) + 1, dtype=np.int32)
-        np.cumsum(kept, out=counts[1:])
-        indptr = counts[plan.indptr]
-    dim = len(sector)
-    return Superoperator(sector=sector, matrix=sp.csr_matrix(
-        (data, indices, indptr), shape=(dim, dim)))
+    return Superoperator(sector=sector, matrix=rate_sum(params, plan))
 
 
 def liouvillian_for(params: ModelParams, delta_n: int) -> Superoperator:

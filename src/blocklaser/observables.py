@@ -1,7 +1,8 @@
 """Expectation values, two-time correlations and the output spectrum.
 
-Equal-time expectations reduce to weighted sums of a handful of
-coefficients: pairing an operator with the state applies the operator
+Equal-time expectations (``expect_*``, defined in :mod:`.dynamics`,
+whose steady-state gate reads them) reduce to weighted sums of a handful
+of coefficients: pairing an operator with the state applies the operator
 kernel and then the trace functional, and only contentless elements with
 matched photon powers survive the trace. Explicitly, with P_m the photon
 trace weights,
@@ -25,9 +26,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import SolverError, SymmetricState, propagate
-from .liouvillian import (chain_matrix, diagonal_functional, liouvillian_for,
-                          number_functional, trace_functional)
+from .dynamics import (SolverError, SymmetricState, expect_photon_number,
+                       expect_sigma_z, expect_spin_spin, propagate)
+from .liouvillian import (chain_matrix, liouvillian_for, number_functional,
+                          trace_functional)
 from .model import ModelParams
 from .symbasis import SectorBasis, enumerate_sector
 
@@ -85,26 +87,6 @@ class LinewidthFit:
     rate_stderr: float
     log_residual_rms: float
     window: Tuple[float, float]
-
-
-def expect_sigma_z(state: SymmetricState) -> float:
-    """Per-atom inversion <s_1^z>."""
-    row = diagonal_functional(state.sector, (0, 0, 1))
-    return (row @ state.coeffs / state.sector.n_atoms).real
-
-
-def expect_spin_spin(state: SymmetricState) -> float:
-    """Cross-atom coherence <s_1^+ s_2^->; undefined for a single atom."""
-    N = state.sector.n_atoms
-    if N < 2:
-        raise ValueError("spin-spin coherence needs at least two atoms")
-    row = diagonal_functional(state.sector, (1, 1, 0))
-    return (row @ state.coeffs / (4.0 * N * (N - 1))).real
-
-
-def expect_photon_number(state: SymmetricState) -> float:
-    """Cavity occupation <a^+ a>."""
-    return (number_functional(state.sector) @ state.coeffs).real
 
 
 def _adag_trace_pairing(target: SectorBasis) -> np.ndarray:

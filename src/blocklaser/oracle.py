@@ -6,15 +6,15 @@ ground truth for the symmetry-reduced solver at small N. Density
 matrices are flattened row-major, so A rho B maps to (A kron B^T) acting
 on the flattened vector.
 
-The full generator is built the way the sector builder builds its
-matrices, but from its own code: a rate-weighted sum of five unit-rate
-parts, each assembled once per (N, M) from the explicit per-atom
-operators and cached. Like ``site_operators``, the cached parts are
-shared and must not be modified; ``build_full_liouvillian`` always
-returns a new matrix. The module imports nothing from
-``blocklaser.liouvillian`` or ``blocklaser.opkernels`` (it shares only
-the propagator and ``SolverError`` of ``dynamics``), so it stays an
-independent check of the sector generators.
+Like the sector generators, the full generator is a rate-weighted sum
+of five unit-rate parts. This module builds its own parts, each once per
+(N, M) from the explicit per-atom operators, cached; ``rate_sum`` of
+``blocklaser.model``, shared with the sector builder, adds them. Like
+``site_operators``, the cached parts are shared and must not be
+modified; ``build_full_liouvillian`` always returns a new matrix. The
+module imports nothing from ``blocklaser.liouvillian`` or
+``blocklaser.opkernels`` (of ``dynamics`` only the propagator and
+``SolverError``), so its parts stay an independent check.
 
 The numerics run in the photon gauge: with D = i^(n_ph) on the Hilbert
 space, rho -> D rho D^+ is the similarity kron(D, conj D) on flattened
@@ -32,7 +32,7 @@ Every part also keeps the excitation charge e_r - e_c of a flattened
 ``_excitation_charge``); ``_full_unit_parts`` asserts it entry by entry,
 so the generator is block-diagonal in it. Each unit part's slice to one
 charge block is cached too, per (N, M, charge), and the entry points sum
-only the block they use from those slices, with the same rate-sum helper
+only the block they use from those slices, with the same ``rate_sum``
 as the whole generator (``_block_liouvillian``): ``oracle_steady_state``
 the charge-0 block, which holds the trace row and the steady state (490
 of 2304 rows at N = 4, M = 2), and ``oracle_two_time`` the block of its
@@ -49,14 +49,14 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dynamics import SolverError, propagate
-from .model import ModelParams, validate
+from .model import ModelParams, SumPlan, rate_sum, sum_plan, validate
 from .symbasis import BasisElement, is_legal
 
 DEFAULT_HILBERT_CAP = 64
@@ -221,76 +221,17 @@ def _check(params: ModelParams) -> None:
                          f"{DEFAULT_HILBERT_CAP}")
 
 
-class _SumPlan(NamedTuple):
-    """Union CSR pattern of unit parts: each part's data with the slots of
-    its entries, in CSR order, in the union's ``indices``. Holds the
-    parts' own data arrays; treat all of it as immutable."""
-
-    parts: Dict[str, Tuple[np.ndarray, np.ndarray]]
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: Tuple[int, int]
-
-
-def _sum_plan(parts: Dict[str, sp.csr_matrix]) -> _SumPlan:
-    """The :class:`_SumPlan` of canonical CSR parts of one shape."""
-    n_rows, n_cols = next(iter(parts.values())).shape
-    keys = {name: np.repeat(np.arange(n_rows, dtype=np.int64) * n_cols,
-                            np.diff(part.indptr)) + part.indices
-            for name, part in parts.items()}
-    union = np.unique(np.concatenate(list(keys.values())))
-    return _SumPlan(
-        parts={name: (part.data, np.searchsorted(union, keys[name]))
-               for name, part in parts.items()},
-        indices=(union % n_cols).astype(np.int32),
-        indptr=np.searchsorted(union, np.arange(n_rows + 1) * n_cols
-                               ).astype(np.int32),
-        shape=(n_rows, n_cols))
-
-
-def _rate_sum(params: ModelParams, plan: _SumPlan) -> sp.csr_matrix:
-    """Rate-weighted sum of unit parts, zero rates skipped.
-
-    The parts are the whole gauged unit parts or their slices to one
-    excitation-charge block. Each entry of a block is summed from the
-    same entries in the same order as in the whole space, so the block
-    sum equals the block of the whole sum exactly. Each part adds
-    rate * its data into one array on the union pattern, part by part in
-    a fixed order, and the exact zeros of the sum are dropped: the
-    numbers, pattern and order of the sum of sparse matrices, whose
-    additions drop exact zeros too, without their merges. The matrix
-    owns its arrays.
-    """
-    rates = {
-        "hamiltonian": params.coupling,
-        "cavity_decay": params.cavity_decay,
-        "pump": params.pump,
-        "spont": params.spont_emission,
-        "deph": params.dephasing,
-    }
-    data = np.zeros(len(plan.indices))
-    for name, rate in rates.items():
-        part_data, slots = plan.parts[name]
-        if rate != 0.0:
-            data[slots] += part_data * rate
-    kept = data != 0
-    counts = np.zeros(len(kept) + 1, dtype=np.int32)
-    np.cumsum(kept, out=counts[1:])
-    return sp.csr_matrix((data[kept], plan.indices[kept], counts[plan.indptr]),
-                         shape=plan.shape)
-
-
 @lru_cache(maxsize=16)
-def _full_plan(n_atoms: int, cutoff: int) -> _SumPlan:
-    """The :class:`_SumPlan` of ``_full_unit_parts``, cached per (N, M)."""
-    return _sum_plan(_full_unit_parts(n_atoms, cutoff))
+def _full_plan(n_atoms: int, cutoff: int) -> SumPlan:
+    """The ``sum_plan`` of ``_full_unit_parts``, cached per (N, M)."""
+    return sum_plan(_full_unit_parts(n_atoms, cutoff))
 
 
 def _gauged_liouvillian(params: ModelParams) -> sp.csr_matrix:
     """Real generator kron(D, conj D) L kron(D, conj D)^-1 on the full
     space, the rate-weighted sum of the cached gauged unit parts."""
     _check(params)
-    return _rate_sum(params, _full_plan(params.n_atoms, params.photon_cutoff))
+    return rate_sum(params, _full_plan(params.n_atoms, params.photon_cutoff))
 
 
 def _charge_block(L: sp.csr_matrix, index: np.ndarray) -> sp.csr_matrix:
@@ -306,24 +247,26 @@ def _charge_block(L: sp.csr_matrix, index: np.ndarray) -> sp.csr_matrix:
 @lru_cache(maxsize=64)
 def _block_parts(n_atoms: int, cutoff: int, charge: int) -> tuple:
     """(index, plan): the sorted flattened indices of one excitation
-    charge (see ``_excitation_charge``) and the :class:`_SumPlan` of each
-    cached gauged unit part of ``_full_unit_parts`` on that block (see
+    charge (see ``_excitation_charge``) and the ``sum_plan`` of the
+    cached gauged unit parts of ``_full_unit_parts`` on that block (see
     ``_charge_block``). Cached per (n_atoms, cutoff, charge); callers
     must not modify them.
     """
     index = np.flatnonzero(_excitation_charge(n_atoms, cutoff) == charge)
     parts = {name: _charge_block(part, index)
              for name, part in _full_unit_parts(n_atoms, cutoff).items()}
-    return index, _sum_plan(parts)
+    return index, sum_plan(parts)
 
 
 def _block_liouvillian(params: ModelParams, charge: int) -> tuple:
     """(index, generator): the real gauged generator on one excitation-
-    charge block, summed from the cached block parts alone. It equals
+    charge block, summed from the cached block parts alone. Each entry of
+    a block is summed from the same entries in the same order as in the
+    whole space, so it equals
     ``_charge_block(_gauged_liouvillian(params), index)`` exactly."""
     _check(params)
     index, plan = _block_parts(params.n_atoms, params.photon_cutoff, charge)
-    return index, _rate_sum(params, plan)
+    return index, rate_sum(params, plan)
 
 
 def build_full_liouvillian(params: ModelParams) -> sp.csr_matrix:

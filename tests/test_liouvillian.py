@@ -10,11 +10,12 @@ from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         trace_functional)
 from blocklaser import liouvillian
 from blocklaser.liouvillian import (DROP_TOL, _part_terms, _photon_hs_norm,
-                                    _rates, _sum_plan, _unit_parts,
-                                    basis_scaling, chain_matrix)
+                                    _sum_plan, _unit_parts, basis_scaling,
+                                    chain_matrix)
 from blocklaser.dynamics import SymmetricState
-from blocklaser.oracle import build_full_liouvillian, lift_element, lift_state
-from blocklaser.model import random_params
+from blocklaser.oracle import (_full_unit_parts, build_full_liouvillian,
+                               lift_element, lift_state)
+from blocklaser.model import PART_RATES, random_params
 
 RATES = ("coupling", "cavity_decay", "pump", "spont_emission", "dephasing")
 
@@ -168,6 +169,16 @@ def test_one_sector_is_assembled_once(rng):
     assert chain_matrix.cache_info().misses == len(_part_terms(5)) == 5
 
 
+def test_both_routes_name_the_same_parts_in_the_rate_order():
+    # the shared rate table adds the parts of both routes, so each route
+    # must build exactly its five parts, named and ordered as the table
+    names = list(PART_RATES)
+    for n_atoms in (1, 3):
+        assert names == list(_part_terms(n_atoms))
+        assert names == list(_full_unit_parts(n_atoms, 1))
+    assert list(PART_RATES.values()) == list(RATES)
+
+
 def sparse_sum(params, sector):
     """The Liouvillian as the rate-weighted sum of the unit parts in sparse
     arithmetic, zero rates and empty parts skipped: the reference for the
@@ -175,7 +186,8 @@ def sparse_sum(params, sector):
     unit = _unit_parts(sector.n_atoms, sector.photon_cutoff, sector.delta_n)
     dim = len(sector)
     total = sp.csr_matrix((dim, dim), dtype=complex)
-    for name, rate in _rates(params).items():
+    for name, field in PART_RATES.items():
+        rate = getattr(params, field)
         if rate != 0.0 and unit[name].nnz:
             total = total + rate * unit[name]
     return total.tocsr()

@@ -220,7 +220,8 @@ def test_block_path_is_bit_identical_to_the_full_space_path(monkeypatch):
 
 def _sparse_rate_sum(params, parts):
     """The rate-weighted sum of ``parts`` in sparse arithmetic, zero rates
-    skipped: the reference for the array sum of ``oracle._rate_sum``."""
+    skipped: the reference for the array sum of ``model.rate_sum``, which
+    the oracle's whole-space and block generators call."""
     rates = {"hamiltonian": params.coupling,
              "cavity_decay": params.cavity_decay, "pump": params.pump,
              "spont": params.spont_emission, "deph": params.dephasing}
