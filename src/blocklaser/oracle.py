@@ -13,8 +13,9 @@ of five unit-rate parts. This module builds its own parts, each once per
 ``site_operators``, the cached parts are shared and must not be
 modified; ``build_full_liouvillian`` always returns a new matrix. The
 module imports nothing from ``blocklaser.liouvillian`` or
-``blocklaser.opkernels`` (of ``dynamics`` only the propagator and
-``SolverError``), so its parts stay an independent check.
+``blocklaser.opkernels`` (of ``dynamics`` only the propagator,
+``SolverError`` and ``DegenerateSteadyStateError``), so its parts stay
+an independent check.
 
 The numerics run in the photon gauge: with D = i^(n_ph) on the Hilbert
 space, rho -> D rho D^+ is the similarity kron(D, conj D) on flattened
@@ -34,10 +35,20 @@ so the generator is block-diagonal in it. Each unit part's slice to one
 charge block is cached too, per (N, M, charge), and the entry points sum
 only the block they use from those slices, with the same ``rate_sum``
 as the whole generator (``_block_liouvillian``): ``oracle_steady_state``
-the charge-0 block, which holds the trace row and the steady state (490
-of 2304 rows at N = 4, M = 2), and ``oracle_two_time`` the block of its
-seed. Other blocks are never summed, factored or walked; only
-``build_full_liouvillian`` sums the whole space.
+the charge-0 block, which holds the trace row and the steady state, and
+``oracle_two_time`` the block of its seed. Other blocks are never
+summed, factored or walked; only ``build_full_liouvillian`` sums the
+whole space.
+
+Every Lindblad generator commutes with rho -> rho^+, which in the photon
+gauge is the transposition r dim + c -> c dim + r of the real flattened
+vectors of the charge-0 block; ``_hermitian_halves`` asserts it entry by
+entry for every unit part and folds each part's block into an even half
+(Hermitian vectors, rows r <= c) and an odd half (anti-Hermitian ones,
+rows r < c), cached per (N, M). The steady state is Hermitian, so
+``oracle_steady_state`` solves on the even half alone and factors the
+odd half only to show that it is not singular: at N = 4, M = 2 the
+charge-0 block's 490 of 2304 rows split into 269 even and 221 odd ones.
 
 ``lift_element`` expands a symmetric basis element into its explicit
 matrix, which lets tests compare kernel and Liouvillian actions entry by
@@ -55,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dynamics import SolverError, propagate
+from .dynamics import DegenerateSteadyStateError, SolverError, propagate
 from .model import ModelParams, SumPlan, rate_sum, sum_plan, validate
 from .symbasis import BasisElement, is_legal
 
@@ -258,6 +269,60 @@ def _block_parts(n_atoms: int, cutoff: int, charge: int) -> tuple:
     return index, sum_plan(parts)
 
 
+@lru_cache(maxsize=16)
+def _hermitian_halves(n_atoms: int, cutoff: int) -> tuple:
+    """(slot, even, odd): the charge-0 block folded into its two halves
+    under rho -> rho^+.
+
+    In the photon gauge rho -> rho^+ maps the real flattened vectors of
+    the charge-0 block by the transposition r dim + c -> c dim + r, and
+    every gauged unit part's block (see ``_block_parts``) commutes with
+    it; a part that does not, entry by entry, raises AssertionError.
+    ``even`` is the ``sum_plan`` of the parts' even halves, their rows
+    r <= c with each column summed with its transposed twin, and ``odd``
+    that of their odd halves, the rows r < c with twin columns combined
+    with sign -1. A symmetric block vector is x = x_even[slot], ``slot``
+    the even row of each index or of its twin, and the block L_0 is
+    similar to the direct sum of the even and the odd half. Cached per
+    (n_atoms, cutoff); callers must not modify them.
+    """
+    index, _ = _block_parts(n_atoms, cutoff, 0)
+    dim = hilbert_dim(n_atoms, cutoff)
+    n = len(index)
+    r, c = index // dim, index % dim
+    twin = np.searchsorted(index, c * dim + r)
+    # the even and the odd row of each index or of its twin, and the sign
+    # of an odd vector's entry off the diagonal: +1 above it, -1 below
+    even, odd = np.flatnonzero(r <= c), np.flatnonzero(r < c)
+    slot = np.empty(n, dtype=np.int64)
+    slot[even] = slot[twin[even]] = np.arange(len(even))
+    odd_slot = np.zeros(n, dtype=np.int64)
+    odd_slot[odd] = odd_slot[twin[odd]] = np.arange(len(odd))
+    sign = np.where(r < c, 1.0, -1.0)
+    evens, odds = {}, {}
+    for name, part in _full_unit_parts(n_atoms, cutoff).items():
+        block = _charge_block(part, index)
+        coo = block.tocoo()
+        rows, cols, data = coo.row, coo.col, coo.data
+        moved = sp.csr_matrix((data, (twin[rows], twin[cols])),
+                              shape=block.shape)
+        if not all(np.array_equal(getattr(moved, a), getattr(block, a))
+                   for a in ("indptr", "indices", "data")):
+            raise AssertionError(f"gauged {name} part does not commute "
+                                 "with rho -> rho^+")
+        # the constructor sums each column with its twin
+        keep = r[rows] <= c[rows]
+        evens[name] = sp.csr_matrix(
+            (data[keep], (slot[rows[keep]], slot[cols[keep]])),
+            shape=(len(even),) * 2)
+        keep = (r[rows] < c[rows]) & (r[cols] != c[cols])
+        odds[name] = sp.csr_matrix(
+            ((data * sign[cols])[keep],
+             (odd_slot[rows[keep]], odd_slot[cols[keep]])),
+            shape=(len(odd),) * 2)
+    return slot, sum_plan(evens), sum_plan(odds)
+
+
 def _block_liouvillian(params: ModelParams, charge: int) -> tuple:
     """(index, generator): the real gauged generator on one excitation-
     charge block, summed from the cached block parts alone. Each entry of
@@ -329,38 +394,58 @@ def lift_state(state) -> np.ndarray:
     return rho
 
 
+def _factor(mat: sp.csc_matrix, half: str):
+    """``splu`` of one half of the bordered charge-0 block; an exactly
+    singular half raises :class:`DegenerateSteadyStateError`."""
+    try:
+        return spla.splu(mat)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise DegenerateSteadyStateError(
+            f"oracle steady state: the {half} half of the bordered charge-0 "
+            f"block is singular ({exc})") from exc
+
+
 def oracle_steady_state(params: ModelParams) -> np.ndarray:
     """Unique steady density matrix of the full master equation.
 
     The real gauged generator keeps the excitation charge (see
     ``_excitation_charge``), and the trace row and every diagonal index
-    have charge 0, so the solve runs on the charge-0 block alone, summed
-    from the cached block parts (see ``_block_liouvillian``): its first
-    row, that of index 0 and trace-redundant, is replaced by the trace
-    row, the real sparse system is solved, and the solution is scattered
-    into the full vector, zero outside the block. No other block is
-    built or factored. The solution is taken out of the gauge afterwards.
-    A solution x that is not finite, or whose residual ||L_0 x|| exceeds
-    1e-9 ||L_0||_1 ||x||, L_0 the charge-0 block, raises
+    have charge 0, so the solve runs on the charge-0 block L_0 alone. The
+    bordered block, L_0 with its first row, that of index 0 and
+    trace-redundant, replaced by the trace row, commutes with
+    rho -> rho^+ and is similar to the direct sum of its even half and
+    the odd half of L_0 (see ``_hermitian_halves``), each summed from
+    its cached plan. The even half, bordered with the trace row at index
+    0, is factored and solved, and the solution is expanded onto the
+    block and scattered into the full vector, zero outside the block.
+    The odd half is factored only to check that it is not singular: an
+    exactly singular half raises :class:`DegenerateSteadyStateError`,
+    which names it. No other block is built or factored. The solution is
+    taken out of the gauge afterwards. A solution x that is not finite,
+    or whose residual ||L_0 x|| exceeds 1e-9 ||L_0||_1 ||x||, raises
     :class:`SolverError`; there is no fallback. Outside the block the
     residual is zero, and ||L_0||_1 is at most the 1-norm of the whole
     generator.
     """
     block, L = _block_liouvillian(params, 0)
     dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
-    trace_idx = np.searchsorted(block, np.arange(dim) * (dim + 1))
-    coo = L.tocoo()
+    slot, even_plan, odd_plan = _hermitian_halves(params.n_atoms,
+                                                  params.photon_cutoff)
+    coo = rate_sum(params, even_plan).tocoo()
     keep = coo.row != 0
+    trace_slots = slot[np.searchsorted(block, np.arange(dim) * (dim + 1))]
     rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], trace_idx])
+    cols = np.concatenate([coo.col[keep], trace_slots])
     vals = np.concatenate([coo.data[keep], np.ones(dim)])
     bordered = sp.csc_matrix((vals, (rows, cols)), shape=coo.shape)
-    rhs = np.zeros(len(block))
+    rhs = np.zeros(coo.shape[0])
     rhs[0] = 1.0
-    x = spla.spsolve(bordered, rhs)
-    if not np.all(np.isfinite(x)):  # SuperLU: "exactly singular"
-        raise SolverError("oracle steady-state solve is not finite "
-                          "(singular bordered matrix)")
+    x = _factor(bordered, "even").solve(rhs)[slot]
+    # the transpose of a CSR matrix is a CSC matrix on the same arrays,
+    # and singular with it
+    _factor(rate_sum(params, odd_plan).T, "odd")
+    if not np.all(np.isfinite(x)):
+        raise SolverError("oracle steady-state solve is not finite")
     resid = np.linalg.norm(L @ x)
     bound = 1e-9 * max(spla.norm(L, 1) * np.linalg.norm(x), 1e-300)
     if not resid <= bound:
@@ -439,20 +524,26 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
 
 def oracle_g1(params: ModelParams, times: Sequence[float],
               rho_ss: np.ndarray = None) -> np.ndarray:
-    """Normalized <a^+(t) a(0)> / <a^+ a> on the full space."""
+    """Normalized <a^+(t) a(0)> / <a^+ a> on the full space; <a^+ a> <=
+    1e-14 raises :class:`SolverError`, as in ``g1_trace``."""
     if rho_ss is None:
         rho_ss = oracle_steady_state(params)
     nb = oracle_expectations(params, rho_ss)["nb"]
+    if nb <= 1e-14:
+        raise SolverError("zero photon number; g1 normalization undefined")
     raw = oracle_two_time(params, "adag", "a", times, rho_ss=rho_ss)
     return raw / nb
 
 
 def oracle_g2(params: ModelParams, times: Sequence[float],
               rho_ss: np.ndarray = None) -> np.ndarray:
-    """Normalized <a^+(0) a^+(t) a(t) a(0)> / <a^+ a>^2 on the full space."""
+    """Normalized <a^+(0) a^+(t) a(t) a(0)> / <a^+ a>^2 on the full space;
+    <a^+ a> <= 1e-14 raises :class:`SolverError`, as in ``g2_trace``."""
     if rho_ss is None:
         rho_ss = oracle_steady_state(params)
     nb = oracle_expectations(params, rho_ss)["nb"]
+    if nb <= 1e-14:
+        raise SolverError("zero photon number; g2 normalization undefined")
     raw = oracle_two_time(params, "n", "a", times, sandwich=True,
                           rho_ss=rho_ss)
     return raw.real / nb ** 2

@@ -7,14 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 from blocklaser import ModelParams, enumerate_sector, oracle, propagate
-from blocklaser.dynamics import SolverError
+from blocklaser.dynamics import DegenerateSteadyStateError, SolverError
 from blocklaser.oracle import (DEFAULT_HILBERT_CAP, build_full_liouvillian,
                                hilbert_dim, lift_element, lift_state,
                                oracle_expectations, oracle_g1, oracle_g2,
                                oracle_steady_state, oracle_two_time,
                                site_operators)
 from blocklaser.symbasis import BasisElement
-from blocklaser.model import random_params
+from blocklaser.model import random_params, rate_sum
 
 
 def full_hamiltonian(params):
@@ -433,16 +433,111 @@ def test_eig_and_solve_steady_state_paths_agree(rng):
 
 def test_singular_solve_raises_solver_error():
     p = ModelParams(2, 1, 0.0, 1.0, 0.0)  # frozen atoms: singular bordering
-    with pytest.warns(sp.linalg.MatrixRankWarning), \
-            pytest.raises(SolverError, match="not finite"):
+    with pytest.raises(SolverError, match="even half .* is singular") as err:
         oracle_steady_state(p)
+    assert isinstance(err.value, DegenerateSteadyStateError)
 
 
 def test_solve_path_reports_its_residual(monkeypatch):
-    solve = sp.linalg.spsolve
-    monkeypatch.setattr(sp.linalg, "spsolve", lambda A, b: solve(A, b) + 1e-3)
+    splu = sp.linalg.splu
+
+    class Shifted:
+        """A factor whose solve is off by 1e-3 in every entry."""
+
+        def __init__(self, mat):
+            self.lu = splu(mat)
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) + 1e-3
+
+    monkeypatch.setattr(sp.linalg, "splu", Shifted)
     with pytest.raises(SolverError, match=r"residual .* above tolerance"):
         oracle_steady_state(ModelParams(2, 1, 0.9, 1.0, 0.5))
+
+
+def _transposition(n, m):
+    """(index, twin, r, c): the sorted charge-0 flattened indices r dim + c,
+    and the block position of c dim + r for each."""
+    dim = hilbert_dim(n, m)
+    index = np.flatnonzero(_flat_charges(n, m) == 0)
+    r, c = np.divmod(index, dim)
+    twin = np.searchsorted(index, c * dim + r)
+    assert np.array_equal(index[twin], c * dim + r)
+    return index, twin, r, c
+
+
+def test_transposition_commutes_with_every_charge0_part():
+    # rho -> rho^+ is the transposition of flattened indices in the photon
+    # gauge; the cached helper asserts the same, entry by entry
+    systems = [(n, m) for n in range(1, 7)
+               for m in range(1, DEFAULT_HILBERT_CAP)
+               if hilbert_dim(n, m) <= DEFAULT_HILBERT_CAP]
+    assert {(1, 31), (5, 1), (3, 7)} <= set(systems) and len(systems) == 57
+    for n, m in systems:
+        index, twin, r, c = _transposition(n, m)
+        for name, part in oracle._full_unit_parts(n, m).items():
+            block = oracle._charge_block(part, index)
+            assert (block[twin][:, twin] != block).nnz == 0, (n, m, name)
+        slot, even, odd = oracle._hermitian_halves(n, m)
+        assert even.shape == (np.count_nonzero(r <= c),) * 2, (n, m)
+        assert odd.shape == (np.count_nonzero(r < c),) * 2, (n, m)
+    assert [oracle._hermitian_halves(4, 2)[k].shape[0] for k in (1, 2)] == [
+        269, 221]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (4, 2), (5, 1), (1, 31),
+                                 (3, 7)])
+def test_halves_reproduce_the_block_on_its_even_and_odd_vectors(n, m):
+    rng = np.random.default_rng(31)
+    index, twin, r, c = _transposition(n, m)
+    even_rows, odd_rows = np.flatnonzero(r <= c), np.flatnonzero(r < c)
+    slot, even_plan, odd_plan = oracle._hermitian_halves(n, m)
+    p = random_params(rng, n, m)
+    for case in (p, dataclasses.replace(p, coupling=0.0),
+                 dataclasses.replace(p, pump=0.0, dephasing=0.0)):
+        L = oracle._block_liouvillian(case, 0)[1]
+        even, odd = rate_sum(case, even_plan), rate_sum(case, odd_plan)
+        x_even = rng.standard_normal(even.shape[0])
+        x = x_even[slot]
+        assert np.array_equal(x[twin], x) and np.array_equal(x[even_rows],
+                                                             x_even)
+        x_odd = rng.standard_normal(odd.shape[0])
+        y = np.zeros(len(index))
+        y[odd_rows], y[twin[odd_rows]] = x_odd, -x_odd
+        for vec, rows, half, part in ((x, even_rows, even, x_even),
+                                      (y, odd_rows, odd, x_odd)):
+            full = L @ vec
+            scale = (abs(L) @ np.abs(vec)).max()
+            assert np.abs(full[rows] - half @ part).max() <= 1e-14 * scale
+            # the block keeps the vector's parity
+            sign = 1.0 if half is even else -1.0
+            assert np.abs(full[twin] - sign * full).max() <= 1e-14 * scale
+
+
+def test_singular_odd_half_raises(monkeypatch):
+    # no parameter set leaves only the odd half singular, so the cached
+    # odd half gets an empty column
+    p = ModelParams(2, 1, 0.9, 1.0, 0.5)
+    oracle_steady_state(p)
+    slot, even, odd = oracle._hermitian_halves(2, 1)
+    kept = odd.indices != 0
+    emptied = odd._replace(parts={name: (data * kept[slots], slots)
+                                  for name, (data, slots) in odd.parts.items()})
+    assert rate_sum(p, emptied).getcol(0).nnz == 0
+    monkeypatch.setattr(oracle, "_hermitian_halves",
+                        lambda n, m: (slot, even, emptied))
+    with pytest.raises(DegenerateSteadyStateError, match="odd half"):
+        oracle_steady_state(p)
+
+
+def test_oracle_traces_raise_at_zero_photon_number():
+    # g = 0: the pumped atoms never feed the mode, so <a^+ a> = 0
+    p = ModelParams(2, 1, 0.0, 1.0, 0.5)
+    rho = oracle_steady_state(p)
+    assert oracle_expectations(p, rho)["nb"] == 0.0
+    for trace, label in ((oracle_g1, "g1"), (oracle_g2, "g2")):
+        with pytest.raises(SolverError, match=f"zero photon number; {label}"):
+            trace(p, [0.0, 1.0], rho_ss=rho)
 
 
 def test_lift_state_reproduces_mixed_state():
