@@ -92,10 +92,10 @@ OPTIONS: Dict[str, tuple] = {
     "w_scale": (("linear", "log"), "linear", None, "sweep: pump spacing"),
     "dt": (float, 0.05, _POSITIVE, "dense time-grid spacing"),
     "t_dense": (float, 30.0, _NON_NEGATIVE, "end of the dense time grid"),
-    "t_max": (float, None, None, "end of the (geometric) tail grid"),
-    "n_tail": (int, 0, None, "tail grid points"),
-    "fit_t_min": (float, None, None, "start of the tail-fit window"),
-    "fit_t_max": (float, None, None, "end of the tail-fit window"),
+    "t_max": (float, None, _FINITE, "end of the (geometric) tail grid"),
+    "n_tail": (int, 0, _NATURAL, "tail grid points"),
+    "fit_t_min": (float, None, _FINITE, "start of the tail-fit window"),
+    "fit_t_max": (float, None, _FINITE, "end of the tail-fit window"),
     "omega_max": (float, None, _POSITIVE,
                   "spectrum half-band (default pi/(4 dt))"),
     "omega_points": (int, 2001, _AT_LEAST_1, "spectrum frequency count"),

@@ -7,19 +7,15 @@ exponentially ill-scaled in N, and without the similarity both sparse LU
 and the propagator silently lose accuracy beyond a few tens of atoms.
 Inputs and outputs always use the raw coefficient convention.
 
-``propagate`` also conjugates by the photon gauge g = i^((n_adag + n_a)
-mod 4) of each element. An entry of a sector Liouvillian is imaginary
-exactly where its two elements' n_adag + n_a differ by an odd number
-(the entries of i[rho, H]) and real elsewhere, so diag(g) turns every
-sector matrix into a real one; the factors are powers of i and the
-product is exact. The g1 and g2 seeds and readouts are a real vector
-times a power of i in this gauge, so their walks run in float64 and get
-the power back at each read; any other state walks in complex arithmetic
-in the same loop. ``steady_state`` and ``slow_eigenmode`` still factor
-the complex matrix: a real LU of the gauged bordered matrix picks a
-different pivot order, and at N = 100 that moves nb, sz and spsm by up
-to 4.9e-6 relative, more than the 1e-7 at which
-``perfbench/reference.json`` pins the benchmark's outputs.
+A :class:`~blocklaser.liouvillian.Superoperator` holds its generator in
+the photon gauge, where it is real (see :mod:`blocklaser.liouvillian`).
+``propagate`` walks that matrix; the g1 and g2 seeds and readouts are a
+real vector times a power of i there, so their walks run in float64 and
+get the power back at each read. ``steady_state`` and ``slow_eigenmode``
+factor the complex generator (``Superoperator.physical``): a real LU of
+the gauged bordered matrix picks a different pivot order, and at N = 100
+that moves nb, sz and spsm by up to 4.9e-6 relative, more than the 1e-7
+at which ``perfbench/reference.json`` pins the benchmark's outputs.
 
 Time evolution has one propagator, ``propagate``, the truncated Taylor
 method of Al-Mohy & Higham (2011) with the norms that choose the Taylor
@@ -62,7 +58,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import idamax
 
 from .liouvillian import (Superoperator, basis_scaling, diagonal_functional,
-                          number_functional, trace_functional)
+                          gauge_power, number_functional, trace_functional)
+from .model import I_POWERS
 from .symbasis import BasisElement, SectorBasis
 
 
@@ -120,56 +117,21 @@ def initial_mixed_state(sector: SectorBasis) -> SymmetricState:
     return SymmetricState(sector=sector, coeffs=coeffs)
 
 
-def _scaled(L: Superoperator) -> tuple:
-    """(matrix in the norm-scaled basis, scaling vector).
+def _scaled(mat: sp.csr_matrix, sector: SectorBasis) -> tuple:
+    """(``mat`` on ``sector`` in the norm-scaled basis, scaling vector).
 
-    The scaled matrix is diag(d) L diag(1/d), d from ``basis_scaling``:
-    the data of L.matrix, a CSR matrix without duplicate entries or
-    stored zeros (as every builder returns it), is multiplied by d[rows]
-    and then by (1/d)[cols], in that order. Those are the products that
-    the sparse products diags(d) @ L @ diags(1/d) formed, entry by entry,
+    The scaled matrix is diag(d) mat diag(1/d), d from ``basis_scaling``:
+    the data of mat, a CSR matrix without duplicate entries or stored
+    zeros (as every builder returns it), is multiplied by d[rows] and
+    then by (1/d)[cols], in that order. Those are the products that the
+    sparse products diags(d) @ mat @ diags(1/d) formed, entry by entry,
     so the numbers are the same. The result owns its index arrays.
     """
-    sec = L.sector
-    d = basis_scaling(sec.n_atoms, sec.photon_cutoff, sec.delta_n)
-    mat = L.matrix
+    d = basis_scaling(sector.n_atoms, sector.photon_cutoff, sector.delta_n)
     data = (mat.data * np.repeat(d, np.diff(mat.indptr))
             * np.take(1.0 / d, mat.indices))
     return sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()),
                          shape=mat.shape), d
-
-
-#: i^k for k = 0, 1, 2, 3
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-#: sign of the real part of i^k z for k = 0, 1, 2, 3, which is Re z, -Im z,
-#: -Re z and Im z
-_GAUGE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-
-
-def _gauged(L: Superoperator) -> tuple:
-    """(float64 matrix, scaling d, gauge g): the norm-scaled matrix of
-    ``_scaled`` conjugated by diag(g), g = i^((n_adag + n_a) mod 4) of
-    each element.
-
-    An entry of a sector Liouvillian is real where its two elements'
-    n_adag + n_a differ by an even number and imaginary where they differ
-    by an odd one (i[rho, H] moves one photon power, the dissipators none
-    or two). Entry (r, c) takes the factor g_r conj(g_c) = i^k, k the
-    difference of the two elements' n_adag + n_a mod 4, so its real value
-    is Re z, -Im z, -Re z or Im z for k = 0..3: a part picked and a sign
-    applied, which is exact. The other part must be exactly zero;
-    anything else raises AssertionError.
-    """
-    mat, d = _scaled(L)
-    e = L.sector.contents[:, 3] + L.sector.contents[:, 4]
-    k = (np.repeat(e, np.diff(mat.indptr)) - np.take(e, mat.indices)) & 3
-    odd = (k & 1).astype(bool)
-    if np.where(odd, mat.data.real, mat.data.imag).any():
-        raise AssertionError(f"gauged generator of {L.sector} is not real")
-    data = (np.where(odd, mat.data.imag, mat.data.real)
-            * np.take(_GAUGE_SIGNS, k))
-    return (sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape),
-            d, _I_POWERS[e & 3])
 
 
 def _max_abs(v: np.ndarray):
@@ -406,19 +368,18 @@ def propagate(L, c0: np.ndarray, times: Sequence[float],
       form as c(t_k+1) e^(theta (t - t_k+1)) (analytic tail). A rotating
       or growing state fails the test and keeps propagating.
 
-    A :class:`Superoperator` is walked in the photon gauge, where its
-    matrix is real (see ``_gauged``); a bare sparse matrix is walked as
-    given. With a real matrix, a start vector or readout that is a real
-    vector times 1 or i walks and reads in float64, and the factor is put
-    back at every read. Results do not depend on numpy's global RNG,
-    which is left as it was. A state or read value that is not finite
-    raises :class:`SolverError` naming its delay. ``observe``, if given, is a
-    row vector l in the raw coefficient convention, and the returned
-    :class:`Propagation` holds l . c(t) for each t in ``values``;
-    otherwise ``values`` is the trajectory (len(times), dim). Its
-    ``tail_delay`` and ``tail_eigenvalue`` say where the analytic tail
-    began, and ``matvecs`` how many products with the generator the walk
-    took.
+    A :class:`Superoperator` is walked as its real photon-gauge matrix;
+    a bare sparse matrix is walked as given. With a real matrix, a start
+    vector or readout that is a real vector times 1 or i walks and reads
+    in float64, and the factor is put back at every read. Results do not
+    depend on numpy's global RNG, which is left as it was. A state or read
+    value that is not finite raises :class:`SolverError` naming its delay.
+    ``observe``, if given, is a row vector l in the raw coefficient
+    convention, and the returned :class:`Propagation` holds l . c(t) for
+    each t in ``values``; otherwise ``values`` is the trajectory
+    (len(times), dim). Its ``tail_delay`` and ``tail_eigenvalue`` say
+    where the analytic tail began, and ``matvecs`` how many products with
+    the generator the walk took.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -431,7 +392,8 @@ def propagate(L, c0: np.ndarray, times: Sequence[float],
         raise TypeError("observe is a row vector of the linear readout, "
                         "not a callable")
     if isinstance(L, Superoperator):
-        mat, d, g = _gauged(L)
+        mat, d = _scaled(L.matrix, L.sector)
+        g = I_POWERS[gauge_power(L.sector) & 3]
     else:
         mat = sp.csr_matrix(L)
         d = g = np.ones(mat.shape[0])
@@ -537,8 +499,8 @@ class SlowMode:
 def slow_eigenmode(L: Superoperator) -> SlowMode:
     """Eigenvalue of largest real part among the six nearest zero.
 
-    Shift-invert Arnoldi at zero on the norm-scaled matrix; one sparse LU
-    serves both the right and the left (adjoint) iteration, and both
+    Shift-invert Arnoldi at zero on the scaled ``L.physical()``; one
+    sparse LU serves both the right and the left (adjoint) iteration, and both
     start from a fixed vector, so repeated calls agree bit for bit. The
     charge-0 sector is rejected: its zero eigenvalue is the steady state.
     A shifted sector of a physical generator decays, so an eigenvalue with
@@ -549,7 +511,7 @@ def slow_eigenmode(L: Superoperator) -> SlowMode:
     if L.sector.delta_n == 0:
         raise ValueError("slow modes are sought in shifted sectors; "
                          "charge 0 holds the steady state")
-    mat, _ = _scaled(L)
+    mat, _ = _scaled(L.physical(), L.sector)
     lu = spla.splu(mat.tocsc())
     v0 = np.ones(mat.shape[0], dtype=complex)
     right = spla.LinearOperator(mat.shape, matvec=lu.solve, dtype=complex)
@@ -619,7 +581,7 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
                  tol: float = 1e-10) -> SymmetricState:
     """Unique trace-one null vector of the sector Liouvillian.
 
-    Numerics run in the norm-scaled basis. The bordered matrix B, the
+    Numerics run on ``L.physical()``, norm-scaled. The bordered matrix B, the
     Liouvillian with the row of the contentless element (a row that trace
     preservation makes redundant) replaced by the trace functional, is
     factored once with sparse LU:
@@ -645,7 +607,7 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
         raise ValueError("steady states live in the delta_n = 0 sector")
     if trace is None:
         trace = trace_functional(sector)
-    mat, d = _scaled(L)
+    mat, d = _scaled(L.physical(), sector)
     t_scaled = trace / d
     norm_l = spla.norm(mat, 1)
     null_tol = max(tol * norm_l, 1e-12 * max(norm_l, 1.0))

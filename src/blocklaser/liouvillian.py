@@ -27,6 +27,11 @@ cached per (N, M, delta_n) and rescaled per parameter set; the rate
 table and sum of :mod:`blocklaser.model`, shared with the oracle, add
 them on their union pattern, cached with them (see :func:`_sum_plan`),
 so a parameter point costs one array of sums and no sparse addition.
+
+The parts are cached in the photon gauge g = i^((n_adag + n_a) mod 4)
+of each element, where they are real: i[rho, H] moves one photon power,
+the dissipators none or two. ``model.to_gauge`` takes each part there
+once, as it is built, and a :class:`Superoperator` holds the real sum.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .model import ModelParams, SumPlan, rate_sum, sum_plan, validate
+from .model import (ModelParams, SumPlan, from_gauge, rate_sum, sum_plan,
+                    to_gauge, validate)
 from .opkernels import apply_chain
 from .symbasis import BasisElement, SectorBasis, enumerate_sector
 
@@ -52,12 +58,27 @@ DROP_TOL = 1e-15
 ASSEMBLY_BLOCK = 1024
 
 
+def gauge_power(sector: SectorBasis) -> np.ndarray:
+    """Photon-gauge exponent n_adag + n_a of each element of ``sector``."""
+    return sector.contents[:, 3] + sector.contents[:, 4]
+
+
 @dataclass
 class Superoperator:
-    """Sparse action of the master equation on one charge sector."""
+    """Sparse action of the master equation on one charge sector, in the
+    photon gauge: ``matrix`` is the real float64 diag(g) L diag(g)^-1,
+    g = i^(:func:`gauge_power`) of each element."""
 
     sector: SectorBasis
     matrix: sp.csr_matrix
+
+    def __post_init__(self):
+        if self.matrix.dtype != np.float64:
+            raise TypeError("Superoperator.matrix is the real gauged matrix")
+
+    def physical(self) -> sp.csr_matrix:
+        """The complex generator L, taken out of the gauge."""
+        return from_gauge(self.matrix, gauge_power(self.sector))
 
 
 def photon_trace_weights(cutoff: int) -> np.ndarray:
@@ -188,7 +209,7 @@ def _part_terms(n_atoms: int):
     }
 
 
-@lru_cache(maxsize=512)   # 64 sectors' five parts, seeds and pairings
+@lru_cache(maxsize=512)   # seeds and pairings; unit parts bypass it
 def chain_matrix(chains: Tuple[Tuple[complex, Tuple[str, ...]], ...],
                  n_atoms: int, cutoff: int, source_dn: int,
                  target_dn: int) -> sp.csr_matrix:
@@ -228,25 +249,29 @@ def chain_matrix(chains: Tuple[Tuple[complex, Tuple[str, ...]], ...],
 
 
 def _unit_parts(n_atoms: int, cutoff: int, delta_n: int) -> Dict[str, sp.csr_matrix]:
-    """Unit-rate part matrices on the given sector, each a cached
-    :func:`chain_matrix`."""
-    return {name: chain_matrix(tuple(chains), n_atoms, cutoff, delta_n, delta_n)
+    """Unit-rate float64 part matrices on the given sector in the photon
+    gauge: each a :func:`chain_matrix`, built past its cache, that
+    ``model.to_gauge`` takes there (AssertionError if it is not real)."""
+    power = gauge_power(enumerate_sector(n_atoms, cutoff, delta_n))
+    build = chain_matrix.__wrapped__
+    return {name: to_gauge(build(tuple(chains), n_atoms, cutoff, delta_n,
+                                 delta_n), power, name)
             for name, chains in _part_terms(n_atoms).items()}
 
 
 @lru_cache(maxsize=64)
 def _sum_plan(n_atoms: int, cutoff: int, delta_n: int) -> SumPlan:
-    """``model.sum_plan`` of the sector's unit parts, cached."""
+    """``model.sum_plan`` of the sector's unit parts: their only cache."""
     return sum_plan(_unit_parts(n_atoms, cutoff, delta_n))
 
 
 def build_liouvillian(params: ModelParams, sector: SectorBasis) -> Superoperator:
     """Assemble the full sector Liouvillian from cached unit parts.
 
-    The parts are added by :func:`~blocklaser.model.rate_sum` on their
-    cached union pattern (:func:`_sum_plan`): the same numbers, pattern
-    and order as the sum of sparse matrices, in a matrix that owns its
-    arrays. A single part (say i[rho, H]) is the Liouvillian of
+    The real parts are added by :func:`~blocklaser.model.rate_sum` on
+    their cached union pattern (:func:`_sum_plan`): the same numbers,
+    pattern and order as the sum of sparse matrices, in a matrix that
+    owns its arrays. A single part (say i[rho, H]) is the Liouvillian of
     ``params`` with the other four rates set to zero.
     """
     validate(params)

@@ -6,8 +6,9 @@ at most ``photon_cutoff`` photons; ``photon_cutoff = 1`` is the fully
 blockaded (two-level) cavity.
 
 The sector Liouvillian and the brute-force oracle each build their own
-five unit-rate parts; :data:`PART_RATES`, :func:`sum_plan` and
-:func:`rate_sum` add them, for both.
+five unit-rate parts, real in the photon gauge of :func:`to_gauge`;
+:data:`PART_RATES`, :func:`sum_plan` and :func:`rate_sum` add them, for
+both.
 """
 
 from __future__ import annotations
@@ -172,17 +173,15 @@ def sum_plan(parts: Dict[str, sp.csr_matrix]) -> SumPlan:
 
 
 def rate_sum(params: ModelParams, plan: SumPlan) -> sp.csr_matrix:
-    """Rate-weighted sum of the unit parts of ``plan``.
+    """Rate-weighted sum of the real unit parts of ``plan``.
 
     Each part with a nonzero rate and entries adds rate * its data into
-    one array on the union pattern, in :data:`PART_RATES` order, and the
-    exact zeros of the sum are dropped: the numbers, pattern and order of
-    the sum of sparse matrices, whose additions drop exact zeros too,
-    without their merges. The dtype is that of the parts' data. The
-    matrix owns its arrays.
+    one float64 array on the union pattern, in :data:`PART_RATES` order,
+    and the exact zeros of the sum are dropped: the numbers, pattern and
+    order of the sum of sparse matrices, whose additions drop exact zeros
+    too, without their merges. The matrix owns its arrays.
     """
-    data = np.zeros(len(plan.indices),
-                    dtype=np.result_type(*(d for d, _ in plan.parts.values())))
+    data = np.zeros(len(plan.indices))
     for name, field in PART_RATES.items():
         part_data, slots = plan.parts[name]
         rate = getattr(params, field)
@@ -197,3 +196,29 @@ def rate_sum(params: ModelParams, plan: SumPlan) -> sp.csr_matrix:
         np.cumsum(kept, out=counts[1:])
         indptr = counts[plan.indptr]
     return sp.csr_matrix((data, indices, indptr), shape=plan.shape)
+
+
+#: i^k for k = 0, 1, 2, 3: the phases of the photon gauge
+I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def to_gauge(mat: sp.csr_matrix, power: np.ndarray,
+             name: str) -> sp.csr_matrix:
+    """diag(i^power) mat diag(i^power)^-1, float64, on the index arrays
+    of ``mat``. ``power`` is an integer per index: n_adag + n_a of a
+    sector element, n_ph(r) - n_ph(c) of the oracle's flattened index
+    r dim + c. Each entry is multiplied by a power of i, which is exact;
+    an imaginary part left over raises AssertionError naming ``name``."""
+    z = from_gauge(mat, -power)
+    if z.data.imag.any():
+        raise AssertionError(f"gauged {name} part is not real")
+    return sp.csr_matrix((z.data.real.copy(), mat.indices, mat.indptr),
+                         shape=mat.shape)
+
+
+def from_gauge(mat: sp.csr_matrix, power: np.ndarray) -> sp.csr_matrix:
+    """Inverse of :func:`to_gauge`, exact, on the index arrays of ``mat``:
+    entry (r, c) times i^(power_c - power_r)."""
+    k = np.take(power, mat.indices) - np.repeat(power, np.diff(mat.indptr))
+    return sp.csr_matrix((mat.data * I_POWERS[k & 3], mat.indices,
+                          mat.indptr), shape=mat.shape)

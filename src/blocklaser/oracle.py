@@ -11,22 +11,26 @@ of five unit-rate parts. This module builds its own parts, each once per
 (N, M) from the explicit per-atom operators, cached; ``rate_sum`` of
 ``blocklaser.model``, shared with the sector builder, adds them. Like
 ``site_operators``, the cached parts are shared and must not be
-modified; ``build_full_liouvillian`` always returns a new matrix. The
-module imports nothing from ``blocklaser.liouvillian`` or
-``blocklaser.opkernels`` (of ``dynamics`` only the propagator,
-``SolverError`` and ``DegenerateSteadyStateError``), so its parts stay
-an independent check.
+modified; ``build_full_liouvillian`` always returns a new matrix. Of
+the package the module imports only ``blocklaser.model`` and, from
+``dynamics``, the propagator, ``SolverError`` and
+``DegenerateSteadyStateError`` (tests/test_imports.py checks this), so
+its parts stay an independent check.
 
 The numerics run in the photon gauge: with D = i^(n_ph) on the Hilbert
 space, rho -> D rho D^+ is the similarity kron(D, conj D) on flattened
-density matrices. It takes a to -i a and a^+ to i a^+, so i[rho, H] and
-every dissipator become real, and the cached unit parts are kept in that
-real form. ``oracle_steady_state`` factors a real bordered matrix, and
+density matrices, which multiplies entry r dim + c by i^(n_r - n_c). It
+takes a to -i a and a^+ to i a^+, so i[rho, H] and every dissipator
+become real. Each unit part is taken there once, as it is built, by the
+gauge that the sector route uses too (``model.to_gauge``, with exponent
+n_r - n_c per flattened index), and kept as float64 alone.
+``oracle_steady_state`` factors a real bordered matrix, and
 ``oracle_two_time`` walks the real generator with a seed and a readout
 that are real up to a power of i, so the propagator runs in float64.
 Multiplying by a power of i is exact, so the gauge changes no value by
 more than the rounding of the real arithmetic; ``build_full_liouvillian``
-still returns the physical complex generator.
+takes the sum back out of the gauge (``model.from_gauge``) and returns
+the physical complex generator.
 
 Every part also keeps the excitation charge e_r - e_c of a flattened
 |r><c|, e the number of excited atoms plus photons (see
@@ -49,17 +53,12 @@ rows r < c), cached per (N, M). The steady state is Hermitian, so
 ``oracle_steady_state`` solves on the even half alone and factors the
 odd half only to show that it is not singular: at N = 4, M = 2 the
 charge-0 block's 490 of 2304 rows split into 269 even and 221 odd ones.
-
-``lift_element`` expands a symmetric basis element into its explicit
-matrix, which lets tests compare kernel and Liouvillian actions entry by
-entry against literal operator products.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, Sequence
 
 import numpy as np
@@ -67,15 +66,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dynamics import DegenerateSteadyStateError, SolverError, propagate
-from .model import ModelParams, SumPlan, rate_sum, sum_plan, validate
-from .symbasis import BasisElement, is_legal
+from .model import (I_POWERS, ModelParams, SumPlan, from_gauge, rate_sum,
+                    sum_plan, to_gauge, validate)
 
 DEFAULT_HILBERT_CAP = 64
 
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]])   # |e><g|
 _SM = _SP.T.copy()
 _SZ = np.diag([1.0, -1.0])
-_ID2 = np.eye(2)
 
 
 def hilbert_dim(n_atoms: int, cutoff: int) -> int:
@@ -133,28 +131,12 @@ def _dissipator(c: sp.spmatrix, dim: int) -> sp.csr_matrix:
             - 0.5 * sp.kron(eye, cdc.T, format="csr"))
 
 
-#: i^k for k = 0, 1, 2, 3
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
-
 @lru_cache(maxsize=16)
-def _photon_gauge(n_atoms: int, cutoff: int) -> np.ndarray:
-    """Diagonal of kron(D, conj D), D = i^(n_ph) on the Hilbert space.
-
-    Entry r dim + c of a flattened density matrix takes the phase
-    i^(n_r - n_c), n the photon number of Hilbert index r or c. Cached;
-    callers must not modify it.
-    """
+def _photon_power(n_atoms: int, cutoff: int) -> np.ndarray:
+    """Exponent n_r - n_c of kron(D, conj D), D = i^(n_ph), at each
+    flattened index r dim + c. Cached; callers must not modify it."""
     n = np.tile(np.arange(cutoff + 1), 2 ** n_atoms)
-    return _I_POWERS[(n[:, None] - n[None, :]) % 4].reshape(-1)
-
-
-def _conjugated(mat: sp.csr_matrix, phase: np.ndarray) -> sp.csr_matrix:
-    """diag(phase) mat diag(phase)^-1 for phases that are powers of i:
-    every entry is multiplied by a power of i, which is exact."""
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    data = mat.data * (phase[rows] * phase.conj()[mat.indices])
-    return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+    return (n[:, None] - n[None, :]).reshape(-1)
 
 
 @lru_cache(maxsize=16)
@@ -181,18 +163,18 @@ def _full_unit_parts(n_atoms: int, cutoff: int) -> Dict[str, sp.csr_matrix]:
 
     Each is built from the explicit per-atom operators: the commutator
     i[rho, H_1], D[a], sum_j D[s_j^+], sum_j D[s_j^-] and
-    (1/4) sum_j D[s_j^z], and then conjugated by kron(D, conj D) (see
-    ``_photon_gauge``). D a D^+ = -i a makes i[rho, H_1] real, and D[a]
-    keeps a rho a^+; a part with an imaginary entry left, or with an entry
-    between indices of different ``_excitation_charge``, raises
-    AssertionError. Cached per (n_atoms, cutoff); callers must not modify
-    them.
+    (1/4) sum_j D[s_j^z], and then conjugated by kron(D, conj D) with
+    ``model.to_gauge`` (see ``_photon_power``). D a D^+ = -i a makes
+    i[rho, H_1] real, and D[a] keeps a rho a^+; a part with an imaginary
+    entry left, or with an entry between indices of different
+    ``_excitation_charge``, raises AssertionError. Cached per (n_atoms,
+    cutoff); callers must not modify them.
     """
     ops = site_operators(n_atoms, cutoff)
     dim = hilbert_dim(n_atoms, cutoff)
     eye = sp.identity(dim, format="csr")
     H = _unit_hamiltonian(n_atoms, cutoff)
-    phase = _photon_gauge(n_atoms, cutoff)
+    power = _photon_power(n_atoms, cutoff)
     charge = _excitation_charge(n_atoms, cutoff)
 
     def summed(label):
@@ -209,16 +191,11 @@ def _full_unit_parts(n_atoms: int, cutoff: int) -> Dict[str, sp.csr_matrix]:
     }
     real = {}
     for name, part in parts.items():
-        gauged = _conjugated(part, phase)
-        if gauged.data.imag.any():
-            raise AssertionError(f"gauged {name} part is not real")
+        real[name] = gauged = to_gauge(part, power, name)
         rows = np.repeat(charge, np.diff(gauged.indptr))
         if (rows != charge[gauged.indices]).any():
             raise AssertionError(f"gauged {name} part mixes excitation "
                                  "charges")
-        real[name] = sp.csr_matrix(
-            (gauged.data.real.copy(), gauged.indices, gauged.indptr),
-            shape=gauged.shape)
     return real
 
 
@@ -336,62 +313,10 @@ def _block_liouvillian(params: ModelParams, charge: int) -> tuple:
 
 def build_full_liouvillian(params: ModelParams) -> sp.csr_matrix:
     """Vectorized master-equation generator on the full space: the gauged
-    sum of ``_gauged_liouvillian`` conjugated back to the physical,
-    complex generator."""
-    phase = _photon_gauge(params.n_atoms, params.photon_cutoff)
-    return _conjugated(_gauged_liouvillian(params), phase.conj())
-
-
-def lift_element(e: BasisElement, n_atoms: int, cutoff: int) -> np.ndarray:
-    """Explicit matrix of a symmetric basis element.
-
-    Sums the distinct placements of the (s^+, s^-, s^z, identity) content
-    over atom slots, each weighted by the number of permutations that
-    realize it, normalized by 1/(2^N N!).
-    """
-    if not is_legal(e, n_atoms, cutoff):
-        raise ValueError(f"{e} is illegal for N={n_atoms}, M={cutoff}")
-    N = n_atoms
-    dim = hilbert_dim(N, cutoff)
-    a = _mode_matrix(cutoff)
-    photon = (np.linalg.matrix_power(a.T, e.n_adag)
-              @ np.linalg.matrix_power(a, e.n_a))
-    n_i = N - e.n_plus - e.n_minus - e.n_z
-    multiplicity = (math.factorial(e.n_plus) * math.factorial(e.n_minus)
-                    * math.factorial(e.n_z) * math.factorial(n_i))
-    total = np.zeros((dim, dim), dtype=complex)
-    slots = set(range(N))
-    for plus in combinations(range(N), e.n_plus):
-        rest1 = slots - set(plus)
-        for minus in combinations(sorted(rest1), e.n_minus):
-            rest2 = rest1 - set(minus)
-            for zpos in combinations(sorted(rest2), e.n_z):
-                mats = []
-                for j in range(N):
-                    if j in plus:
-                        mats.append(_SP)
-                    elif j in minus:
-                        mats.append(_SM)
-                    elif j in zpos:
-                        mats.append(_SZ)
-                    else:
-                        mats.append(_ID2)
-                atom = np.array([[1.0]])
-                for m in mats:
-                    atom = np.kron(atom, m)
-                total += np.kron(atom, photon) * multiplicity
-    return total / (2 ** N * math.factorial(N))
-
-
-def lift_state(state) -> np.ndarray:
-    """Explicit density matrix of a SymmetricState (small N only)."""
-    sector = state.sector
-    dim = hilbert_dim(sector.n_atoms, sector.photon_cutoff)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for c, e in zip(state.coeffs, sector.elements):
-        if c != 0.0:
-            rho += c * lift_element(e, sector.n_atoms, sector.photon_cutoff)
-    return rho
+    sum of ``_gauged_liouvillian`` taken back to the physical, complex
+    generator by ``model.from_gauge``."""
+    return from_gauge(_gauged_liouvillian(params),
+                      _photon_power(params.n_atoms, params.photon_cutoff))
 
 
 def _factor(mat: sp.csc_matrix, half: str):
@@ -454,7 +379,7 @@ def oracle_steady_state(params: ModelParams) -> np.ndarray:
     vec = np.zeros(dim * dim)
     vec[block] = x
     # out of the gauge, which keeps the trace row and the residual norm
-    phase = _photon_gauge(params.n_atoms, params.photon_cutoff)
+    phase = I_POWERS[_photon_power(params.n_atoms, params.photon_cutoff) & 3]
     rho = (vec * phase.conj()).reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
@@ -511,7 +436,7 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
     seed = B @ rho_ss @ B.conj().T if sandwich else B @ rho_ss
     pairing = A.T.reshape(-1)  # Tr[A X] = vec(A^T) . vec(X), row-major
     # in the photon gauge, where seed and pairing are real up to a power of i
-    phase = _photon_gauge(params.n_atoms, params.photon_cutoff)
+    phase = I_POWERS[_photon_power(params.n_atoms, params.photon_cutoff) & 3]
     seed = seed.reshape(-1) * phase
     charge = _excitation_charge(params.n_atoms, params.photon_cutoff)
     q = int(charge[np.argmax(np.abs(seed))])

@@ -223,7 +223,8 @@ def test_fig2b_g1_matches_per_delay_expm_multiply(fig2b, t):
     seed = chain_matrix(((1.0, ("a_left",)),), p.n_atoms, p.photon_cutoff,
                         0, -1)
     c0 = seed @ ss.coeffs
-    mat, d = _scaled(liouvillian_for(p, -1))
+    L = liouvillian_for(p, -1)
+    mat, d = _scaled(L.physical(), L.sector)
     pairing = _adag_trace_pairing(shifted) / d
     exact = pairing @ expm_multiply(t * mat, c0 * d) / trace.normalization
     (k,) = np.flatnonzero(np.isclose(trace.times, t, rtol=0.0, atol=1e-9))
@@ -240,7 +241,8 @@ def test_fig2c_g2_matches_per_delay_expm_multiply(fig2c, t):
     seed = chain_matrix(((1.0, ("a_left", "adag_right")),), p.n_atoms,
                         p.photon_cutoff, 0, 0)
     c0 = seed @ ss.coeffs
-    mat, d = _scaled(liouvillian_for(p, 0))
+    L = liouvillian_for(p, 0)
+    mat, d = _scaled(L.physical(), L.sector)
     readout = number_functional(ss.sector) / d
     exact = (readout @ expm_multiply(t * mat, c0 * d)).real / g2.normalization
     (k,) = np.flatnonzero(np.isclose(g2.times, t, rtol=0.0, atol=1e-9))
@@ -339,7 +341,7 @@ def test_criterion_6_property_suites(rng, fig2c, convergence_sweeps):
         p = random_params(rng, n_atoms, 1)
         L = liouvillian_for(p, 0)
         t = trace_functional(L.sector)
-        resid = np.abs(t @ L.matrix).max()
+        resid = np.abs(t @ L.physical()).max()
         scale = np.abs(t).max() * np.abs(L.matrix.data).max()
         worst = max(worst, resid / scale)
     ok_trace = worst <= 1e-12

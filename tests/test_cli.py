@@ -391,6 +391,13 @@ def test_half_given_option_pair_is_config_error(command, given, message,
     (["spectrum", "--omega-max", "0"], "omega_max must be positive"),
     (["spectrum", "--omega-max", "-2"], "omega_max must be positive"),
     (["spectrum", "--omega-max", "inf"], "omega_max must be positive"),
+    (["g2", "--t-max", "nan", "--n-tail", "5"], "t_max must be finite"),
+    (["g2", "--t-max", "inf", "--n-tail", "5"], "t_max must be finite"),
+    (["g1", "--n-tail", "-3"], "n_tail must be non-negative"),
+    (["g1", "--fit-t-min", "nan", "--fit-t-max", "10"],
+     "fit_t_min must be finite"),
+    (["g1", "--fit-t-min", "1", "--fit-t-max", "inf"],
+     "fit_t_max must be finite"),
 ])
 def test_invalid_grid_or_draw_count_is_config_error(argv, message, capsys):
     # raised before any solve instead of a traceback from the numerics

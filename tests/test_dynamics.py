@@ -11,19 +11,21 @@ from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
                         initial_mixed_state, propagate, steady_state,
                         slow_eigenmode, expect_photon_number, expect_sigma_z,
                         expect_spin_spin, g1_trace, g2_trace)
-from blocklaser import dynamics
+from blocklaser import dynamics, liouvillian
 from blocklaser.cli import main
 from blocklaser.dynamics import (DegenerateSteadyStateError,
                                  PrecisionLossError, SolverError,
                                  SymmetricState)
-from blocklaser.liouvillian import (Superoperator, chain_matrix,
+from blocklaser.liouvillian import (Superoperator, _part_terms, chain_matrix,
                                     diagonal_functional, number_functional)
 from blocklaser.observables import _adag_trace_pairing
 from blocklaser.symbasis import BasisElement
-from blocklaser.oracle import (build_full_liouvillian, lift_state,
-                               oracle_expectations, oracle_g1, oracle_g2,
-                               oracle_steady_state, site_operators)
-from blocklaser.model import coupling_from_kappa_tilde, random_params
+from blocklaser.oracle import (build_full_liouvillian, oracle_expectations,
+                               oracle_g1, oracle_g2, oracle_steady_state,
+                               site_operators)
+from blocklaser.model import (PART_RATES, coupling_from_kappa_tilde,
+                              random_params)
+from lifting import lift_state
 
 
 def test_mixed_state_normalization():
@@ -109,7 +111,7 @@ def _propagation_case(case):
     """(generator, scaled matrix, scaling, raw start, hybrid time grid)."""
     if case.startswith("sector"):
         L = liouvillian_for(ModelParams(24, 1, 24 ** -0.5, 1.0, 2.0 / 24), -1)
-        mat, d = dynamics._scaled(L)
+        mat, d = dynamics._scaled(L.physical(), L.sector)
     else:
         L = build_full_liouvillian(ModelParams(4, 2, 0.7, 1.1, 0.6,
                                                spont_emission=0.2,
@@ -275,7 +277,7 @@ def test_norm_estimates_run_once_per_grid(monkeypatch):
     times = np.concatenate([np.linspace(0.0, 2.0, 11),
                             np.geomspace(5.0, 5000.0, 40)])
     walk = dynamics.propagate(L, c0, times)
-    stepper = dynamics._TaylorStepper(dynamics._scaled(L)[0])
+    stepper = dynamics._TaylorStepper(dynamics._scaled(L.matrix, L.sector)[0])
     estimated = (np.diff(times) * stepper.norm1 > dynamics._NORM_ONLY_BOUND)
     assert walk.tail_delay is not None
     assert np.count_nonzero(estimated & (times[1:] <= walk.tail_delay)) >= 3
@@ -398,7 +400,7 @@ def test_propagate_grid_is_independent_of_global_rng(monkeypatch):
                             np.geomspace(5.0, 500.0, 6)])
     # the long tail steps need onenormest's random norm estimates, which
     # draw from the global RNG unless guarded (expm_multiply shows it)
-    mat, d = dynamics._scaled(L)
+    mat, d = dynamics._scaled(L.physical(), L.sector)
     before = np.random.get_state()[1].copy()
     spla.expm_multiply(mat * 500.0, c0 * d)
     assert not np.array_equal(np.random.get_state()[1], before)
@@ -513,7 +515,7 @@ def test_small_resolved_gap_is_accepted(monkeypatch):
     monkeypatch.setattr(dynamics, "_charge0_gap", spy)
     L = _charge0_sector(24, 0.3, 1e-6)
     ss = steady_state(L, trace_functional(L.sector))
-    mat, _ = dynamics._scaled(L)
+    mat, _ = dynamics._scaled(L.physical(), L.sector)
     dense_gap = np.sort(np.abs(np.linalg.eigvals(mat.toarray())))[1]
     assert len(gaps) == 1 and gaps[0] == pytest.approx(dense_gap, rel=2e-2)
     assert 1e-6 < gaps[0] < 1e-4
@@ -554,7 +556,7 @@ def test_slow_eigenmode_matches_dense_spectrum(rng):
     for n_atoms in (4, 7):
         L = liouvillian_for(random_params(rng, n_atoms, 1), -1)
         mode = slow_eigenmode(L)
-        dense = np.linalg.eigvals(L.matrix.toarray())
+        dense = np.linalg.eigvals(L.physical().toarray())
         nearest = dense[np.argsort(np.abs(dense))[:6]]
         slowest = nearest[np.argmax(nearest.real)]
         assert abs(mode.eigenvalue - slowest) <= 1e-10 * np.abs(dense).max()
@@ -616,7 +618,8 @@ def test_fig2b_point_analytic_tail_matches_expm_multiply():
     late = times > trace.tail_delay
     assert late.sum() >= 10 and times[late][-1] == 1500.0
     # the same g1 by expm_multiply of the scaled charge -1 matrix
-    mat, d = dynamics._scaled(liouvillian_for(p, -1))
+    L = liouvillian_for(p, -1)
+    mat, d = dynamics._scaled(L.physical(), L.sector)
     seed = chain_matrix(((1.0, ("a_left",)),), N, 1, 0, -1)
     pairing = _adag_trace_pairing(enumerate_sector(N, 1, -1)) / d
     states = _expm_multiply_chain(mat, (seed @ ss.coeffs) * d,
@@ -642,7 +645,7 @@ def test_scaling_is_the_diagonal_product_bit_for_bit(n, m, dn):
     p = random_params(rng, n, m)
     for case in (p, ModelParams(n, m, p.coupling, 0.0, 0.0)):
         L = liouvillian_for(case, dn)
-        mat, d = dynamics._scaled(L)
+        mat, d = dynamics._scaled(L.matrix, L.sector)
         ref = (sp.diags(d) @ L.matrix @ sp.diags(1.0 / d)).tocsr()
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(mat, name), getattr(ref, name)), (
@@ -652,9 +655,11 @@ def test_scaling_is_the_diagonal_product_bit_for_bit(n, m, dn):
 
 
 def test_sector_generators_are_real_in_the_photon_gauge():
-    # g = i^((n_adag + n_a) mod 4) conjugates every norm-scaled sector
-    # matrix to one whose imaginary part is exactly zero: all five rates
-    # on, and each part alone with the other four rates zero
+    # g = i^((n_adag + n_a) mod 4) conjugates every sector generator to a
+    # real one: all five rates on, and each part alone with the other four
+    # rates zero. The stored matrix is that real sum, out of the gauge it
+    # is the sum of the complex parts, and its scaling, which propagate
+    # walks, is the gauged scaled complex generator bit for bit
     rng = np.random.default_rng(19)
     powers = np.array([1.0, 1.0j, -1.0, -1.0j])
     for n in range(1, 7):
@@ -666,34 +671,53 @@ def test_sector_generators_are_real_in_the_photon_gauge():
             cases = [full] + [ModelParams(n, m, **dict(
                 off, **{rate: getattr(full, rate)})) for rate in _RATES]
             for dn in range(-2, 3):
+                sector = enumerate_sector(n, m, dn)
+                parts = {name: chain_matrix.__wrapped__(tuple(chains), n, m,
+                                                        dn, dn)
+                         for name, chains in _part_terms(n).items()}
+                c = sector.contents
+                g = powers[(c[:, 3] + c[:, 4]) % 4]
                 for p in cases:
                     L = liouvillian_for(p, dn)
-                    mat, d = dynamics._scaled(L)
-                    c = L.sector.contents
-                    g = powers[(c[:, 3] + c[:, 4]) % 4]
+                    assert L.matrix.dtype == np.float64
+                    ref = sp.csr_matrix(L.matrix.shape, dtype=complex)
+                    for name, field in PART_RATES.items():
+                        ref = ref + getattr(p, field) * parts[name]
+                    assert np.array_equal(L.physical().toarray(),
+                                          ref.toarray()), (p, dn)
+                    mat, d = dynamics._scaled(L.physical(), sector)
                     gauged = sp.diags(g) @ mat @ sp.diags(g.conj())
                     assert not gauged.imag.toarray().any(), (p, dn)
-                    real, d_real, _ = dynamics._gauged(L)
-                    assert real.dtype == np.float64
+                    real, d_real = dynamics._scaled(L.matrix, sector)
                     assert np.array_equal(real.toarray(),
                                           gauged.real.toarray()), (p, dn)
                     assert np.array_equal(d_real, d)
 
 
-def test_gauge_rejects_a_part_left_over_by_the_phase():
+def test_gauge_rejects_a_part_left_over_by_the_phase(monkeypatch):
     # an odd entry (one photon power apart) must be imaginary and an even
-    # one real: a stray part of either kind raises
-    L = liouvillian_for(ModelParams(3, 2, 0.7, 1.0, 0.4, 0.2, 0.1), 0)
-    c = L.sector.contents
-    e = c[:, 3] + c[:, 4]
-    rows = np.repeat(np.arange(len(e)), np.diff(L.matrix.indptr))
-    odd = (e[rows] - e[L.matrix.indices]) % 2 == 1
-    for k, stray in ((np.flatnonzero(odd)[0], 1e-3),
-                     (np.flatnonzero(~odd)[0], 1e-3j)):
-        bad = L.matrix.copy()
-        bad.data[k] += stray
-        with pytest.raises(AssertionError, match="is not real"):
-            dynamics._gauged(Superoperator(L.sector, bad))
+    # one real: a part with a stray term of either kind raises as it is
+    # gauged, once, when it is built
+    terms = liouvillian._part_terms
+    for name, stray in (("cavity_decay", (1e-3, ("sp_right", "a_right"))),
+                        ("pump", (1e-3j, ("sz_left",)))):
+        def with_stray(n_atoms):
+            out = terms(n_atoms)
+            out[name] = out[name] + [stray]
+            return out
+
+        monkeypatch.setattr(liouvillian, "_part_terms", with_stray)
+        with pytest.raises(AssertionError,
+                           match=f"gauged {name} part is not real"):
+            liouvillian._unit_parts(3, 2, 0)
+
+
+def test_superoperator_holds_only_the_real_gauged_matrix():
+    # walking the complex generator with the gauge phases would give a
+    # wrong answer without any error, so it is refused when built
+    L = liouvillian_for(ModelParams(3, 2, 0.7, 1.0, 0.4), 0)
+    with pytest.raises(TypeError, match="real gauged matrix"):
+        Superoperator(L.sector, L.physical())
 
 
 def _record_walk_dtypes(monkeypatch):
@@ -741,7 +765,8 @@ def test_g1_and_g2_walk_float64_and_match_the_complex_generator(monkeypatch):
              _adag_trace_pairing(enumerate_sector(N, 1, -1))),
             (g2, 0, ("a_left", "adag_right"),
              number_functional(ss.sector))):
-        mat, d = dynamics._scaled(liouvillian_for(p, dn))
+        L = liouvillian_for(p, dn)
+        mat, d = dynamics._scaled(L.physical(), L.sector)
         assert mat.dtype == complex
         seed = chain_matrix(((1.0, seed_kinds),), N, 1, 0, dn)
         states = _expm_multiply_chain(mat, (seed @ ss.coeffs) * d,

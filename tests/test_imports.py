@@ -1,5 +1,6 @@
 """Import rules of the package: only scipy's public API (so ``scipy>=1.10``
-holds), only the Liouvillian reads the kernel table, a lean
+holds), only the Liouvillian reads the kernel table, the oracle takes
+little enough of the package to stay an independent check, a lean
 ``import blocklaser``, and an ``__all__`` that matches its imports."""
 
 import ast
@@ -77,6 +78,60 @@ def test_only_the_liouvillian_imports_the_kernel_table():
     importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if _kernel_table_imports(path.read_text())]
     assert importers == ["liouvillian.py"]
+
+
+def _package_imports(source: str) -> list:
+    """(module, name) of every import from the package: ``from m import x``
+    gives (m, x), and ``import m`` or ``from . import m`` gives (m, None),
+    the whole module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "blocklaser" + (f".{base}" if base else "")
+            if node.module:
+                found += [(base, alias.name) for alias in node.names]
+            else:
+                found += [(f"{base}.{alias.name}", None)
+                          for alias in node.names]
+    return [(m, x) for m, x in found if m.split(".")[0] == "blocklaser"]
+
+
+#: what the oracle may take from the package: the shared model (rates,
+#: sum and gauge) and, from dynamics, the propagator and two error types
+_ORACLE_IMPORTS = {"blocklaser.dynamics": {"propagate", "SolverError",
+                                           "DegenerateSteadyStateError"}}
+
+
+def _oracle_rule_breaks(source: str) -> list:
+    return [(m, x) for m, x in _package_imports(source)
+            if m != "blocklaser.model"
+            and (x is None or x not in _ORACLE_IMPORTS.get(m, ()))]
+
+
+def test_detector_sees_oracle_rule_breaks():
+    assert _oracle_rule_breaks(
+        "import numpy as np\n"
+        "from .model import ModelParams, rate_sum\n"
+        "from .dynamics import SolverError, propagate\n"
+        "from .dynamics import steady_state\n"
+        "from . import dynamics\n"
+        "import blocklaser.symbasis\n"
+        "from blocklaser.liouvillian import chain_matrix\n") == [
+        ("blocklaser.dynamics", "steady_state"),
+        ("blocklaser.dynamics", None), ("blocklaser.symbasis", None),
+        ("blocklaser.liouvillian", "chain_matrix")]
+
+
+def test_oracle_imports_only_the_model_and_the_propagator():
+    # the oracle checks the sector route, so it builds its own parts and
+    # takes nothing of the sector route but the one propagator
+    source = (PACKAGE / "oracle.py").read_text()
+    assert _oracle_rule_breaks(source) == []
+    assert ("blocklaser.dynamics", "propagate") in _package_imports(source)
 
 
 def test_import_loads_no_integrator_or_optimizer():

@@ -11,11 +11,11 @@ from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
 from blocklaser import liouvillian
 from blocklaser.liouvillian import (DROP_TOL, _part_terms, _photon_hs_norm,
                                     _sum_plan, _unit_parts, basis_scaling,
-                                    chain_matrix)
+                                    chain_matrix, gauge_power)
 from blocklaser.dynamics import SymmetricState
-from blocklaser.oracle import (_full_unit_parts, build_full_liouvillian,
-                               lift_element, lift_state)
-from blocklaser.model import PART_RATES, random_params
+from blocklaser.oracle import _full_unit_parts, build_full_liouvillian
+from blocklaser.model import PART_RATES, random_params, to_gauge
+from lifting import lift_element, lift_state
 
 RATES = ("coupling", "cavity_decay", "pump", "spont_emission", "dephasing")
 
@@ -59,7 +59,7 @@ def test_trace_annihilates_each_part(rng):
         t = trace_functional(sector)
         scale = np.abs(t).max()
         for rate in RATES:
-            part = build_liouvillian(only(p, rate), sector).matrix
+            part = build_liouvillian(only(p, rate), sector).physical()
             bound = 1e-12 * scale * max(1.0, np.abs(part.data).max() if part.nnz else 1.0)
             assert np.abs(t @ part).max() < bound, rate
 
@@ -69,7 +69,7 @@ def test_trace_conservation_full_liouvillian(rng):
         p = random_params(rng, n_atoms, 1)
         L = liouvillian_for(p, 0)
         t = trace_functional(L.sector)
-        resid = np.abs(t @ L.matrix).max()
+        resid = np.abs(t @ L.physical()).max()
         scale = np.abs(t).max() * np.abs(L.matrix.data).max()
         assert resid <= 1e-12 * scale
 
@@ -98,7 +98,7 @@ def test_lifted_action_equals_full_space_action(n_atoms, cutoff, rng):
     L = build_liouvillian(p, sector)
     Lfull = build_full_liouvillian(p)
     c = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
-    lifted = lift_state(SymmetricState(sector, L.matrix @ c)).reshape(-1)
+    lifted = lift_state(SymmetricState(sector, L.physical() @ c)).reshape(-1)
     direct = Lfull @ lift_state(SymmetricState(sector, c)).reshape(-1)
     scale = np.abs(direct).max()
     assert np.abs(lifted - direct).max() < 1e-12 * scale
@@ -107,7 +107,7 @@ def test_lifted_action_equals_full_space_action(n_atoms, cutoff, rng):
 def test_hamiltonian_action_matches_commutator(rng):
     p = ModelParams(2, 1, 0.8, 0.0, 0.0)
     sector = enumerate_sector(2, 1, 0)
-    ham = build_liouvillian(p, sector).matrix
+    ham = build_liouvillian(p, sector).physical()
     Lfull = build_full_liouvillian(p)  # only the commutator survives
     c = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
     lifted = lift_state(SymmetricState(sector, ham @ c)).reshape(-1)
@@ -124,7 +124,7 @@ def test_projection_of_full_liouvillian_reproduces_sector_matrix(rng):
     B = np.column_stack([lift_element(e, 2, 1).reshape(-1)
                          for e in sector.elements])
     projected, *_ = np.linalg.lstsq(B, Lfull @ B, rcond=None)
-    assert np.abs(projected - L.matrix.toarray()).max() < 1e-10
+    assert np.abs(projected - L.physical().toarray()).max() < 1e-10
 
 
 def test_spectrum_lies_in_left_half_plane(rng):
@@ -132,7 +132,7 @@ def test_spectrum_lies_in_left_half_plane(rng):
         p = random_params(rng, int(rng.integers(1, 5)), 1)
         L = liouvillian_for(p, 0)
         d = basis_scaling(p.n_atoms, 1, 0)
-        scaled = (np.diag(d) @ L.matrix.toarray()) @ np.diag(1.0 / d)
+        scaled = (np.diag(d) @ L.physical().toarray()) @ np.diag(1.0 / d)
         w = np.linalg.eigvals(scaled)
         assert w.real.max() < 1e-10 * max(1.0, np.abs(w).max())
 
@@ -158,7 +158,8 @@ def test_sector_must_match_params():
 
 
 def test_one_sector_is_assembled_once(rng):
-    # the plan holds the sector's parts, so both caches start empty
+    # the plan holds the only cached copy of the sector's parts, as
+    # float64: their complex builds bypass chain_matrix's cache
     chain_matrix.cache_clear()
     _sum_plan.cache_clear()
     sector = enumerate_sector(5, 1, 0)
@@ -166,7 +167,10 @@ def test_one_sector_is_assembled_once(rng):
     build_liouvillian(random_params(rng, 5, 1), sector)
     liouvillian_for(random_params(rng, 5, 1), 0)
     assert _sum_plan.cache_info().misses == 1
-    assert chain_matrix.cache_info().misses == len(_part_terms(5)) == 5
+    assert chain_matrix.cache_info().currsize == 0
+    plan = _sum_plan(5, 1, 0)
+    assert list(plan.parts) == list(_part_terms(5))
+    assert all(data.dtype == np.float64 for data, _ in plan.parts.values())
 
 
 def test_both_routes_name_the_same_parts_in_the_rate_order():
@@ -179,13 +183,11 @@ def test_both_routes_name_the_same_parts_in_the_rate_order():
     assert list(PART_RATES.values()) == list(RATES)
 
 
-def sparse_sum(params, sector):
-    """The Liouvillian as the rate-weighted sum of the unit parts in sparse
-    arithmetic, zero rates and empty parts skipped: the reference for the
-    array sum of ``build_liouvillian``."""
-    unit = _unit_parts(sector.n_atoms, sector.photon_cutoff, sector.delta_n)
-    dim = len(sector)
-    total = sp.csr_matrix((dim, dim), dtype=complex)
+def sparse_sum(params, unit):
+    """The Liouvillian as the rate-weighted sum of the unit parts ``unit``
+    in sparse arithmetic, zero rates and empty parts skipped: the
+    reference for the array sum of ``build_liouvillian``."""
+    total = sp.csr_matrix(unit["hamiltonian"].shape)
     for name, field in PART_RATES.items():
         rate = getattr(params, field)
         if rate != 0.0 and unit[name].nnz:
@@ -199,6 +201,7 @@ def sparse_sum(params, sector):
 def test_array_sum_is_the_sparse_sum_bit_for_bit(n_atoms, cutoff, delta_n,
                                                  rng):
     sector = enumerate_sector(n_atoms, cutoff, delta_n)
+    unit = _unit_parts(n_atoms, cutoff, delta_n)
     p = random_params(rng, n_atoms, cutoff)
     cases = [p, replace(p, coupling=0.0, dephasing=0.0),
              replace(p, cavity_decay=0.0, spont_emission=0.0),
@@ -207,7 +210,7 @@ def test_array_sum_is_the_sparse_sum_bit_for_bit(n_atoms, cutoff, delta_n,
              # a build after the cancelling one must not see its pattern
              p, random_params(rng, n_atoms, cutoff)]
     for case in cases:
-        got, ref = build_liouvillian(case, sector).matrix, sparse_sum(case, sector)
+        got, ref = build_liouvillian(case, sector).matrix, sparse_sum(case, unit)
         assert got.shape == ref.shape
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), (
@@ -222,7 +225,8 @@ def test_array_sum_is_the_sparse_sum_bit_for_bit(n_atoms, cutoff, delta_n,
 
 def entrywise_unit_parts(expand, n_atoms, cutoff, delta_n):
     """The unit parts rebuilt column by column: each column's chains run
-    on that element alone (the ``expand`` fixture), summed in a dict."""
+    on that element alone (the ``expand`` fixture), summed in a dict, and
+    taken to the photon gauge."""
     sector = enumerate_sector(n_atoms, cutoff, delta_n)
     dim = len(sector)
     parts = {}
@@ -242,7 +246,7 @@ def entrywise_unit_parts(expand, n_atoms, cutoff, delta_n):
                             shape=(dim, dim))
         mat.data[np.abs(mat.data) < DROP_TOL] = 0
         mat.eliminate_zeros()
-        parts[name] = mat
+        parts[name] = to_gauge(mat, gauge_power(sector), name)
     return parts
 
 
@@ -261,7 +265,6 @@ def test_array_assembly_equals_entrywise_expansion(n_atoms, cutoff, delta_n,
     dim = len(enumerate_sector(n_atoms, cutoff, delta_n))
     builds = [_unit_parts(n_atoms, cutoff, delta_n)]
     monkeypatch.setattr(liouvillian, "ASSEMBLY_BLOCK", 7)  # many blocks
-    chain_matrix.cache_clear()
     builds.append(_unit_parts(n_atoms, cutoff, delta_n))
     for got in builds:
         assert got.keys() == ref.keys()

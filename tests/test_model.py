@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from blocklaser import ModelParams, derive_scales, validate
-from blocklaser.model import coupling_from_kappa_tilde
+from blocklaser.model import coupling_from_kappa_tilde, from_gauge, to_gauge
 
 
 def test_validate_accepts_physical_set():
@@ -84,3 +86,26 @@ def test_coupling_from_kappa_tilde_roundtrip():
     assert derive_scales(p).kappa_tilde == pytest.approx(0.25, rel=1e-14)
     with pytest.raises(ValueError):
         coupling_from_kappa_tilde(100, 2.0, 0.0)
+
+
+
+def test_gauge_is_exact_and_rejects_a_part_left_over():
+    # a real matrix taken out of the gauge: entry (r, c) is its real entry
+    # times i^(power_c - power_r), exactly, for every power mod 4,
+    # negative ones included, and the gauge takes it back
+    power = np.array([0, 1, 2, 3, 5, -1, -2])
+    real = sp.random(7, 7, density=0.6, random_state=4, format="csr")
+    g = np.array([1.0, 1.0j, -1.0, -1.0j])[power % 4]
+    mat = from_gauge(real, power)
+    ref = sp.diags(g.conj()) @ real @ sp.diags(g)
+    assert np.array_equal(mat.toarray(), ref.toarray())
+    gauged = to_gauge(mat, power, "test")
+    assert gauged.dtype == np.float64
+    assert np.array_equal(gauged.toarray(), real.toarray())
+    # an entry with both a real and an imaginary part is never real there
+    for k in range(mat.nnz):
+        bad = mat.copy()
+        bad.data[k] *= 1.0 + 1e-3j
+        with pytest.raises(AssertionError,
+                           match="gauged test part is not real"):
+            to_gauge(bad, power, "test")

@@ -10,9 +10,10 @@ from blocklaser.dynamics import SolverError, SymmetricState
 from blocklaser.observables import (CorrelationTrace, PoorFitError,
                                     _adag_trace_pairing)
 from blocklaser.liouvillian import chain_matrix, photon_trace_weights
-from blocklaser.oracle import (lift_state, oracle_g1, oracle_g2,
-                               oracle_steady_state, site_operators)
+from blocklaser.oracle import (oracle_g1, oracle_g2, oracle_steady_state,
+                               site_operators)
 from blocklaser.model import random_params
+from lifting import lift_state
 
 
 def test_mixed_state_expectations():

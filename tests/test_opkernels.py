@@ -11,7 +11,8 @@ import pytest
 from blocklaser import BasisElement, enumerate_sector
 from blocklaser.opkernels import KERNELS, apply_chain
 from blocklaser.symbasis import is_legal
-from blocklaser.oracle import lift_element, site_operators
+from blocklaser.oracle import site_operators
+from lifting import lift_element
 
 
 def rebuild(terms, n_atoms, cutoff, shape):

@@ -9,12 +9,12 @@ import scipy.sparse as sp
 from blocklaser import ModelParams, enumerate_sector, oracle, propagate
 from blocklaser.dynamics import DegenerateSteadyStateError, SolverError
 from blocklaser.oracle import (DEFAULT_HILBERT_CAP, build_full_liouvillian,
-                               hilbert_dim, lift_element, lift_state,
-                               oracle_expectations, oracle_g1, oracle_g2,
-                               oracle_steady_state, oracle_two_time,
-                               site_operators)
+                               hilbert_dim, oracle_expectations, oracle_g1,
+                               oracle_g2, oracle_steady_state,
+                               oracle_two_time, site_operators)
 from blocklaser.symbasis import BasisElement
 from blocklaser.model import random_params, rate_sum
+from lifting import lift_element, lift_state
 
 
 def full_hamiltonian(params):
@@ -512,6 +512,56 @@ def test_halves_reproduce_the_block_on_its_even_and_odd_vectors(n, m):
             # the block keeps the vector's parity
             sign = 1.0 if half is even else -1.0
             assert np.abs(full[twin] - sign * full).max() <= 1e-14 * scale
+
+
+def _folded_halves(block, n, m):
+    """(even, odd): one charge-0 block matrix folded under rho -> rho^+ as
+    the definition reads: even rows r <= c, each column summed with its
+    twin, and odd rows r < c, twin columns with sign -1, exact zeros of
+    the sums dropped."""
+    index, twin, r, c = _transposition(n, m)
+    even, odd = np.flatnonzero(r <= c), np.flatnonzero(r < c)
+    slot = np.empty(len(index), dtype=np.int64)
+    slot[even] = slot[twin[even]] = np.arange(len(even))
+    odd_slot = np.zeros(len(index), dtype=np.int64)
+    odd_slot[odd] = odd_slot[twin[odd]] = np.arange(len(odd))
+    sign = np.where(r < c, 1.0, -1.0)
+    coo = block.tocoo()
+    rows, cols, data = coo.row, coo.col, coo.data
+    keep = r[rows] <= c[rows]
+    halves = [sp.csr_matrix((data[keep], (slot[rows[keep]],
+                                          slot[cols[keep]])),
+                            shape=(len(even),) * 2)]
+    keep = (r[rows] < c[rows]) & (r[cols] != c[cols])
+    halves.append(sp.csr_matrix(((data * sign[cols])[keep],
+                                 (odd_slot[rows[keep]],
+                                  odd_slot[cols[keep]])),
+                                shape=(len(odd),) * 2))
+    for half in halves:
+        half.eliminate_zeros()
+    return halves
+
+
+def test_half_sums_are_the_folded_block_of_the_whole_sum_bit_for_bit():
+    # the first 10 of criterion 1's 50 draws per system
+    # (tests/test_acceptance.py): the halves the steady solve sums from
+    # their cached plans against the halves folded from the charge-0
+    # block of the whole-space sum
+    for n in (1, 2, 3, 4):
+        for m in (1, 2):
+            rng = np.random.default_rng(1000 + 10 * n + m)
+            index = _transposition(n, m)[0]
+            _, even_plan, odd_plan = oracle._hermitian_halves(n, m)
+            for _ in range(10):
+                p = random_params(rng, n, m)
+                block = oracle._charge_block(oracle._gauged_liouvillian(p),
+                                             index)
+                for got, ref in zip((rate_sum(p, even_plan),
+                                     rate_sum(p, odd_plan)),
+                                    _folded_halves(block, n, m)):
+                    for name in ("data", "indices", "indptr"):
+                        assert np.array_equal(getattr(got, name),
+                                              getattr(ref, name)), (p, name)
 
 
 def test_singular_odd_half_raises(monkeypatch):
