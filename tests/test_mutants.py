@@ -1,0 +1,134 @@
+"""Seeded faults that the suite is shown to catch (DeMillo, Lipton & Sayward,
+IEEE Computer 11 (1978) 34).
+
+Each entry of ``MUTANTS`` is one small fault in ``blocklaser.oracle``: one
+edit to the source of one function, compiled against the module's own
+globals and put in place with ``monkeypatch``. Each names the check that
+must catch it, a tier-1 test or an assertion of the code, and its case
+runs that check twice: it must pass on the code as it is and fail with
+the fault in place. The oracle's caches are cleared before and after
+each case, so no faulty part outlives it. A fault that survives fails
+its case; it is reported and kept in the table, never taken out to make
+the table pass. Every system here has N <= 4.
+"""
+
+import inspect
+import textwrap
+from functools import partial
+
+import numpy as np
+import pytest
+
+import test_oracle as oracle_tests
+from blocklaser import ModelParams, oracle
+from blocklaser.dynamics import SolverError
+from blocklaser.model import random_params
+
+#: the oracle's cached builders, cleared around each case
+CACHED = ("site_operators", "_photon_power", "_excitation_charge",
+          "_full_unit_parts", "_full_plan", "_block_parts",
+          "_hermitian_halves")
+
+
+def _clear_caches():
+    for name in CACHED:
+        getattr(oracle, name).cache_clear()
+
+
+def _mutate(monkeypatch, name, old, new):
+    """Replace ``oracle.<name>`` by its source with ``old`` changed to
+    ``new``, compiled with the module's globals, so that it calls (and is
+    called through) the module's current names."""
+    source = textwrap.dedent(inspect.getsource(getattr(oracle, name)))
+    assert source.count(old) == 1, f"{name}: the edit no longer applies"
+    local = {}
+    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"),
+         vars(oracle), local)
+    monkeypatch.setattr(oracle, name, local[name])
+
+
+def _with_monkeypatch(test):
+    """A test that takes the ``monkeypatch`` fixture, run on its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        test(mp)
+
+
+def _residual_gate():
+    """The steady solve's residual check, on a system it solves."""
+    oracle.oracle_steady_state(ModelParams(2, 1, 0.9, 1.0, 0.5))
+
+
+def _even_half_g2():
+    """The even-half g2 test on the first of criterion 1's (3, 2) draws."""
+    p = random_params(np.random.default_rng(1032), 3, 2)
+    oracle_tests.check_g2_on_the_even_half(
+        p, np.linspace(0.0, 5.0 / p.cavity_decay, 100))
+
+
+#: fault -> (function, source edit, the check that must catch it, what
+#: the check raises when it does)
+MUTANTS = {
+    "odd half folds twin columns with sign +1": (
+        "_hermitian_halves",
+        ("sign = np.where(r < c, 1.0, -1.0)",
+         "sign = np.where(r < c, 1.0, 1.0)"),
+        partial(oracle_tests
+                .test_halves_reproduce_the_block_on_its_even_and_odd_vectors,
+                2, 2),
+        AssertionError),
+    "even half folds twin columns with the odd sign": (
+        "_hermitian_halves",
+        ("evens[name] = sp.csr_matrix(\n            (data[keep],",
+         "evens[name] = sp.csr_matrix(\n"
+         "            ((data * sign[cols])[keep],"),
+        partial(oracle_tests
+                .test_halves_reproduce_the_block_on_its_even_and_odd_vectors,
+                2, 2),
+        AssertionError),
+    "Hamiltonian part without its -i H rho half, which rho -> rho^+ "
+    "does not keep": (
+        "_full_unit_parts",
+        ("- sp.kron(H, eye, format=\"csr\")", ""),
+        lambda: oracle._hermitian_halves(2, 1),
+        AssertionError),
+    "zero-pivot check dropped, seen on the even half": (
+        "_factor",
+        ("warnings.simplefilter(\"error\", sla.LinAlgWarning)", "pass"),
+        oracle_tests.test_singular_solve_raises_solver_error,
+        AssertionError),
+    "zero-pivot check dropped, seen on the odd half": (
+        "_factor",
+        ("warnings.simplefilter(\"error\", sla.LinAlgWarning)", "pass"),
+        partial(_with_monkeypatch,
+                oracle_tests.test_singular_odd_half_raises),
+        pytest.fail.Exception),
+    "one entry of the even solution moved by 1e-4": (
+        "oracle_steady_state",
+        ("rhs, check_finite=False)[slot]",
+         "rhs, check_finite=False)\n    x[1] += 1e-4\n    x = x[slot]"),
+        _residual_gate,
+        SolverError),
+    "g2 seed's twin combined with the odd sign": (
+        "oracle_two_time",
+        ("seed = 0.5 * (seed + seed.conj().T)",
+         "seed = 0.5 * (seed - seed.conj().T)"),
+        _even_half_g2,
+        AssertionError),
+}
+
+
+@pytest.fixture
+def clean_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+@pytest.mark.parametrize("fault", list(MUTANTS))
+def test_check_catches_seeded_fault(fault, monkeypatch, clean_caches):
+    name, (old, new), check, raised = MUTANTS[fault]
+    check()   # passes on the code as it is
+    _clear_caches()
+    _mutate(monkeypatch, name, old, new)
+    with pytest.raises(raised):
+        check()
