@@ -49,9 +49,6 @@ from .model import (ModelParams, SumPlan, from_gauge, rate_sum, sum_plan,
 from .opkernels import apply_chain
 from .symbasis import BasisElement, SectorBasis, enumerate_sector
 
-#: entries with |value| below this after summing are rounding dust and dropped
-DROP_TOL = 1e-15
-
 #: sector columns assembled together. One part and one block at a time
 #: keep the transient arrays near 1 MB at N = 100; whole-sector arrays
 #: left about 5 MB more in the heap, on top of the steady solve's peak
@@ -220,8 +217,10 @@ def chain_matrix(chains: Tuple[Tuple[complex, Tuple[str, ...]], ...],
     in order, and an empty kinds_k is the identity. The chains run over
     ``ASSEMBLY_BLOCK`` source columns at a time, and every path through a
     chain is one (row, column, coef * weight) entry. The sparse
-    constructor sums the entries of one position once, and sums below
-    ``DROP_TOL`` are dropped.
+    constructor sums the entries of one position once, and only the exact
+    zeros of those sums are dropped: no absolute threshold, since the
+    truncation terms of the (0, 0, 0, M, M) rows scale like 1/M! and fall
+    below 1e-15 from M = 18 on, where dropping them breaks the trace.
     """
     source = enumerate_sector(n_atoms, cutoff, source_dn)
     target = enumerate_sector(n_atoms, cutoff, target_dn)
@@ -243,7 +242,6 @@ def chain_matrix(chains: Tuple[Tuple[complex, Tuple[str, ...]], ...],
     rows, cols, vals = (np.concatenate(x) for x in zip(*blocks))
     mat = sp.csr_matrix((vals.astype(complex, copy=False), (rows, cols)),
                         shape=(len(target), len(source)))
-    mat.data[np.abs(mat.data) < DROP_TOL] = 0
     mat.eliminate_zeros()
     return mat
 

@@ -8,10 +8,15 @@ on the flattened vector.
 
 Like the sector generators, the full generator is a rate-weighted sum
 of five unit-rate parts. This module builds its own parts, each once per
-(N, M) from the explicit per-atom operators, cached; ``rate_sum`` of
-``blocklaser.model``, shared with the sector builder, adds them. Like
-``site_operators``, the cached parts are shared and must not be
-modified; ``build_full_liouvillian`` always returns a new matrix. Of
+(N, M), cached; ``rate_sum`` of ``blocklaser.model``, shared with the
+sector builder, adds them. The explicit per-atom and mode operators of
+``site_operators`` are dense float64 arrays, ``np.kron`` of the 2 x 2
+and (M+1) x (M+1) matrices, built once per (N, M). Each part is a list
+of terms coef A rho B on them (``_part_terms``), and ``_kron_sum``
+assembles it in one pass: every term adds the outer product of the
+nonzeros of A and of B^T, and one COO -> CSR construction sums them.
+The cached operators and parts are shared and must not be modified;
+``build_full_liouvillian`` always returns a new matrix. Of
 the package the module imports only ``blocklaser.model`` and, from
 ``dynamics``, the propagator, ``SolverError`` and
 ``DegenerateSteadyStateError`` (tests/test_imports.py checks this), so
@@ -95,46 +100,84 @@ def _mode_matrix(cutoff: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def site_operators(n_atoms: int, cutoff: int) -> Dict[str, object]:
-    """Sparse per-atom sigma operators and the truncated mode operators.
+    """Dense float64 per-atom sigma operators, the truncated mode
+    operators and the photon number a^+ a, each ``np.kron`` of the 2 x 2
+    and (M+1) x (M+1) matrices with identities: 64 x 64 at most under
+    the cap, 128 x 128 were it raised to 128.
 
-    Cached per (n_atoms, cutoff): every caller gets the same dict, lists
-    and matrices, and must not modify them.
+    Cached per (n_atoms, cutoff): every caller gets the same dict and
+    lists, and the arrays are read-only.
     """
     dim_ph = cutoff + 1
-    eye_ph = sp.identity(dim_ph, format="csr")
 
     def embed(op2, j):
-        left = sp.identity(2 ** j, format="csr")
-        right = sp.identity(2 ** (n_atoms - 1 - j), format="csr")
-        return sp.kron(sp.kron(sp.kron(left, sp.csr_matrix(op2)), right),
-                       eye_ph, format="csr")
+        return np.kron(np.kron(np.eye(2 ** j), op2),
+                       np.eye(2 ** (n_atoms - 1 - j) * dim_ph))
 
-    a = sp.kron(sp.identity(2 ** n_atoms, format="csr"),
-                sp.csr_matrix(_mode_matrix(cutoff)), format="csr")
-    return {
+    a = np.kron(np.eye(2 ** n_atoms), _mode_matrix(cutoff))
+    ops = {
         "sp": [embed(_SP, j) for j in range(n_atoms)],
         "sm": [embed(_SM, j) for j in range(n_atoms)],
         "sz": [embed(_SZ, j) for j in range(n_atoms)],
         "a": a,
-        "adag": a.conj().T.tocsr(),
+        "adag": a.T.copy(),
+        "n": a.T @ a,
+    }
+    for op in (*ops["sp"], *ops["sm"], *ops["sz"], a, ops["adag"], ops["n"]):
+        op.flags.writeable = False
+    return ops
+
+
+def _part_terms(n_atoms: int, cutoff: int) -> Dict[str, list]:
+    """(coef, A, B) of each term coef A rho B of the five unit parts, on
+    the dense operators of ``site_operators``: i[rho, H_1] with
+    H_1 = (1/2) sum_j (s_j^+ a + s_j^- a^+), the Hamiltonian at g = 1,
+    D[a], sum_j D[s_j^+], sum_j D[s_j^-] and (1/4) sum_j D[s_j^z], with
+    D[c] rho = c rho c^+ - (1/2) c^+ c rho - (1/2) rho c^+ c."""
+    ops = site_operators(n_atoms, cutoff)
+    eye = np.eye(hilbert_dim(n_atoms, cutoff))
+    H = sum(0.5 * (ops["sp"][j] @ ops["a"] + ops["sm"][j] @ ops["adag"])
+            for j in range(n_atoms))
+
+    def dissipator(c, scale=1.0):
+        cdc = c.T @ c
+        return [(scale, c, c.T), (-0.5 * scale, cdc, eye),
+                (-0.5 * scale, eye, cdc)]
+
+    def summed(label, scale=1.0):
+        return [term for c in ops[label] for term in dissipator(c, scale)]
+
+    return {
+        # i[rho, H] = i rho H - i H rho
+        "hamiltonian": [(-1j, H, eye), (1j, eye, H)],
+        "cavity_decay": dissipator(ops["a"]),
+        "pump": summed("sp"),
+        "spont": summed("sm"),
+        "deph": summed("sz", 0.25),
     }
 
 
-def _unit_hamiltonian(n_atoms: int, cutoff: int) -> sp.csr_matrix:
-    """H_1 = (1/2) sum_j (s_j^+ a + s_j^- a^+), the Hamiltonian at g = 1."""
-    ops = site_operators(n_atoms, cutoff)
-    H = sp.csr_matrix((hilbert_dim(n_atoms, cutoff),) * 2, dtype=complex)
-    for j in range(n_atoms):
-        H = H + 0.5 * (ops["sp"][j] @ ops["a"] + ops["sm"][j] @ ops["adag"])
-    return H.tocsr()
-
-
-def _dissipator(c: sp.spmatrix, dim: int) -> sp.csr_matrix:
-    cdc = (c.conj().T @ c).tocsr()
-    eye = sp.identity(dim, format="csr")
-    return (sp.kron(c, c.conj(), format="csr")
-            - 0.5 * sp.kron(cdc, eye, format="csr")
-            - 0.5 * sp.kron(eye, cdc.T, format="csr"))
+def _kron_sum(terms: list, dim: int) -> sp.csr_matrix:
+    """Sparse sum_k coef_k A_k (x) B_k^T over dense Hilbert-space
+    operators: the superoperator of sum_k coef_k A_k rho B_k on row-major
+    flattened rho. Each term adds the outer product of the nonzeros of
+    A_k and of B_k^T, one COO -> CSR construction sums the entries of
+    each position, and exact zeros of the sums are dropped, as a sum of
+    sparse matrices drops them."""
+    rows, cols, vals = [], [], []
+    for coef, A, B in terms:
+        right = B.T
+        ra, ca = np.nonzero(A)
+        rb, cb = np.nonzero(right)
+        rows.append(np.add.outer(ra * dim, rb).reshape(-1))
+        cols.append(np.add.outer(ca * dim, cb).reshape(-1))
+        vals.append(coef * np.multiply.outer(A[ra, ca], right[rb, cb])
+                    .reshape(-1))
+    mat = sp.csr_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(dim * dim,) * 2)
+    mat.eliminate_zeros()
+    return mat
 
 
 @lru_cache(maxsize=16)
@@ -167,37 +210,20 @@ def _full_unit_parts(n_atoms: int, cutoff: int) -> Dict[str, sp.csr_matrix]:
     """Unit-rate superoperators of the five master-equation parts, in the
     photon gauge, where each is real.
 
-    Each is built from the explicit per-atom operators: the commutator
-    i[rho, H_1], D[a], sum_j D[s_j^+], sum_j D[s_j^-] and
-    (1/4) sum_j D[s_j^z], and then conjugated by kron(D, conj D) with
-    ``model.to_gauge`` (see ``_photon_power``). D a D^+ = -i a makes
-    i[rho, H_1] real, and D[a] keeps a rho a^+; a part with an imaginary
-    entry left, or with an entry between indices of different
-    ``_excitation_charge``, raises AssertionError. Cached per (n_atoms,
-    cutoff); callers must not modify them.
+    Each is assembled in one pass by ``_kron_sum`` from its terms (see
+    ``_part_terms``) on the dense per-atom operators, and then conjugated
+    by kron(D, conj D) with ``model.to_gauge`` (see ``_photon_power``).
+    D a D^+ = -i a makes i[rho, H_1] real, and D[a] keeps a rho a^+; a
+    part with an imaginary entry left, or with an entry between indices
+    of different ``_excitation_charge``, raises AssertionError. Cached
+    per (n_atoms, cutoff); callers must not modify them.
     """
-    ops = site_operators(n_atoms, cutoff)
     dim = hilbert_dim(n_atoms, cutoff)
-    eye = sp.identity(dim, format="csr")
-    H = _unit_hamiltonian(n_atoms, cutoff)
     power = _photon_power(n_atoms, cutoff)
     charge = _excitation_charge(n_atoms, cutoff)
-
-    def summed(label):
-        return sum(_dissipator(c, dim) for c in ops[label])
-
-    parts = {
-        # i[rho, H] = i rho H - i H rho
-        "hamiltonian": 1j * (sp.kron(eye, H.T, format="csr")
-                             - sp.kron(H, eye, format="csr")),
-        "cavity_decay": _dissipator(ops["a"], dim),
-        "pump": summed("sp"),
-        "spont": summed("sm"),
-        "deph": 0.25 * summed("sz"),
-    }
     real = {}
-    for name, part in parts.items():
-        real[name] = gauged = to_gauge(part, power, name)
+    for name, terms in _part_terms(n_atoms, cutoff).items():
+        real[name] = gauged = to_gauge(_kron_sum(terms, dim), power, name)
         rows = np.repeat(charge, np.diff(gauged.indptr))
         if (rows != charge[gauged.indices]).any():
             raise AssertionError(f"gauged {name} part mixes excitation "
@@ -411,10 +437,10 @@ def oracle_expectations(params: ModelParams, rho: np.ndarray) -> Dict[str, float
     ops = site_operators(params.n_atoms, params.photon_cutoff)
     out = {
         "sz": float(np.trace(ops["sz"][0] @ rho).real),
-        "nb": float(np.trace((ops["adag"] @ ops["a"]) @ rho).real),
+        "nb": float(np.trace(ops["n"] @ rho).real),
     }
     if params.n_atoms >= 2:
-        out["spsm"] = float(np.trace((ops["sp"][0] @ ops["sm"][1]) @ rho).real)
+        out["spsm"] = float(np.trace(ops["sp"][0] @ ops["sm"][1] @ rho).real)
     return out
 
 
@@ -443,13 +469,11 @@ def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
     """
     _check(params)
     ops = site_operators(params.n_atoms, params.photon_cutoff)
-    table = {"a": ops["a"], "adag": ops["adag"], "n": ops["adag"] @ ops["a"]}
     for label in (a_label, b_label):
-        if label not in table:
+        if label not in ("a", "adag", "n"):
             raise ValueError(f"unknown operator label {label!r}; expected "
                              "one of 'a', 'adag', 'n'")
-    A = table[a_label].toarray()
-    B = table[b_label].toarray()
+    A, B = ops[a_label], ops[b_label]
     if rho_ss is None:
         rho_ss = oracle_steady_state(params)
     if sandwich:

@@ -6,15 +6,17 @@ import pytest
 import scipy.sparse as sp
 
 from blocklaser import (ModelParams, enumerate_sector, build_liouvillian,
+                        expect_photon_number, expect_sigma_z,
                         liouvillian_for, photon_trace_weights, propagate,
-                        trace_functional)
+                        steady_state, trace_functional)
 from blocklaser import liouvillian
-from blocklaser.liouvillian import (DROP_TOL, _part_terms, _photon_hs_norm,
-                                    _sum_plan, _unit_parts, basis_scaling,
-                                    chain_matrix, gauge_power)
+from blocklaser.liouvillian import (_part_terms, _photon_hs_norm, _sum_plan,
+                                    _unit_parts, basis_scaling, chain_matrix,
+                                    gauge_power)
 from blocklaser.dynamics import SymmetricState
-from blocklaser.oracle import _full_unit_parts, build_full_liouvillian
-from blocklaser.model import PART_RATES, random_params, to_gauge
+from blocklaser.oracle import (_full_unit_parts, build_full_liouvillian,
+                               oracle_expectations, oracle_steady_state)
+from blocklaser.model import PART_RATES, from_gauge, random_params, to_gauge
 from lifting import lift_element, lift_state
 
 RATES = ("coupling", "cavity_decay", "pump", "spont_emission", "dephasing")
@@ -62,6 +64,34 @@ def test_trace_annihilates_each_part(rng):
             part = build_liouvillian(only(p, rate), sector).physical()
             bound = 1e-12 * scale * max(1.0, np.abs(part.data).max() if part.nnz else 1.0)
             assert np.abs(t @ part).max() < bound, rate
+
+
+@pytest.mark.parametrize("n_atoms,cutoff", [(1, 18), (1, 31), (2, 15),
+                                            (3, 7)])
+def test_trace_annihilates_every_part_column_by_column(n_atoms, cutoff):
+    # |t . P| against |t| . |P| per column: the photon traces in t span
+    # 32 to 8.5e33 at M = 31, so a bound on max|t| cannot see a column
+    # whose small truncation terms (1/M! and below) went missing
+    sector = enumerate_sector(n_atoms, cutoff, 0)
+    t = trace_functional(sector)
+    for name, part in _unit_parts(n_atoms, cutoff, 0).items():
+        P = from_gauge(part, gauge_power(sector))
+        assert np.all(np.abs(t @ P) <= 1e-14 * (np.abs(t) @ abs(P))), name
+
+
+def test_steady_state_past_cutoff_18_meets_the_oracle():
+    # this draw passed every gate of the solve with nb = 29.69 and
+    # sz = 0.737 (the oracle: 0.576 and 0.055) while truncation terms
+    # below 1e-15 were dropped from its parts; in the raw photon basis
+    # it now keeps about 4 digits (ROADMAP item 8)
+    rng = np.random.default_rng(130)
+    random_params(rng, 1, 30)
+    p = random_params(rng, 1, 30)
+    ss = steady_state(liouvillian_for(p, 0))
+    ref = oracle_expectations(p, oracle_steady_state(p))
+    for name, value in (("nb", expect_photon_number(ss)),
+                        ("sz", expect_sigma_z(ss))):
+        assert abs(value - ref[name]) <= 1e-4 * (1 + abs(ref[name])), name
 
 
 def test_trace_conservation_full_liouvillian(rng):
@@ -244,8 +274,6 @@ def entrywise_unit_parts(expand, n_atoms, cutoff, delta_n):
                     vals.append(v)
         mat = sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
                             shape=(dim, dim))
-        mat.data[np.abs(mat.data) < DROP_TOL] = 0
-        mat.eliminate_zeros()
         parts[name] = to_gauge(mat, gauge_power(sector), name)
     return parts
 

@@ -1,12 +1,13 @@
 """Seeded faults that the suite is shown to catch (DeMillo, Lipton & Sayward,
 IEEE Computer 11 (1978) 34).
 
-Each entry of ``MUTANTS`` is one small fault in ``blocklaser.oracle``: one
-edit to the source of one function, compiled against the module's own
-globals and put in place with ``monkeypatch``. Each names the check that
-must catch it, a tier-1 test or an assertion of the code, and its case
-runs that check twice: it must pass on the code as it is and fail with
-the fault in place. The oracle's caches are cleared before and after
+Each entry of ``MUTANTS`` is one small fault in a module of the package,
+most in ``blocklaser.oracle``: one edit to the source of one function,
+named ``module.function``, compiled against its module's own globals and
+put in place with ``monkeypatch``. Each names the check that must catch
+it, a tier-1 test or an assertion of the code, and its case runs that
+check twice: it must pass on the code as it is and fail with the fault
+in place. The cached builders of ``CACHED`` are cleared before and after
 each case, so no faulty part outlives it. A fault that survives fails
 its case; it is reported and kept in the table, never taken out to make
 the table pass. Every system here has N <= 4.
@@ -19,32 +20,47 @@ from functools import partial
 import numpy as np
 import pytest
 
+import test_liouvillian as liouvillian_tests
 import test_oracle as oracle_tests
-from blocklaser import ModelParams, oracle
+from blocklaser import ModelParams, liouvillian, oracle
 from blocklaser.dynamics import SolverError
 from blocklaser.model import random_params
 
-#: the oracle's cached builders, cleared around each case
-CACHED = ("site_operators", "_photon_power", "_excitation_charge",
-          "_full_unit_parts", "_full_plan", "_block_parts",
-          "_hermitian_halves")
+MODULES = {"oracle": oracle, "liouvillian": liouvillian}
+
+#: the cached builders of the mutated modules, cleared around each case:
+#: the oracle's operators, parts and their block and half plans, and the
+#: sector route's chain matrices and part plans
+CACHED = ("oracle.site_operators", "oracle._photon_power",
+          "oracle._excitation_charge", "oracle._full_unit_parts",
+          "oracle._full_plan", "oracle._block_parts",
+          "oracle._hermitian_halves", "liouvillian.chain_matrix",
+          "liouvillian._sum_plan")
+
+
+def _function(qualified):
+    """(module, name) of a ``module.function`` name of ``MODULES``."""
+    module, name = qualified.split(".")
+    return MODULES[module], name
 
 
 def _clear_caches():
-    for name in CACHED:
-        getattr(oracle, name).cache_clear()
+    for qualified in CACHED:
+        module, name = _function(qualified)
+        getattr(module, name).cache_clear()
 
 
-def _mutate(monkeypatch, name, old, new):
-    """Replace ``oracle.<name>`` by its source with ``old`` changed to
+def _mutate(monkeypatch, qualified, old, new):
+    """Replace ``module.function`` by its source with ``old`` changed to
     ``new``, compiled with the module's globals, so that it calls (and is
     called through) the module's current names."""
-    source = textwrap.dedent(inspect.getsource(getattr(oracle, name)))
-    assert source.count(old) == 1, f"{name}: the edit no longer applies"
+    module, name = _function(qualified)
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{qualified}: the edit no longer applies"
     local = {}
-    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"),
-         vars(oracle), local)
-    monkeypatch.setattr(oracle, name, local[name])
+    exec(compile(source.replace(old, new), f"<mutant of {qualified}>",
+                 "exec"), vars(module), local)
+    monkeypatch.setattr(module, name, local[name])
 
 
 def _with_monkeypatch(test):
@@ -65,11 +81,11 @@ def _even_half_g2():
         p, np.linspace(0.0, 5.0 / p.cavity_decay, 100))
 
 
-#: fault -> (function, source edit, the check that must catch it, what
-#: the check raises when it does)
+#: fault -> (module.function, source edit, the check that must catch it,
+#: what the check raises when it does)
 MUTANTS = {
     "odd half folds twin columns with sign +1": (
-        "_hermitian_halves",
+        "oracle._hermitian_halves",
         ("sign = np.where(r < c, 1.0, -1.0)",
          "sign = np.where(r < c, 1.0, 1.0)"),
         partial(oracle_tests
@@ -77,7 +93,7 @@ MUTANTS = {
                 2, 2),
         AssertionError),
     "even half folds twin columns with the odd sign": (
-        "_hermitian_halves",
+        "oracle._hermitian_halves",
         ("evens[name] = sp.csr_matrix(\n            (data[keep],",
          "evens[name] = sp.csr_matrix(\n"
          "            ((data * sign[cols])[keep],"),
@@ -87,29 +103,53 @@ MUTANTS = {
         AssertionError),
     "Hamiltonian part without its -i H rho half, which rho -> rho^+ "
     "does not keep": (
-        "_full_unit_parts",
-        ("- sp.kron(H, eye, format=\"csr\")", ""),
+        "oracle._part_terms",
+        ("[(-1j, H, eye), (1j, eye, H)]", "[(1j, eye, H)]"),
         lambda: oracle._hermitian_halves(2, 1),
         AssertionError),
+    "right factor of a term not transposed: A rho B built as A kron B": (
+        "oracle._kron_sum",
+        ("right = B.T", "right = B"),
+        lambda: oracle._full_unit_parts(2, 1),
+        AssertionError),
+    "excitation charge miscounted, ground atoms for excited ones": (
+        "oracle._excitation_charge",
+        ("e = ((n_atoms - ground)[:, None]", "e = (ground[:, None]"),
+        lambda: oracle._full_unit_parts(2, 1),
+        AssertionError),
+    "one 1/2 dropped from the c^+ c rho term of every dissipator": (
+        "oracle._part_terms",
+        ("(-0.5 * scale, cdc, eye)", "(-scale, cdc, eye)"),
+        partial(oracle_tests.test_vectorized_identity_is_left_null,
+                np.random.default_rng(3)),
+        AssertionError),
+    "absolute 1e-15 drop restored in the sector chain matrices": (
+        "liouvillian.chain_matrix",
+        ("    mat.eliminate_zeros()",
+         "    mat.data[np.abs(mat.data) < 1e-15] = 0\n"
+         "    mat.eliminate_zeros()"),
+        partial(liouvillian_tests
+                .test_trace_annihilates_every_part_column_by_column, 1, 18),
+        AssertionError),
     "zero-pivot check dropped, seen on the even half": (
-        "_factor",
+        "oracle._factor",
         ("warnings.simplefilter(\"error\", sla.LinAlgWarning)", "pass"),
         oracle_tests.test_singular_solve_raises_solver_error,
         AssertionError),
     "zero-pivot check dropped, seen on the odd half": (
-        "_factor",
+        "oracle._factor",
         ("warnings.simplefilter(\"error\", sla.LinAlgWarning)", "pass"),
         partial(_with_monkeypatch,
                 oracle_tests.test_singular_odd_half_raises),
         pytest.fail.Exception),
     "one entry of the even solution moved by 1e-4": (
-        "oracle_steady_state",
+        "oracle.oracle_steady_state",
         ("rhs, check_finite=False)[slot]",
          "rhs, check_finite=False)\n    x[1] += 1e-4\n    x = x[slot]"),
         _residual_gate,
         SolverError),
     "g2 seed's twin combined with the odd sign": (
-        "oracle_two_time",
+        "oracle.oracle_two_time",
         ("seed = 0.5 * (seed + seed.conj().T)",
          "seed = 0.5 * (seed - seed.conj().T)"),
         _even_half_g2,

@@ -26,10 +26,8 @@ def rebuild(terms, n_atoms, cutoff, shape):
                                             (3, 1), (3, 2)])
 def test_every_kernel_matches_explicit_products(n_atoms, cutoff, expand):
     ops = site_operators(n_atoms, cutoff)
-    Sp = sum(o.toarray() for o in ops["sp"])
-    Sm = sum(o.toarray() for o in ops["sm"])
-    Sz = sum(o.toarray() for o in ops["sz"])
-    a, ad = ops["a"].toarray(), ops["adag"].toarray()
+    Sp, Sm, Sz = (sum(ops[k]) for k in ("sp", "sm", "sz"))
+    a, ad = ops["a"], ops["adag"]
     for delta in range(-(n_atoms + cutoff), n_atoms + cutoff + 1):
         for e in enumerate_sector(n_atoms, cutoff, delta).elements:
             E = lift_element(e, n_atoms, cutoff)
@@ -44,10 +42,10 @@ def test_every_kernel_matches_explicit_products(n_atoms, cutoff, expand):
                 (E @ Sm, "sm_right"),
                 (Sz @ E, "sz_left"),
                 (E @ Sz, "sz_right"),
-                (sum(2 * sm.toarray() @ E @ sp.toarray()
+                (sum(2 * sm @ E @ sp
                      for sp, sm in zip(ops["sp"], ops["sm"])),
                  "emission_sandwich"),
-                (sum(2 * sp.toarray() @ E @ sm.toarray()
+                (sum(2 * sp @ E @ sm
                      for sp, sm in zip(ops["sp"], ops["sm"])),
                  "pump_sandwich"),
             ]
@@ -56,7 +54,7 @@ def test_every_kernel_matches_explicit_products(n_atoms, cutoff, expand):
                 got = rebuild(terms, n_atoms, cutoff, E.shape)
                 assert np.abs(got - direct).max() < 1e-12
             # dephasing sandwich: sum_j sz rho sz = (N - 2(n+ + n-)) rho
-            sandwich = sum(sz.toarray() @ E @ sz.toarray() for sz in ops["sz"])
+            sandwich = sum(sz @ E @ sz for sz in ops["sz"])
             diag = expand(("dephasing",), e, n_atoms, cutoff)
             assert set(diag) <= {e}
             factor = n_atoms - 2 * diag.get(e, 0.0)

@@ -16,13 +16,69 @@ from blocklaser.oracle import (DEFAULT_HILBERT_CAP, build_full_liouvillian,
                                oracle_g2, oracle_steady_state,
                                oracle_two_time, site_operators)
 from blocklaser.symbasis import BasisElement
-from blocklaser.model import random_params, rate_sum
+from blocklaser.model import random_params, rate_sum, to_gauge
 from lifting import lift_element, lift_state
 
 
-def full_hamiltonian(params):
-    return params.coupling * oracle._unit_hamiltonian(params.n_atoms,
-                                                      params.photon_cutoff)
+def sparse_site_operators(n_atoms, cutoff):
+    """The per-atom sigma operators and the mode operators as
+    ``oracle.site_operators`` built them before its dense operators: CSR
+    matrices from nested ``scipy.sparse.kron`` products."""
+    eye_ph = sp.identity(cutoff + 1, format="csr")
+    mode = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+
+    def embed(op2, j):
+        left = sp.identity(2 ** j, format="csr")
+        right = sp.identity(2 ** (n_atoms - 1 - j), format="csr")
+        return sp.kron(sp.kron(sp.kron(left, sp.csr_matrix(op2)), right),
+                       eye_ph, format="csr")
+
+    a = sp.kron(sp.identity(2 ** n_atoms, format="csr"),
+                sp.csr_matrix(mode), format="csr")
+    atom = {"sp": np.array([[0.0, 1.0], [0.0, 0.0]]),
+            "sm": np.array([[0.0, 0.0], [1.0, 0.0]]),
+            "sz": np.diag([1.0, -1.0])}
+    ops = {k: [embed(op2, j) for j in range(n_atoms)]
+           for k, op2 in atom.items()}
+    ops.update(a=a, adag=a.conj().T.tocsr())
+    return ops
+
+
+def sparse_dissipator(c, dim):
+    """D[c] = c . c^+ - (1/2) c^+ c . - (1/2) . c^+ c by sparse ``kron``."""
+    cdc = (c.conj().T @ c).tocsr()
+    eye = sp.identity(dim, format="csr")
+    return (sp.kron(c, c.conj(), format="csr")
+            - 0.5 * sp.kron(cdc, eye, format="csr")
+            - 0.5 * sp.kron(eye, cdc.T, format="csr"))
+
+
+def sparse_kron_parts(n_atoms, cutoff):
+    """The gauged unit parts as ``oracle._full_unit_parts`` built them
+    before its one-pass assembly: sparse ``kron`` products of the sparse
+    operators, added as sparse matrices, then taken to the photon gauge.
+    The reference for the bit-identity of the dense Kronecker pass."""
+    ops = sparse_site_operators(n_atoms, cutoff)
+    dim = hilbert_dim(n_atoms, cutoff)
+    eye = sp.identity(dim, format="csr")
+    H = sp.csr_matrix((dim, dim), dtype=complex)   # H_1, at g = 1
+    for j in range(n_atoms):
+        H = H + 0.5 * (ops["sp"][j] @ ops["a"] + ops["sm"][j] @ ops["adag"])
+    H = H.tocsr()
+
+    def summed(label):
+        return sum(sparse_dissipator(c, dim) for c in ops[label])
+
+    parts = {
+        "hamiltonian": 1j * (sp.kron(eye, H.T, format="csr")
+                             - sp.kron(H, eye, format="csr")),
+        "cavity_decay": sparse_dissipator(ops["a"], dim),
+        "pump": summed("sp"),
+        "spont": summed("sm"),
+        "deph": 0.25 * summed("sz"),
+    }
+    power = oracle._photon_power(n_atoms, cutoff)
+    return {name: to_gauge(part, power, name) for name, part in parts.items()}
 
 
 def atom_swap(n_atoms, cutoff, i, j):
@@ -43,37 +99,59 @@ def _per_term_liouvillian(params):
     """The generator summed term by term, one Kronecker-built dissipator
     per rate and atom, each scaled by its rate: a reference for the
     cached unit parts."""
-    ops = site_operators(params.n_atoms, params.photon_cutoff)
+    ops = sparse_site_operators(params.n_atoms, params.photon_cutoff)
     dim = hilbert_dim(params.n_atoms, params.photon_cutoff)
     eye = sp.identity(dim, format="csr")
-
-    def dissipator(c):
-        cdc = (c.conj().T @ c).tocsr()
-        return (sp.kron(c, c.conj(), format="csr")
-                - 0.5 * sp.kron(cdc, eye, format="csr")
-                - 0.5 * sp.kron(eye, cdc.T, format="csr"))
-
     H = sp.csr_matrix((dim, dim), dtype=complex)
     for j in range(params.n_atoms):
         H = H + 0.5 * params.coupling * (ops["sp"][j] @ ops["a"]
                                          + ops["sm"][j] @ ops["adag"])
     L = 1j * (sp.kron(eye, H.T, format="csr") - sp.kron(H, eye, format="csr"))
-    L = L + params.cavity_decay * dissipator(ops["a"])
+    L = L + params.cavity_decay * sparse_dissipator(ops["a"], dim)
     for j in range(params.n_atoms):
-        if params.pump:
-            L = L + params.pump * dissipator(ops["sp"][j])
-        if params.spont_emission:
-            L = L + params.spont_emission * dissipator(ops["sm"][j])
-        if params.dephasing:
-            L = L + 0.25 * params.dephasing * dissipator(ops["sz"][j])
+        for label, rate in (("sp", params.pump),
+                            ("sm", params.spont_emission),
+                            ("sz", 0.25 * params.dephasing)):
+            if rate:
+                L = L + rate * sparse_dissipator(ops[label][j], dim)
     return L.tocsr()
+
+
+SYSTEMS_TO_64 = [(n, m) for n in range(1, 7)
+                 for m in range(1, DEFAULT_HILBERT_CAP)
+                 if hilbert_dim(n, m) <= DEFAULT_HILBERT_CAP]
+
+
+def test_dense_site_operators_are_the_sparse_kron_operators():
+    for n, m in SYSTEMS_TO_64:
+        ops, ref = site_operators(n, m), sparse_site_operators(n, m)
+        for k in ("sp", "sm", "sz"):
+            assert len(ops[k]) == n
+            for got, want in zip(ops[k], ref[k]):
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want.toarray()), (n, m, k)
+        for k in ("a", "adag"):
+            assert np.array_equal(ops[k], ref[k].toarray()), (n, m, k)
+        assert np.array_equal(ops["n"], (ref["adag"] @ ref["a"]).toarray())
+
+
+def test_one_pass_parts_are_the_sparse_kron_parts_bit_for_bit():
+    # every system under the cap; the exact zeros of the sums must go
+    # (at (4, 2) the dephasing part would keep 144 of them)
+    for n, m in SYSTEMS_TO_64:
+        parts, ref = oracle._full_unit_parts(n, m), sparse_kron_parts(n, m)
+        assert list(parts) == list(ref)
+        for name, part in parts.items():
+            assert part.shape == ref[name].shape
+            for attr in ("indptr", "indices", "data"):
+                got, want = getattr(part, attr), getattr(ref[name], attr)
+                assert got.dtype == want.dtype, (n, m, name, attr)
+                assert np.array_equal(got, want), (n, m, name, attr)
 
 
 def test_unit_parts_reproduce_the_per_term_generator():
     rng = np.random.default_rng(11)
-    systems = [(n, m) for n in range(1, 7)
-               for m in range(1, DEFAULT_HILBERT_CAP)
-               if hilbert_dim(n, m) <= DEFAULT_HILBERT_CAP]
+    systems = SYSTEMS_TO_64
     assert (1, 31) in systems and (5, 1) in systems and len(systems) == 57
     for n, m in systems:
         p = random_params(rng, n, m)
@@ -93,10 +171,7 @@ def test_full_generator_is_real_in_the_photon_gauge():
     # part, and the oracle's own gauged generator is that real matrix
     rng = np.random.default_rng(13)
     powers = np.array([1.0, 1.0j, -1.0, -1.0j])
-    systems = [(n, m) for n in range(1, 7)
-               for m in range(1, DEFAULT_HILBERT_CAP)
-               if hilbert_dim(n, m) <= DEFAULT_HILBERT_CAP]
-    for n, m in systems:
+    for n, m in SYSTEMS_TO_64:
         photons = np.tile(np.arange(m + 1), 2 ** n)
         D = powers[photons % 4]
         gauge = sp.diags(np.kron(D, D.conj()))
@@ -125,9 +200,7 @@ def _flat_charges(n, m):
 
 def test_every_part_keeps_the_excitation_charge():
     rng = np.random.default_rng(17)
-    systems = [(n, m) for n in range(1, 7)
-               for m in range(1, DEFAULT_HILBERT_CAP)
-               if hilbert_dim(n, m) <= DEFAULT_HILBERT_CAP]
+    systems = SYSTEMS_TO_64
     assert len(systems) == 57
     for n, m in systems:
         charge = _flat_charges(n, m)
@@ -286,11 +359,12 @@ def test_cached_parts_do_not_leak_into_later_builds():
             again = build(p)
             assert again.shape == expected.shape
             assert abs(again - expected).max() == 0.0
-    p = ModelParams(3, 1, 1.0, 1.0, 0.0)
-    H = full_hamiltonian(p)
-    H_expected = H.copy()
-    H.data *= 3.0
-    assert abs(full_hamiltonian(p) - H_expected).max() == 0.0
+    # the cached dense operators cannot be written to
+    ops = site_operators(3, 1)
+    for op in (*ops["sp"], *ops["sm"], *ops["sz"], ops["a"], ops["adag"],
+               ops["n"]):
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 3.0
 
 
 def _sector_route_imports(source: str) -> list:
@@ -478,9 +552,7 @@ def _transposition(n, m):
 def test_transposition_commutes_with_every_charge0_part():
     # rho -> rho^+ is the transposition of flattened indices in the photon
     # gauge; the cached helper asserts the same, entry by entry
-    systems = [(n, m) for n in range(1, 7)
-               for m in range(1, DEFAULT_HILBERT_CAP)
-               if hilbert_dim(n, m) <= DEFAULT_HILBERT_CAP]
+    systems = SYSTEMS_TO_64
     assert {(1, 31), (5, 1), (3, 7)} <= set(systems) and len(systems) == 57
     for n, m in systems:
         index, twin, r, c = _transposition(n, m)
@@ -598,10 +670,10 @@ def _whole_block_g2(params, times, rho):
     readout of a^+ a in the photon gauge, both cut to the block."""
     n, m = params.n_atoms, params.photon_cutoff
     ops = site_operators(n, m)
-    a = ops["a"].toarray()
+    a = ops["a"]
     phase = np.array([1.0, 1.0j, -1.0, -1.0j])[oracle._photon_power(n, m) & 3]
     seed = (a @ rho @ a.conj().T).reshape(-1) * phase
-    readout = (ops["adag"] @ ops["a"]).toarray().T.reshape(-1) * phase.conj()
+    readout = ops["n"].T.reshape(-1) * phase.conj()
     block, L = oracle._block_liouvillian(params, 0)
     walk = propagate(L, seed[block], times, observe=readout[block])
     return walk.values.real / oracle_expectations(params, rho)["nb"] ** 2, walk
@@ -669,7 +741,7 @@ def test_a_seed_that_is_not_its_own_twin_walks_its_whole_block():
     p = ModelParams(3, 2, 0.9, 1.0, 0.5, spont_emission=0.1, dephasing=0.2)
     rho = oracle_steady_state(p)
     ops = site_operators(3, 2)
-    skewed = rho + 0.1 * rho @ (ops["adag"] @ ops["a"]).toarray()
+    skewed = rho + 0.1 * rho @ ops["n"]
     times = np.linspace(0.0, 4.0, 21)
     block = oracle._block_parts(3, 2, 0)[0]
     _, even, _ = oracle._hermitian_halves(3, 2)
@@ -709,10 +781,10 @@ def test_lift_element_rejects_illegal_input():
 
 def test_site_operator_algebra():
     ops = site_operators(2, 1)
-    a, ad = ops["a"].toarray(), ops["adag"].toarray()
+    a, ad = ops["a"], ops["adag"]
     # truncated commutation: [a, a+] = 1 - 2 a+ a at M = 1
     comm = a @ ad - ad @ a
     assert np.abs(comm - (np.eye(8) - 2 * ad @ a)).max() < 1e-14
     for j in range(2):
-        sp_, sm_, sz_ = (ops[k][j].toarray() for k in ("sp", "sm", "sz"))
+        sp_, sm_, sz_ = (ops[k][j] for k in ("sp", "sm", "sz"))
         assert np.abs(sp_ @ sm_ - sm_ @ sp_ - sz_).max() < 1e-14
