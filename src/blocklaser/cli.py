@@ -280,6 +280,9 @@ def _params_from_config(cfg: Dict, w_override: Optional[float] = None) -> ModelP
 def _convert_pump(value: float, unit: str, n: int, g: float, kappa: float) -> float:
     if unit == "rate":
         return value
+    if not kappa > 0:
+        raise ConfigError(f"w_unit {unit} needs kappa > 0, got kappa = "
+                          f"{kappa!r}; give the pump with w_unit rate")
     if unit == "kappa-over-n":
         return value * kappa / n
     if unit == "cgamma":
@@ -373,6 +376,13 @@ def _symmetric_steady(params: ModelParams):
 STEADY_COLUMNS = ["w", "w_tilde", "nb", "spsm", "sz"]
 
 
+def _w_tilde(params: ModelParams) -> float:
+    """w N / kappa, or nan at kappa = 0, where it is undefined."""
+    if params.cavity_decay == 0:
+        return math.nan
+    return params.pump * params.n_atoms / params.cavity_decay
+
+
 def _steady_row(params: ModelParams, cfg: Dict) -> List:
     """One STEADY_COLUMNS row from the configured backend."""
     engine = cfg["engine"]
@@ -383,8 +393,7 @@ def _steady_row(params: ModelParams, cfg: Dict) -> List:
     else:
         cu = cumulant_steady(params, blockaded=engine != "cumulant-normal")
         sz, spsm, nb = cu.sz, cu.spsm, cu.nb
-    wt = params.pump * params.n_atoms / params.cavity_decay
-    return [params.pump, wt, nb, spsm, sz]
+    return [params.pump, _w_tilde(params), nb, spsm, sz]
 
 
 def _cmd_steady(cfg: Dict) -> int:
@@ -502,14 +511,17 @@ def _cmd_cumulant(cfg: Dict) -> int:
         cfg["engine"] = "cumulant"
     blockaded = cfg["engine"] == "cumulant"
     cu = cumulant_steady(params, blockaded=blockaded)
-    wt = params.pump * params.n_atoms / params.cavity_decay
     columns = ["w", "w_tilde", "sz", "spsm", "nb", "im_bdsm",
                "nb_closed_form", "linewidth_closed_form"]
-    closed_nb = closed_form_photon(params) if blockaded else math.nan
-    closed_lw = closed_form_linewidth(params) if blockaded else math.nan
+    # the blockaded closed forms, written as nan for the normal mode and
+    # where their scales kappa / (N g) and w N / kappa are undefined
+    closed_nb = closed_lw = math.nan
+    if blockaded and params.cavity_decay > 0 and params.coupling > 0:
+        closed_nb = closed_form_photon(params)
+        closed_lw = closed_form_linewidth(params)
     _write_table(cfg, columns,
-                 [[params.pump, wt, cu.sz, cu.spsm, cu.nb, cu.bdsm.imag,
-                   closed_nb, closed_lw]])
+                 [[params.pump, _w_tilde(params), cu.sz, cu.spsm, cu.nb,
+                   cu.bdsm.imag, closed_nb, closed_lw]])
     return 0
 
 

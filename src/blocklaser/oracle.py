@@ -30,8 +30,9 @@ become real. Each unit part is taken there once, as it is built, by the
 gauge that the sector route uses too (``model.to_gauge``, with exponent
 n_r - n_c per flattened index), and kept as float64 alone.
 ``oracle_steady_state`` factors a real bordered matrix, and
-``oracle_two_time`` walks the real generator with a seed and a readout
-that are real up to a power of i, so the propagator runs in float64.
+``oracle_g1`` and ``oracle_g2`` walk the real generator with a seed and
+a readout that are real up to a power of i, so the propagator runs in
+float64.
 Multiplying by a power of i is exact, so the gauge changes no value by
 more than the rounding of the real arithmetic; ``build_full_liouvillian``
 takes the sum back out of the gauge (``model.from_gauge``) and returns
@@ -45,9 +46,9 @@ charge block is cached too, per (N, M, charge), and the entry points sum
 only the block they use from those slices, with the same ``rate_sum``
 as the whole generator (``_block_liouvillian``): ``oracle_steady_state``
 the charge-0 block, which holds the trace row and the steady state, and
-``oracle_two_time`` the block of its seed. Other blocks are never
-summed, factored or walked; only ``build_full_liouvillian`` sums the
-whole space.
+``oracle_g1`` the charge -1 block of its seed a rho. Other blocks are
+never summed, factored or walked; only ``build_full_liouvillian`` sums
+the whole space.
 
 Every Lindblad generator commutes with rho -> rho^+, which in the photon
 gauge is the transposition r dim + c -> c dim + r of the real flattened
@@ -60,8 +61,9 @@ odd half only to show that it is not singular: at N = 4, M = 2 the
 charge-0 block's 490 of 2304 rows split into 269 even and 221 odd ones.
 The halves are nearly full, so each is summed into a dense array and
 factored by LAPACK (``scipy.linalg.lu_factor``), not by a sparse LU.
-The g2 seed a rho a^+ is Hermitian too, so ``oracle_two_time`` walks it
-on the even half.
+``oracle_g2`` walks its seed a rho a^+ on the even half: its readout
+a^+ a is Hermitian and diagonal, so only the seed's Hermitian part, whose
+real part in the gauge is symmetric, reaches it.
 """
 
 from __future__ import annotations
@@ -444,92 +446,67 @@ def oracle_expectations(params: ModelParams, rho: np.ndarray) -> Dict[str, float
     return out
 
 
-def oracle_two_time(params: ModelParams, a_label: str, b_label: str,
-                    times: Sequence[float], sandwich: bool = False,
-                    rho_ss: np.ndarray = None) -> np.ndarray:
-    """Tr[A exp(Lt)(B rho_ss)] or, with ``sandwich``, Tr[A exp(Lt)(B rho_ss B^+)].
-
-    Labels name operators of the output mode: 'a', 'adag' or 'n' (= a^+ a);
-    any other label raises ValueError. The seed B rho_ss (B rho_ss B^+)
-    lies in one excitation-charge block of the generator (see
-    ``_excitation_charge``), which is asserted; ``propagate`` walks that
-    block alone, summed from the cached block parts (see
-    ``_block_liouvillian``), with the readout restricted to it, so no
-    other block is ever built or multiplied.
-
-    A charge-0 seed that is its own twin under rho -> rho^+ (a real,
-    symmetric vector in the photon gauge) is walked on the even half of
-    the block instead (see ``_hermitian_halves``), which keeps it
-    symmetric: the seed is folded by ``slot``, and the readout of a
-    symmetric vector is the sum of its entries over each slot. Every
-    sandwich seed of a Hermitian ``rho_ss`` is Hermitian, and it is
-    made so to the last bit, by its Hermitian part, before it is tested;
-    at N = 4, M = 2 the walk runs on 269 rows instead of 490. Any other
-    seed walks its whole block.
-    """
+def _correlation_inputs(params: ModelParams, rho_ss, name: str) -> tuple:
+    """(ops, rho_ss, nb, phase): the ``site_operators``, the steady state
+    (solved if ``rho_ss`` is None), its <a^+ a> and the photon-gauge phase
+    of each flattened index. <a^+ a> <= 1e-14 raises :class:`SolverError`,
+    as in the sector route's traces."""
     _check(params)
-    ops = site_operators(params.n_atoms, params.photon_cutoff)
-    for label in (a_label, b_label):
-        if label not in ("a", "adag", "n"):
-            raise ValueError(f"unknown operator label {label!r}; expected "
-                             "one of 'a', 'adag', 'n'")
-    A, B = ops[a_label], ops[b_label]
     if rho_ss is None:
         rho_ss = oracle_steady_state(params)
-    if sandwich:
-        seed = B @ rho_ss @ B.conj().T
-        if np.array_equal(rho_ss, rho_ss.conj().T):
-            # Hermitian, but for the rounding of the products
-            seed = 0.5 * (seed + seed.conj().T)
-    else:
-        seed = B @ rho_ss
-    pairing = A.T.reshape(-1)  # Tr[A X] = vec(A^T) . vec(X), row-major
-    # in the photon gauge, where seed and pairing are real up to a power of i
-    phase = I_POWERS[_photon_power(params.n_atoms, params.photon_cutoff) & 3]
-    seed = seed.reshape(-1) * phase
-    readout = pairing * phase.conj()
-    charge = _excitation_charge(params.n_atoms, params.photon_cutoff)
-    q = int(charge[np.argmax(np.abs(seed))])
-    if seed[charge != q].any():
-        raise AssertionError("two-time seed spans several excitation charges")
-    if q == 0:
-        block, _ = _block_parts(params.n_atoms, params.photon_cutoff, 0)
-        slot, even_plan, _ = _hermitian_halves(params.n_atoms,
-                                               params.photon_cutoff)
-        folded = np.empty(even_plan.shape[0], dtype=complex)
-        folded[slot] = seed[block]
-        if np.array_equal(folded[slot], seed[block]):   # its own twin
-            ell = np.zeros(len(folded), dtype=complex)
-            np.add.at(ell, slot, readout[block])
-            return propagate(rate_sum(params, even_plan), folded, times,
-                             observe=ell).values
-    block, L = _block_liouvillian(params, q)
-    return propagate(L, seed[block], times, observe=readout[block]).values
+    nb = oracle_expectations(params, rho_ss)["nb"]
+    if nb <= 1e-14:
+        raise SolverError(f"zero photon number; {name} normalization "
+                          "undefined")
+    n, m = params.n_atoms, params.photon_cutoff
+    return site_operators(n, m), rho_ss, nb, I_POWERS[_photon_power(n, m) & 3]
 
 
 def oracle_g1(params: ModelParams, times: Sequence[float],
               rho_ss: np.ndarray = None) -> np.ndarray:
-    """Normalized <a^+(t) a(0)> / <a^+ a> on the full space; <a^+ a> <=
-    1e-14 raises :class:`SolverError`, as in ``g1_trace``."""
-    if rho_ss is None:
-        rho_ss = oracle_steady_state(params)
-    nb = oracle_expectations(params, rho_ss)["nb"]
-    if nb <= 1e-14:
-        raise SolverError("zero photon number; g1 normalization undefined")
-    raw = oracle_two_time(params, "adag", "a", times, rho_ss=rho_ss)
-    return raw / nb
+    """Normalized <a^+(t) a(0)> / <a^+ a> on the full space: the seed
+    a rho_ss, asserted to lie in the charge -1 block (see
+    ``_excitation_charge``), walked on that block alone (see
+    ``_block_liouvillian``) in the photon gauge, with the readout
+    Tr[a^+ X] = vec(a) . vec(X) cut to it."""
+    ops, rho_ss, nb, phase = _correlation_inputs(params, rho_ss, "g1")
+    seed = (ops["a"] @ rho_ss).reshape(-1) * phase
+    charge = _excitation_charge(params.n_atoms, params.photon_cutoff)
+    if seed[charge != -1].any():
+        raise AssertionError("g1 seed a rho leaves the charge -1 block")
+    block, L = _block_liouvillian(params, -1)
+    readout = ops["a"].reshape(-1)[block] * phase.conj()[block]
+    return propagate(L, seed[block], times, observe=readout).values / nb
 
 
 def oracle_g2(params: ModelParams, times: Sequence[float],
               rho_ss: np.ndarray = None) -> np.ndarray:
-    """Normalized <a^+(0) a^+(t) a(t) a(0)> / <a^+ a>^2 on the full space;
-    <a^+ a> <= 1e-14 raises :class:`SolverError`, as in ``g2_trace``."""
-    if rho_ss is None:
-        rho_ss = oracle_steady_state(params)
-    nb = oracle_expectations(params, rho_ss)["nb"]
-    if nb <= 1e-14:
-        raise SolverError("zero photon number; g2 normalization undefined")
-    raw = oracle_two_time(params, "n", "a", times, sandwich=True,
-                          rho_ss=rho_ss)
-    return raw.real / nb ** 2
+    """Normalized <a^+(0) a^+(t) a(t) a(0)> / <a^+ a>^2 =
+    Re Tr[n exp(Lt)(a rho_ss a^+)] / <a^+ a>^2 on the full space.
 
+    The seed is walked on the even half of the charge-0 block (see
+    ``_hermitian_halves``), exactly for any ``rho_ss``: the readout
+    n = a^+ a is Hermitian and diagonal, so no other charge block reaches
+    it, and the generator commutes with rho -> rho^+, so only the seed's
+    Hermitian part does. In the photon gauge that part is a real symmetric
+    vector plus i times an antisymmetric one, which stays in the odd half
+    and is zero on the diagonal. The real part is folded by ``slot``,
+    asserted to be its own twin, and read out by the sum of n's entries
+    over each slot; at N = 4, M = 2 the walk runs on 269 rows, not 490.
+    """
+    ops, rho_ss, nb, phase = _correlation_inputs(params, rho_ss, "g2")
+    n, m = params.n_atoms, params.photon_cutoff
+    seed = ops["a"] @ rho_ss @ ops["a"].T
+    # Hermitian to the last bit, whatever the rounding of the products
+    seed = (0.5 * (seed + seed.conj().T)).reshape(-1) * phase
+    block, _ = _block_parts(n, m, 0)
+    slot, even_plan, _ = _hermitian_halves(n, m)
+    seed = seed.real[block]
+    folded = np.empty(even_plan.shape[0])
+    folded[slot] = seed
+    if not np.array_equal(folded[slot], seed):
+        raise AssertionError("g2 seed is not symmetric in the photon gauge")
+    readout = np.zeros(len(folded))   # n is real and diagonal: no phase
+    np.add.at(readout, slot, ops["n"].reshape(-1)[block])
+    return propagate(rate_sum(params, even_plan), folded, times,
+                     observe=readout).values.real / nb ** 2

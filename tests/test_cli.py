@@ -405,6 +405,44 @@ def test_invalid_grid_or_draw_count_is_config_error(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+_SWEEP = ["--w-min", "0.5", "--w-max", "1", "--w-steps", "2"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    # a pump in units of kappa needs kappa > 0
+    (["steady", "--w-unit", "cgamma"], 2),
+    (["steady", "--w-unit", "kappa-over-n"], 2),
+    (["sweep", "--w-unit", "ncgamma"] + _SWEEP, 2),
+    # an absolute pump runs; w N / kappa and the closed forms are nan
+    (["steady"], 0),
+    (["steady", "--engine", "cumulant"], 0),
+    (["sweep", "--engine", "cumulant"] + _SWEEP, 0),
+    (["cumulant"], 0),
+    (["cumulant", "--engine", "cumulant-normal"], 3),
+])
+def test_zero_kappa_never_ends_in_a_traceback(argv, code, tmp_path, capsys):
+    out = tmp_path / "k0.csv"
+    assert main(argv + ["--n", "2", "--g", "1", "--w", "1", "--kappa", "0",
+                        "--out", str(out)]) == code
+    if code == 2:
+        assert "needs kappa > 0" in capsys.readouterr().err
+    if code == 0:
+        _, columns, rows = read_table(out)
+        for name in ("w_tilde", "nb_closed_form", "linewidth_closed_form"):
+            if name in columns:
+                assert np.isnan(rows[:, columns.index(name)]).all(), name
+
+
+def test_closed_forms_of_an_uncoupled_mode_are_nan(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["cumulant", "--n", "5", "--g", "0", "--w", "0.3",
+                 "--out", str(out)]) == 0
+    _, columns, rows = read_table(out)
+    assert rows[0, columns.index("w_tilde")] == 1.5
+    assert np.isnan(rows[0, columns.index("nb_closed_form")])
+    assert np.isnan(rows[0, columns.index("linewidth_closed_form")])
+
+
 def test_cumulant_of_uncoupled_lossless_mode_is_solver_error(capsys):
     assert main(["cumulant", "--n", "5", "--g", "0", "--kappa", "0",
                  "--w", "0.3"]) == 3

@@ -4,13 +4,18 @@ IEEE Computer 11 (1978) 34).
 Each entry of ``MUTANTS`` is one small fault in a module of the package,
 most in ``blocklaser.oracle``: one edit to the source of one function,
 named ``module.function``, compiled against its module's own globals and
-put in place with ``monkeypatch``. Each names the check that must catch
-it, a tier-1 test or an assertion of the code, and its case runs that
-check twice: it must pass on the code as it is and fail with the fault
-in place. The cached builders of ``CACHED`` are cleared before and after
-each case, so no faulty part outlives it. A fault that survives fails
-its case; it is reported and kept in the table, never taken out to make
-the table pass. Every system here has N <= 4.
+put in place with ``monkeypatch``, in its module and in every module of
+``MODULES`` that imported the name. A fault in the code that the two
+routes share (``blocklaser.model``) thus reaches both, as a real one
+would, and must be caught by a check outside that code. A test module's
+own ``from ... import`` binding keeps the original, so a check calls the
+function it tests through its module (``oracle.oracle_g2``). Each entry
+names the check that must catch it, a tier-1 test or an assertion of the
+code, and its case runs that check twice: it must pass on the code as it
+is and fail with the fault in place. The cached builders of ``CACHED``
+are cleared before and after each case, so no faulty part outlives it. A
+fault that survives fails its case; it is reported and kept in the
+table, never taken out to make the table pass. Every system here has N <= 4.
 """
 
 import inspect
@@ -22,11 +27,11 @@ import pytest
 
 import test_liouvillian as liouvillian_tests
 import test_oracle as oracle_tests
-from blocklaser import ModelParams, liouvillian, oracle
+from blocklaser import ModelParams, liouvillian, model, oracle
 from blocklaser.dynamics import SolverError
 from blocklaser.model import random_params
 
-MODULES = {"oracle": oracle, "liouvillian": liouvillian}
+MODULES = {"model": model, "oracle": oracle, "liouvillian": liouvillian}
 
 #: the cached builders of the mutated modules, cleared around each case:
 #: the oracle's operators, parts and their block and half plans, and the
@@ -36,6 +41,11 @@ CACHED = ("oracle.site_operators", "oracle._photon_power",
           "oracle._full_plan", "oracle._block_parts",
           "oracle._hermitian_halves", "liouvillian.chain_matrix",
           "liouvillian._sum_plan")
+
+
+#: the systems of the shared-code cases: the tests they run cover every
+#: system under the cap, more than a seeded fault needs
+SMALL_SYSTEMS = [(1, 2), (2, 1), (2, 2)]
 
 
 def _function(qualified):
@@ -53,14 +63,18 @@ def _clear_caches():
 def _mutate(monkeypatch, qualified, old, new):
     """Replace ``module.function`` by its source with ``old`` changed to
     ``new``, compiled with the module's globals, so that it calls (and is
-    called through) the module's current names."""
+    called through) the module's current names; every module of
+    ``MODULES`` that bound the function by name gets the mutant too."""
     module, name = _function(qualified)
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
     assert source.count(old) == 1, f"{qualified}: the edit no longer applies"
     local = {}
     exec(compile(source.replace(old, new), f"<mutant of {qualified}>",
                  "exec"), vars(module), local)
-    monkeypatch.setattr(module, name, local[name])
+    for importer in MODULES.values():
+        if getattr(importer, name, None) is original:
+            monkeypatch.setattr(importer, name, local[name])
 
 
 def _with_monkeypatch(test):
@@ -72,6 +86,12 @@ def _with_monkeypatch(test):
 def _residual_gate():
     """The steady solve's residual check, on a system it solves."""
     oracle.oracle_steady_state(ModelParams(2, 1, 0.9, 1.0, 0.5))
+
+
+def _per_term_generator():
+    """The cached parts' generator against the term-by-term one."""
+    oracle_tests.check_unit_parts_reproduce_the_per_term_generator(
+        SMALL_SYSTEMS, np.random.default_rng(11))
 
 
 def _even_half_g2():
@@ -149,10 +169,34 @@ MUTANTS = {
         _residual_gate,
         SolverError),
     "g2 seed's twin combined with the odd sign": (
-        "oracle.oracle_two_time",
-        ("seed = 0.5 * (seed + seed.conj().T)",
-         "seed = 0.5 * (seed - seed.conj().T)"),
+        "oracle.oracle_g2",
+        ("0.5 * (seed + seed.conj().T)", "0.5 * (seed - seed.conj().T)"),
         _even_half_g2,
+        AssertionError),
+    "g2 seed's Hermitian part not taken": (
+        "oracle.oracle_g2",
+        ("0.5 * (seed + seed.conj().T)", "seed"),
+        oracle_tests.test_g2_of_a_non_hermitian_state_is_the_whole_block_walk,
+        AssertionError),
+    # faults in the shared model code, each seen by both routes
+    "rate_sum skips the dephasing part": (
+        "model.rate_sum",
+        ("if rate != 0.0 and len(part_data):",
+         'if rate != 0.0 and len(part_data) and name != "deph":'),
+        _per_term_generator,
+        AssertionError),
+    "rate_sum swaps the pump and spontaneous-emission rates": (
+        "model.rate_sum",
+        ("rate = getattr(params, field)",
+         'rate = getattr(params, {"pump": "spont_emission", '
+         '"spont_emission": "pump"}.get(field, field))'),
+        _per_term_generator,
+        AssertionError),
+    "from_gauge takes i^(2k) for i^k": (
+        "model.from_gauge",
+        ("I_POWERS[k & 3]", "I_POWERS[(2 * k) & 3]"),
+        partial(oracle_tests.check_one_pass_parts_are_the_sparse_kron_parts,
+                SMALL_SYSTEMS),
         AssertionError),
 }
 

@@ -14,7 +14,7 @@ from blocklaser.dynamics import (_TAIL_TOL, DegenerateSteadyStateError,
 from blocklaser.oracle import (DEFAULT_HILBERT_CAP, build_full_liouvillian,
                                hilbert_dim, oracle_expectations, oracle_g1,
                                oracle_g2, oracle_steady_state,
-                               oracle_two_time, site_operators)
+                               site_operators)
 from blocklaser.symbasis import BasisElement
 from blocklaser.model import random_params, rate_sum, to_gauge
 from lifting import lift_element, lift_state
@@ -135,10 +135,10 @@ def test_dense_site_operators_are_the_sparse_kron_operators():
         assert np.array_equal(ops["n"], (ref["adag"] @ ref["a"]).toarray())
 
 
-def test_one_pass_parts_are_the_sparse_kron_parts_bit_for_bit():
-    # every system under the cap; the exact zeros of the sums must go
-    # (at (4, 2) the dephasing part would keep 144 of them)
-    for n, m in SYSTEMS_TO_64:
+def check_one_pass_parts_are_the_sparse_kron_parts(systems):
+    """The cached unit parts of each (N, M) of ``systems`` are the sparse
+    ``kron`` parts bit for bit: pattern, order, dtype and values."""
+    for n, m in systems:
         parts, ref = oracle._full_unit_parts(n, m), sparse_kron_parts(n, m)
         assert list(parts) == list(ref)
         for name, part in parts.items():
@@ -149,10 +149,17 @@ def test_one_pass_parts_are_the_sparse_kron_parts_bit_for_bit():
                 assert np.array_equal(got, want), (n, m, name, attr)
 
 
-def test_unit_parts_reproduce_the_per_term_generator():
-    rng = np.random.default_rng(11)
-    systems = SYSTEMS_TO_64
-    assert (1, 31) in systems and (5, 1) in systems and len(systems) == 57
+def test_one_pass_parts_are_the_sparse_kron_parts_bit_for_bit():
+    # every system under the cap; the exact zeros of the sums must go
+    # (at (4, 2) the dephasing part would keep 144 of them)
+    check_one_pass_parts_are_the_sparse_kron_parts(SYSTEMS_TO_64)
+
+
+def check_unit_parts_reproduce_the_per_term_generator(systems, rng):
+    """The generator of the cached unit parts is the term-by-term one, to
+    1e-14 of its largest entry and with the same pattern, at a draw of
+    ``rng`` per (N, M) of ``systems`` and with g, w or gamma and gamma_d
+    set to zero."""
     for n, m in systems:
         p = random_params(rng, n, m)
         for case in (p, dataclasses.replace(p, coupling=0.0),
@@ -163,6 +170,13 @@ def test_unit_parts_reproduce_the_per_term_generator():
             ref.eliminate_zeros()
             assert abs(new - ref).max() <= 1e-14 * abs(ref).max(), (case,)
             assert ((new != 0) != (ref != 0)).nnz == 0, (case,)
+
+
+def test_unit_parts_reproduce_the_per_term_generator():
+    systems = SYSTEMS_TO_64
+    assert (1, 31) in systems and (5, 1) in systems and len(systems) == 57
+    check_unit_parts_reproduce_the_per_term_generator(
+        systems, np.random.default_rng(11))
 
 
 def test_full_generator_is_real_in_the_photon_gauge():
@@ -334,14 +348,6 @@ def test_array_rate_sum_is_the_sparse_sum_bit_for_bit(n, m):
                 a[:] = 0
 
 
-@pytest.mark.parametrize("labels", [("b", "a"), ("adag", "sz"), ("A", "n")])
-def test_two_time_rejects_unknown_labels(labels):
-    p = ModelParams(2, 1, 0.9, 1.0, 0.5)
-    bad = next(label for label in labels if label not in ("a", "adag", "n"))
-    with pytest.raises(ValueError, match=rf"'{bad}'.*'a', 'adag', 'n'"):
-        oracle_two_time(p, *labels, [0.0, 1.0])
-
-
 def test_cached_parts_do_not_leak_into_later_builds():
     # the second system is exactly one unit part: cavity decay at rate 1;
     # the whole generator and a block generator, each built twice
@@ -479,9 +485,6 @@ def test_density_matrix_stays_physical_along_evolution(rng):
 def test_two_time_equal_time_limits(rng):
     p = random_params(rng, 2, 1)
     rho = oracle_steady_state(p)
-    nb = oracle_expectations(p, rho)["nb"]
-    val = oracle_two_time(p, "adag", "a", [0.0], rho_ss=rho)[0]
-    assert val == pytest.approx(nb, rel=1e-10)
     assert oracle_g1(p, [0.0], rho_ss=rho)[0] == pytest.approx(1.0, rel=1e-12)
     assert abs(oracle_g2(p, [0.0], rho_ss=rho)[0]) < 1e-12  # M = 1
 
@@ -665,9 +668,9 @@ def test_singular_odd_half_raises(monkeypatch):
 
 
 def _whole_block_g2(params, times, rho):
-    """(g2, walk): g2 walked on the whole charge-0 block, as ``oracle_g2``
-    walked it before the even half: the sandwich seed a rho a^+ and the
-    readout of a^+ a in the photon gauge, both cut to the block."""
+    """(g2, walk): g2 walked on the whole charge-0 block, the reference
+    for ``oracle_g2``'s even half: the seed a rho a^+, Hermitian or not,
+    and the readout of a^+ a in the photon gauge, both cut to the block."""
     n, m = params.n_atoms, params.photon_cutoff
     ops = site_operators(n, m)
     a = ops["a"]
@@ -707,8 +710,9 @@ def check_g2_on_the_even_half(params, times):
     by up to 1.2e-12 of max|g2| in these cases (the whole block's walk
     being the one off); the gate there is ten times the tail tolerance."""
     rho = oracle_steady_state(params)
-    got, walks = _recorded_walks(lambda: oracle_g2(params, times,
-                                                   rho_ss=rho))
+    # through the module, so that a seeded fault in it is what runs
+    got, walks = _recorded_walks(lambda: oracle.oracle_g2(params, times,
+                                                          rho_ss=rho))
     ref, ref_walk = _whole_block_g2(params, times, rho)
     _, even, _ = oracle._hermitian_halves(params.n_atoms,
                                           params.photon_cutoff)
@@ -737,23 +741,20 @@ def test_g2_on_the_even_half_matches_the_whole_block_walk():
             check_g2_on_the_even_half(p, times)
 
 
-def test_a_seed_that_is_not_its_own_twin_walks_its_whole_block():
+def test_g2_of_a_non_hermitian_state_is_the_whole_block_walk():
+    # a rho a^+ is not Hermitian here, yet only its Hermitian part reaches
+    # the readout a^+ a, so the even half still gives the whole block's g2
     p = ModelParams(3, 2, 0.9, 1.0, 0.5, spont_emission=0.1, dephasing=0.2)
     rho = oracle_steady_state(p)
-    ops = site_operators(3, 2)
-    skewed = rho + 0.1 * rho @ ops["n"]
+    skewed = rho + 0.1 * rho @ site_operators(3, 2)["n"]
+    assert not np.allclose(skewed, skewed.conj().T)
     times = np.linspace(0.0, 4.0, 21)
-    block = oracle._block_parts(3, 2, 0)[0]
+    got, walks = _recorded_walks(lambda: oracle.oracle_g2(p, times,
+                                                          rho_ss=skewed))
     _, even, _ = oracle._hermitian_halves(3, 2)
-    for args, rows in (
-            # n rho and the sandwich of a non-Hermitian matrix are not
-            # Hermitian; a^+ rho a and a rho a^+ are
-            (("n", "n", times, False, rho), len(block)),
-            (("n", "a", times, True, skewed), len(block)),
-            (("n", "adag", times, True, rho), even.shape[0]),
-            (("n", "a", times, True, rho), even.shape[0])):
-        _, walks = _recorded_walks(lambda: oracle_two_time(p, *args))
-        assert [r for r, _ in walks] == [rows], args[:2]
+    assert [rows for rows, _ in walks] == [even.shape[0]]
+    ref, _ = _whole_block_g2(p, times, skewed)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_oracle_traces_raise_at_zero_photon_number():
