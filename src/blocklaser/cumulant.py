@@ -240,7 +240,9 @@ def cumulant_steady(params: ModelParams, blockaded: bool = True) -> CumulantStat
     If none or more than one passes (a self-pulsing regime, or
     bistability), SolverError lists every root's failed check. With
     g = 0 and kappa = 0 together every n is a fixed point, and
-    SolverError says so.
+    SolverError says so. A lossless normal mode (kappa = 0, not
+    ``blockaded``) has a steady state only if its atoms absorb (w <
+    gamma); otherwise the SolverError names that cause before the roots.
     """
     validate(params)
     if params.pump + params.spont_emission <= 0:
@@ -265,8 +267,16 @@ def cumulant_steady(params: ModelParams, blockaded: bool = True) -> CumulantStat
         checks.append(failure or f"certified {CumulantState.from_vector(y)}")
     if len(roots) == 1:
         return CumulantState.from_vector(roots[0])
-    raise SolverError(f"{len(roots)} certified cumulant fixed points among "
-                      f"{len(checks)} real roots: " + "; ".join(checks))
+    cause = ""
+    if (not blockaded and params.cavity_decay == 0.0
+            and params.pump >= params.spont_emission):
+        # kappa = 0 forces x = 0, so dx/dt = 0 needs (1 + z0)/2 + n z0 = 0:
+        # n = -(1 + z0) / (2 z0) < 0 for z0 > 0, and no root at z0 = 0
+        cause = ("a lossless (kappa = 0) normal mode with w >= gamma has no "
+                 "steady state: the atoms do not absorb, nothing else takes "
+                 "photons out, and its occupation grows without bound; ")
+    raise SolverError(f"{cause}{len(roots)} certified cumulant fixed points "
+                      f"among {len(checks)} real roots: " + "; ".join(checks))
 
 
 def _admissible(y: np.ndarray, n_atoms: int) -> bool:

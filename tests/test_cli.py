@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from blocklaser import cli
+from blocklaser import ModelParams, cli
 from blocklaser.cli import ConfigError, main, resolve_config
+from blocklaser.cumulant import cumulant_steady
 
 
 def read_table(path):
@@ -431,6 +432,25 @@ def test_zero_kappa_never_ends_in_a_traceback(argv, code, tmp_path, capsys):
         for name in ("w_tilde", "nb_closed_form", "linewidth_closed_form"):
             if name in columns:
                 assert np.isnan(rows[:, columns.index(name)]).all(), name
+
+
+def test_lossless_normal_mode_with_gain_names_the_missing_steady_state(
+        capsys):
+    assert main(["cumulant", "--engine", "cumulant-normal", "--kappa", "0",
+                 "--g", "1", "--w", "1", "--n", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "lossless (kappa = 0) normal mode with w >= gamma" in err
+    # the root list is kept after the cause
+    assert "0 certified cumulant fixed points among 1 real roots" in err
+    assert "nb=-1.0" in err
+
+
+def test_lossless_normal_mode_with_absorbing_atoms_still_solves():
+    state = cumulant_steady(ModelParams(2, 1, 1.0, 0.0, 0.1,
+                                        spont_emission=0.5), blockaded=False)
+    # kappa = 0: x = 0, z = z0 = -2/3 and n = -(1 + z0) / (2 z0) = 1/4
+    assert state.sz == pytest.approx(-2.0 / 3.0, rel=1e-14)
+    assert state.nb == pytest.approx(0.25, rel=1e-14)
 
 
 def test_closed_forms_of_an_uncoupled_mode_are_nan(tmp_path):

@@ -104,18 +104,26 @@ def test_propagate_grid_matches_single_steps(rng):
         propagate(L, s.coeffs, [-1.0, 1.0])
 
 
-PROPAGATION_CASES = ["sector N=24 charge -1", "oracle N=4 M=2"]
+#: the walks of 625 and 2304 rows hold A as CSR, that of 52 rows as a
+#: dense array (``dynamics._DENSE_ROWS``)
+PROPAGATION_CASES = ["sector N=24 charge -1", "sector N=4 M=2 charge -1",
+                     "oracle N=4 M=2"]
+MIXED_RATES = dict(coupling=0.7, cavity_decay=1.1, pump=0.6,
+                   spont_emission=0.2, dephasing=0.1)
 
 
 def _propagation_case(case):
     """(generator, scaled matrix, scaling, raw start, hybrid time grid)."""
-    if case.startswith("sector"):
+    if case == "sector N=24 charge -1":
         L = liouvillian_for(ModelParams(24, 1, 24 ** -0.5, 1.0, 2.0 / 24), -1)
+    elif case == "sector N=4 M=2 charge -1":
+        L = liouvillian_for(ModelParams(4, 2, **MIXED_RATES), -1)
+        assert len(L.sector) == 52
+    else:
+        L = build_full_liouvillian(ModelParams(4, 2, **MIXED_RATES))
+    if isinstance(L, Superoperator):
         mat, d = dynamics._scaled(L.physical(), L.sector)
     else:
-        L = build_full_liouvillian(ModelParams(4, 2, 0.7, 1.1, 0.6,
-                                               spont_emission=0.2,
-                                               dephasing=0.1))
         mat, d = L, np.ones(L.shape[0])
     rng = np.random.default_rng(5)
     c0 = (rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d))) / d
@@ -215,6 +223,87 @@ def test_linear_readout_equals_trajectory_pairing(case):
     observed = propagate(L, c0, times, observe=ell).values
     scale = np.abs(traj).max(axis=1) * np.abs(ell).sum()
     assert np.all(np.abs(observed - traj @ ell) <= 1e-13 * scale)
+
+
+def _csr_form(mat):
+    """(mat - mu I as CSR, the CSR column-sum maximum): the shifted
+    generator as ``_TaylorStepper`` holds it above the dense cut."""
+    n = mat.shape[0]
+    mu = mat.diagonal().sum() / n
+    shifted = (mat - mu * sp.identity(n, format="csr")).tocsr()
+    return shifted, float(abs(shifted).sum(axis=0).max())
+
+
+def test_dense_form_is_the_shifted_csr_generator_bit_for_bit():
+    seen = 0
+    for rates in (MIXED_RATES, dict(MIXED_RATES, dephasing=0.0)):
+        for n in range(1, 6):
+            for m in range(1, 4):
+                for dn in (0, -1):
+                    L = liouvillian_for(ModelParams(n, m, **rates), dn)
+                    if len(L.sector) > dynamics._DENSE_ROWS:
+                        continue
+                    mat, _ = dynamics._scaled(L.matrix, L.sector)
+                    stepper = dynamics._TaylorStepper(mat)
+                    shifted, norm1 = _csr_form(mat)
+                    A = stepper.A
+                    assert isinstance(A, np.ndarray) and A.dtype == np.float64
+                    assert A.flags.c_contiguous
+                    assert A.tobytes() == shifted.toarray().tobytes()
+                    assert (np.float64(stepper.norm1).tobytes()
+                            == np.float64(norm1).tobytes())
+                    seen += 1
+    assert seen >= 40
+
+
+def test_dense_walk_matches_the_same_stepper_walked_as_csr(monkeypatch):
+    # the first criterion-1 draw at (4, 2): g1 walks 52 rows, g2 59, on
+    # the validate grid; g1 also on a geometric tail, whose long steps
+    # choose from the norm estimates. (g2's tail there decays at a
+    # rounding-level rate, -4e-16 or -9e-16 by the form, which moves its
+    # closed-form points by 1.5e-13 at t = 400: ROADMAP item 10.)
+    p = random_params(np.random.default_rng(1042), 4, 2)
+    ss = steady_state(liouvillian_for(p, 0))
+    grid = np.linspace(0.0, 5.0 / p.cavity_decay, 100)
+    tail = np.concatenate([np.linspace(0.0, 5.0, 51),
+                           np.geomspace(6.0, 400.0, 12)])
+
+    def traces():
+        return [g1_trace(p, ss, grid), g2_trace(p, ss, grid),
+                g1_trace(p, ss, tail)]
+
+    dense = traces()
+    init, forms = dynamics._TaylorStepper.__init__, []
+
+    def as_csr(self, mat):
+        init(self, mat)
+        forms.append(type(self.A))
+        self.A = sp.csr_matrix(self.A)
+
+    monkeypatch.setattr(dynamics._TaylorStepper, "__init__", as_csr)
+    csr = traces()
+    assert forms == [np.ndarray] * 3
+    assert dense[2].tail_delay is not None
+    for a, b in zip(dense, csr):
+        assert np.abs(a.values - b.values).max() <= 1e-13 * np.abs(b.values).max()
+        assert a.matvecs == b.matvecs
+
+
+def test_generator_above_the_cut_stays_csr_and_the_input_is_kept():
+    rng = np.random.default_rng(4)
+    for n, form in ((dynamics._DENSE_ROWS, np.ndarray),
+                    (dynamics._DENSE_ROWS + 1, sp.csr_matrix)):
+        mat = sp.random(n, n, density=0.05, random_state=rng, format="csr")
+        mat.setdiag(-rng.uniform(1.0, 2.0, n))
+        before = [mat.data.copy(), mat.indices.copy(), mat.indptr.copy()]
+        stepper = dynamics._TaylorStepper(mat)
+        assert type(stepper.A) is form
+        shifted, norm1 = _csr_form(mat)
+        assert np.array_equal(sp.csr_matrix(stepper.A).toarray(),
+                              shifted.toarray())
+        assert stepper.norm1 == norm1
+        for kept, now in zip(before, (mat.data, mat.indices, mat.indptr)):
+            assert np.array_equal(kept, now)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -401,9 +490,12 @@ def test_propagate_grid_is_independent_of_global_rng(monkeypatch):
     # the long tail steps need onenormest's random norm estimates, which
     # draw from the global RNG unless guarded (expm_multiply shows it)
     mat, d = dynamics._scaled(L.physical(), L.sector)
-    before = np.random.get_state()[1].copy()
+    # a draw moves the position in the key, and the key itself only when
+    # the position wraps, so both are compared
+    before = np.random.get_state()
     spla.expm_multiply(mat * 500.0, c0 * d)
-    assert not np.array_equal(np.random.get_state()[1], before)
+    moved = np.random.get_state()
+    assert not (np.array_equal(moved[1], before[1]) and moved[2] == before[2])
 
     calls = _count_calls(monkeypatch, spla, "onenormest")
     np.random.seed(1)

@@ -3,21 +3,24 @@ IEEE Computer 11 (1978) 34).
 
 Each entry of ``MUTANTS`` is one small fault in a module of the package,
 most in ``blocklaser.oracle``: one edit to the source of one function,
-named ``module.function``, compiled against its module's own globals and
-put in place with ``monkeypatch``, in its module and in every module of
-``MODULES`` that imported the name. A fault in the code that the two
-routes share (``blocklaser.model``) thus reaches both, as a real one
-would, and must be caught by a check outside that code. A test module's
-own ``from ... import`` binding keeps the original, so a check calls the
-function it tests through its module (``oracle.oracle_g2``). Each entry
-names the check that must catch it, a tier-1 test or an assertion of the
-code, and its case runs that check twice: it must pass on the code as it
-is and fail with the fault in place. The cached builders of ``CACHED``
-are cleared before and after each case, so no faulty part outlives it. A
-fault that survives fails its case; it is reported and kept in the
-table, never taken out to make the table pass. Every system here has N <= 4.
+method or module-level value, named ``module.function``,
+``module.Class.method`` or ``module.NAME``, compiled against its module's
+own globals and put in place with ``monkeypatch``, in its module (or
+class) and in every module of ``MODULES`` that imported the name. A
+fault in the code that the two routes share (``blocklaser.model``) thus
+reaches both, as a real one would, and must be caught by a check outside
+that code. A test module's own ``from ... import`` binding keeps the
+original, so a check calls the function it tests through its module
+(``oracle.oracle_g2``). Each entry names the check that must catch it, a
+tier-1 test or an assertion of the code, and its case runs that check
+twice: it must pass on the code as it is and fail with the fault in
+place. The cached builders of ``CACHED`` are cleared before and after
+each case, so no faulty part outlives it. A fault that survives fails
+its case; it is reported and kept in the table, never taken out to make
+the table pass. Every system here has N <= 4.
 """
 
+import ast
 import inspect
 import textwrap
 from functools import partial
@@ -25,13 +28,16 @@ from functools import partial
 import numpy as np
 import pytest
 
+import test_dynamics as dynamics_tests
 import test_liouvillian as liouvillian_tests
 import test_oracle as oracle_tests
-from blocklaser import ModelParams, liouvillian, model, oracle
+from blocklaser import (ModelParams, dynamics, liouvillian, model, opkernels,
+                        oracle)
 from blocklaser.dynamics import SolverError
 from blocklaser.model import random_params
 
-MODULES = {"model": model, "oracle": oracle, "liouvillian": liouvillian}
+MODULES = {"model": model, "oracle": oracle, "liouvillian": liouvillian,
+           "dynamics": dynamics, "opkernels": opkernels}
 
 #: the cached builders of the mutated modules, cleared around each case:
 #: the oracle's operators, parts and their block and half plans, and the
@@ -49,9 +55,29 @@ SMALL_SYSTEMS = [(1, 2), (2, 1), (2, 2)]
 
 
 def _function(qualified):
-    """(module, name) of a ``module.function`` name of ``MODULES``."""
-    module, name = qualified.split(".")
-    return MODULES[module], name
+    """(owner, name) of a ``module.name`` or ``module.Class.name`` of
+    ``MODULES``: the module or class that holds it, and its name."""
+    module, *path = qualified.split(".")
+    owner = MODULES[module]
+    for attr in path[:-1]:
+        owner = getattr(owner, attr)
+    return owner, path[-1]
+
+
+def _source(owner, name):
+    """The source of ``owner.name``: a function's definition, or the
+    module-level statement that assigns a value."""
+    original = getattr(owner, name)
+    if callable(original):
+        return textwrap.dedent(inspect.getsource(original))
+    source = inspect.getsource(owner)
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        if any(getattr(t, "id", None) == name for t in targets):
+            return ast.get_source_segment(source, node)
+    raise LookupError(f"no assignment of {name} in {owner.__name__}")
 
 
 def _clear_caches():
@@ -61,18 +87,18 @@ def _clear_caches():
 
 
 def _mutate(monkeypatch, qualified, old, new):
-    """Replace ``module.function`` by its source with ``old`` changed to
-    ``new``, compiled with the module's globals, so that it calls (and is
-    called through) the module's current names; every module of
-    ``MODULES`` that bound the function by name gets the mutant too."""
-    module, name = _function(qualified)
-    original = getattr(module, name)
-    source = textwrap.dedent(inspect.getsource(original))
+    """Replace ``qualified`` by its source with ``old`` changed to ``new``,
+    compiled with its module's globals, so that it calls (and is called
+    through) the module's current names; its owner and every module of
+    ``MODULES`` that bound it by name get the mutant."""
+    owner, name = _function(qualified)
+    original = getattr(owner, name)
+    source = _source(owner, name)
     assert source.count(old) == 1, f"{qualified}: the edit no longer applies"
     local = {}
     exec(compile(source.replace(old, new), f"<mutant of {qualified}>",
-                 "exec"), vars(module), local)
-    for importer in MODULES.values():
+                 "exec"), vars(inspect.getmodule(owner)), local)
+    for importer in (owner, *MODULES.values()):
         if getattr(importer, name, None) is original:
             monkeypatch.setattr(importer, name, local[name])
 
@@ -86,6 +112,12 @@ def _with_monkeypatch(test):
 def _residual_gate():
     """The steady solve's residual check, on a system it solves."""
     oracle.oracle_steady_state(ModelParams(2, 1, 0.9, 1.0, 0.5))
+
+
+def _sector_residual_gate():
+    """The sector steady solve's residual check, on a system it solves."""
+    dynamics.steady_state(liouvillian.liouvillian_for(
+        ModelParams(2, 1, 0.9, 1.0, 0.5), 0))
 
 
 def _per_term_generator():
@@ -197,6 +229,30 @@ MUTANTS = {
         ("I_POWERS[k & 3]", "I_POWERS[(2 * k) & 3]"),
         partial(oracle_tests.check_one_pass_parts_are_the_sparse_kron_parts,
                 SMALL_SYSTEMS),
+        AssertionError),
+    "I_POWERS holds 1 for i^1": (
+        "model.I_POWERS",
+        ("[1.0, 1.0j, -1.0, -1.0j]", "[1.0, 1.0, -1.0, -1.0j]"),
+        lambda: liouvillian.liouvillian_for(ModelParams(2, 2, 0.9, 1.0, 0.5),
+                                            -1),
+        AssertionError),
+    # faults in the sector route
+    "a sign flipped in one kernel rule of S^- on the left": (
+        "opkernels.KERNELS",
+        ("lambda c: -0.5 * c.pl)", "lambda c: 0.5 * c.pl)"),
+        partial(liouvillian_tests.test_lifted_action_equals_full_space_action,
+                2, 1, np.random.default_rng(5)),
+        AssertionError),
+    "one entry of the sector steady solution moved by 1e-4": (
+        "dynamics.steady_state",
+        ("y = lu.solve(rhs)", "y = lu.solve(rhs)\n    y[1] += 1e-4"),
+        _sector_residual_gate,
+        SolverError),
+    "dense Taylor generator without its diagonal shift, mu still in eta": (
+        "dynamics._TaylorStepper.__init__",
+        ("self.A.flat[::n + 1] -= self.mu", "pass"),
+        partial(dynamics_tests.test_propagate_grid_matches_expm_multiply_reference,
+                "sector N=4 M=2 charge -1"),
         AssertionError),
 }
 
