@@ -51,7 +51,9 @@ charge-0 spectral gap that certifies uniqueness. There is no dense or
 iterative fallback: a singular or degenerate sector raises
 :class:`DegenerateSteadyStateError`, and a state that breaks a bound every
 density matrix keeps (0 <= nb <= M, |sz| <= 1, spsm >= -(1 + sz) / (2 (N -
-1))) raises :class:`PrecisionLossError`.
+1))) raises :class:`PrecisionLossError`, as does one whose refinement step
+from the same factors exceeds :data:`REFINEMENT_TOL` (from N ~ 140 on,
+where the LU loses its digits with every other gate passing).
 """
 
 from __future__ import annotations
@@ -639,7 +641,14 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
     - the state must keep the bounds every density matrix keeps, 0 <= nb
       <= M, |sz| <= 1 and spsm >= -(1 + sz) / (2 (N - 1)); a state that
       breaks one has lost precision in the solve, and
-      :class:`PrecisionLossError` names the observable and the bound.
+      :class:`PrecisionLossError` names the observable and the bound;
+    - after that gate, one refinement step from the same factors (one
+      mat-vec and one solve, 3-5 ms at N = 100) must move the scaled state
+      by at most :data:`REFINEMENT_TOL` = 1e-4 relative in max-norm, else
+      :class:`PrecisionLossError` names the step's size
+      (``_check_refinement``; measured sizes at the constant). The refined
+      vector is not returned: the state is the unrefined solve, so every
+      result that passes is unchanged by the check.
     """
     sector = L.sector
     if sector.delta_n != 0:
@@ -678,7 +687,40 @@ def steady_state(L: Superoperator, trace: Optional[np.ndarray] = None,
     y = y / tr
     state = SymmetricState(sector=sector, coeffs=y / d)
     _check_physical_range(state)
+    _check_refinement(lu, mat, t_scaled, y, r0, sector)
     return state
+
+
+#: largest relative size max|dy| / max|y| of one refinement step that
+#: steady_state accepts. At kappa_tilde = 0.25 the step is 9e-12 to 4.8e-6
+#: at the seed-1 pump-sweep points (N = 100, w_tilde 0.5 to 3.6) and at
+#: w_tilde = 1.6 about 2e-2 at N = 140 and 0.4 at N = 200, where the LU
+#: state is off by up to 25% and passes every other gate.
+REFINEMENT_TOL = 1e-4
+
+
+def _check_refinement(lu, mat: sp.csr_matrix, t_scaled: np.ndarray,
+                      y: np.ndarray, row: int, sector: SectorBasis) -> None:
+    """Raise :class:`PrecisionLossError` if one step of iterative
+    refinement moves the scaled steady state ``y`` by more than
+    :data:`REFINEMENT_TOL` relative.
+
+    The step solves B dy = e_row - B y with the factors ``lu`` of the
+    bordered matrix B (``mat`` with row ``row`` replaced by ``t_scaled``).
+    Its size estimates the forward error of the solve (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 12; Skeel 1980): the
+    residual is small whatever the conditioning, the correction is not.
+    The refined vector is not returned: past N ~ 150 it diverges, and
+    below it the unrefined state is the one every other check passed.
+    """
+    r = -(mat @ y)
+    r[row] = 1.0 - t_scaled @ y
+    size = np.abs(lu.solve(r)).max() / np.abs(y).max()
+    if not size <= REFINEMENT_TOL:
+        raise PrecisionLossError(
+            f"one refinement step moves the steady state by {size:.2g} "
+            f"relative, above {REFINEMENT_TOL:g}: the LU solve has lost "
+            f"its accuracy (N = {sector.n_atoms}, M = {sector.photon_cutoff})")
 
 
 #: rounding allowance of the physical-range gate, far above the rounding

@@ -962,6 +962,18 @@ def test_steady_state_out_of_physical_range_raises():
         steady_state(liouvillian_for(p, 0))
 
 
+@pytest.mark.parametrize("n_atoms", [140, 200])
+def test_steady_state_past_the_precision_onset_raises(n_atoms):
+    # w_tilde = 1.6, kappa_tilde = 0.25: the bordered solve passes its
+    # residual, gap and range gates (at N = 200 on nb = 0.49998, where
+    # relaxation gives 0.40083), but one refinement step from its factors
+    # moves the state by about 2e-2 (N = 140) and 0.4 (N = 200)
+    p = ModelParams(n_atoms, 1, coupling_from_kappa_tilde(n_atoms, 1.0, 0.25),
+                    1.0, 1.6 / n_atoms)
+    with pytest.raises(PrecisionLossError, match="one refinement step moves"):
+        steady_state(liouvillian_for(p, 0))
+
+
 def test_physical_range_gate_passes_preset_and_benchmark_points(tmp_path):
     # the fig2a-numeric preset (N = 100, 40 pumps) through the CLI
     out = tmp_path / "sweep.csv"

@@ -30,14 +30,16 @@ import pytest
 
 import test_dynamics as dynamics_tests
 import test_liouvillian as liouvillian_tests
+import test_observables as observables_tests
 import test_oracle as oracle_tests
-from blocklaser import (ModelParams, dynamics, liouvillian, model, opkernels,
-                        oracle)
-from blocklaser.dynamics import SolverError
+from blocklaser import (ModelParams, dynamics, liouvillian, model, observables,
+                        opkernels, oracle)
+from blocklaser.dynamics import PrecisionLossError, SolverError
 from blocklaser.model import random_params
 
 MODULES = {"model": model, "oracle": oracle, "liouvillian": liouvillian,
-           "dynamics": dynamics, "opkernels": opkernels}
+           "dynamics": dynamics, "opkernels": opkernels,
+           "observables": observables}
 
 #: the cached builders of the mutated modules, cleared around each case:
 #: the oracle's operators, parts and their block and half plans, and the
@@ -118,6 +120,25 @@ def _sector_residual_gate():
     """The sector steady solve's residual check, on a system it solves."""
     dynamics.steady_state(liouvillian.liouvillian_for(
         ModelParams(2, 1, 0.9, 1.0, 0.5), 0))
+
+
+def _refinement_detector():
+    """The sector steady solve's refinement detector, on a system it
+    solves; the physical-range gate, which raises the same type, must not
+    be what fires."""
+    try:
+        _sector_residual_gate()
+    except PrecisionLossError as exc:
+        assert "one refinement step" in str(exc), exc
+        raise
+
+
+def _chirp_spectrum():
+    """The direct-sum spectrum check on 800 uniform delays and 9 geometric
+    ones at 4001 frequencies, where the run takes the chirp-z path."""
+    observables_tests.check_spectrum_matches_direct_sum(
+        observables_tests.RUN_AND_TAIL, np.linspace(-4.0, 3.0, 4001),
+        np.random.default_rng(20240817))
 
 
 def _per_term_generator():
@@ -248,11 +269,28 @@ MUTANTS = {
         ("y = lu.solve(rhs)", "y = lu.solve(rhs)\n    y[1] += 1e-4"),
         _sector_residual_gate,
         SolverError),
+    "one entry of the normalized sector steady state moved by 1e-4, "
+    "after the residual gate": (
+        "dynamics.steady_state",
+        ("y = y / tr", "y = y / tr\n    y[1] += 1e-4"),
+        _refinement_detector,
+        PrecisionLossError),
     "dense Taylor generator without its diagonal shift, mu still in eta": (
         "dynamics._TaylorStepper.__init__",
         ("self.A.flat[::n + 1] -= self.mu", "pass"),
         partial(dynamics_tests.test_propagate_grid_matches_expm_multiply_reference,
                 "sector N=4 M=2 charge -1"),
+        AssertionError),
+    # faults in the spectrum
+    "chirp-z outer phase with its sign flipped": (
+        "observables._chirp_sum",
+        ("return v * np.exp(1j * outer)", "return v * np.exp(-1j * outer)"),
+        _chirp_spectrum,
+        AssertionError),
+    "chirp-z run extended by the first geometric delay": (
+        "observables._chirp_run",
+        ("return run if", "return run + 1 if"),
+        _chirp_spectrum,
         AssertionError),
 }
 

@@ -215,18 +215,50 @@ def _direct_spectrum(t, values, freqs):
             - np.sin(phase) @ (q * values.imag)) / np.pi
 
 
-@pytest.mark.parametrize("n_freqs", [1, 2, 3, 7, 209, 4001])
-def test_factored_phase_matches_direct_sum(n_freqs, rng):
-    # J = 3, 7, 209 and 4001 leave the last row of the A x B layout
-    # partial; the delays fill three chunks and part of a fourth
-    from blocklaser.observables import SPECTRUM_BLOCK
-    t = np.concatenate([np.linspace(0.0, 40.0, 3 * SPECTRUM_BLOCK + 32),
-                        np.geomspace(41.0, 300.0, 9)])
-    assert len(t) % SPECTRUM_BLOCK != 0
+#: delay grids of the direct-sum spectrum test. RUN_AND_TAIL: 800 uniform
+#: delays and 9 geometric ones, where J <= 7 fills three chunks of the
+#: phase tables and part of a fourth; CORRELATION: the fig2b and benchmark
+#: grid, 2501 uniform delays and 120 geometric ones; ALL_UNIFORM: one run,
+#: off the origin; SHORT_RUN: 100 uniform delays, fewer than the chirp-z
+#: path takes, then a geometric tail; JITTERED: a uniform grid moved by
+#: 1e-9 relative, too far off a line for a run
+RUN_AND_TAIL = np.concatenate([np.linspace(0.0, 40.0, 800),
+                               np.geomspace(41.0, 300.0, 9)])
+CORRELATION = correlation_times(dt_dense=0.02, t_dense=50.0, t_max=1500.0,
+                                n_tail=120)
+ALL_UNIFORM = np.linspace(0.5, 60.0, 3000)
+SHORT_RUN = np.concatenate([np.linspace(0.0, 2.0, 100),
+                            np.geomspace(2.1, 300.0, 400)])
+JITTERED = (np.linspace(0.0, 40.0, 2000)
+            * (1.0 + 1e-9 * np.random.default_rng(7).standard_normal(2000)))
+
+
+@pytest.mark.parametrize("t, band, run", [
+    pytest.param(RUN_AND_TAIL, (-4.0, 3.0, n), run, id=str(n))
+    for n, run in [(1, 0), (2, 0), (3, 0), (7, 0), (209, 800), (4001, 800)]
+] + [
+    pytest.param(CORRELATION, (-10.0, 10.0, 4001), 2501, id="correlation"),
+    pytest.param(ALL_UNIFORM, (-6.0, 8.0, 1001), 3000, id="all-uniform"),
+    pytest.param(SHORT_RUN, (-4.0, 3.0, 4001), 0, id="short-run"),
+    pytest.param(JITTERED, (-4.0, 3.0, 4001), 0, id="jittered"),
+])
+def test_factored_phase_matches_direct_sum(t, band, run, rng):
+    # J = 3, 7, 209 and 4001 leave the last row of the A x B table layout
+    # partial; ``run`` delays take the chirp-z path, the rest the tables
+    from blocklaser.observables import SPECTRUM_BLOCK, _chirp_run
+    assert len(RUN_AND_TAIL) % SPECTRUM_BLOCK != 0
+    freqs = np.linspace(*band)
+    assert _chirp_run(t, len(freqs)) == run
+    check_spectrum_matches_direct_sum(t, freqs, rng)
+
+
+def check_spectrum_matches_direct_sum(t, freqs, rng):
+    """power_spectrum of a seeded decaying trace on the delays ``t``
+    against one cos and one sin per (frequency, delay), to 1e-14 of the
+    peak."""
     values = (np.exp((-0.3 + 0.9j) * t) + 0.05 * rng.random(len(t))
               * np.exp(-0.2 * t))
     trace = CorrelationTrace(times=t, values=values, normalization=1.0)
-    freqs = np.linspace(-4.0, 3.0, n_freqs)
     spec = power_spectrum(trace, freqs=freqs)
     direct = _direct_spectrum(t, values, freqs)
     assert np.abs(spec.values - direct).max() <= 1e-14 * np.abs(direct).max()

@@ -196,7 +196,7 @@ def test_full_generator_is_real_in_the_photon_gauge():
             assert real.dtype == np.float64
             for L in (_per_term_liouvillian(case), build_full_liouvillian(case)):
                 gauged = gauge @ L @ gauge.conj()
-                assert not gauged.imag.toarray().any(), (case,)
+                assert not gauged.data.imag.any(), (case,)
                 assert np.abs(gauged.real - real).max() <= (
                     1e-14 * np.abs(real).max()), (case,)
 
